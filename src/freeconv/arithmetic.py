@@ -15,6 +15,7 @@ multi-cut supports.
 
 from __future__ import annotations
 
+import cmath
 import time
 from dataclasses import dataclass
 
@@ -86,18 +87,17 @@ class HTransform:
     def __call__(self, lam: complex) -> complex:
         return lam * self.resolvent(lam)
 
-    def value_and_derivative(self, lam: complex):
-        g, gp = self.resolvent.value_and_derivative(lam)
-        return lam * g, g + lam * gp
-
-    def vd_scalar(self, lam):
+    def vd_scalar(self, lam: complex):
+        """(h, h') at one point."""
         g, gp = self.resolvent.vd_scalar(lam)
         return lam * g, g + lam * gp
+
+    value_and_derivative = vd_scalar
 
     def inverse(self, h: complex, seed=None) -> complex:
         lam = complex(seed) if seed is not None else self.mean / (h - 1.0)
         lam, _ = _newton_scalar(
-            lambda x: _shifted(self.value_and_derivative(x), h), lam,
+            lambda x: _shifted(self.vd_scalar(x), h), lam,
             tol=OUTER_TOL * max(1.0, abs(h)),
         )
         return lam
@@ -131,7 +131,7 @@ def _newton_scalar(fun, x0, tol, stall_tol=None, xspace_tol=None):
     for _ in range(MAX_ITER):
         if abs(res) <= tol:
             return x, abs(res)
-        if deriv == 0 or not np.isfinite(deriv):
+        if deriv == 0 or not cmath.isfinite(deriv):
             raise InversionError("vanishing derivative", last_iterate=x,
                                  residual=abs(res))
         step = -res / deriv
@@ -176,7 +176,7 @@ def _invert_warm(resolvent, w, seed, seed_val=None, seed_deriv=None):
     for _ in range(MAX_ITER):
         if abs(res) <= tol:
             return u, g, gp
-        if gp == 0 or not np.isfinite(gp):
+        if gp == 0 or not cmath.isfinite(gp):
             raise InversionError("vanishing derivative in inner inversion",
                                  last_iterate=u, residual=abs(res))
         step = -res / gp
@@ -396,7 +396,7 @@ class PasturResolvent(_SweepResolvent):
         return state
 
     def _gprime_of(self, z, state):
-        g, gp = self.r.value_and_derivative(z - self.sigma2 * state)
+        g, gp = self.r.vd_scalar(z - self.sigma2 * state)
         return gp / (1.0 + self.sigma2 * gp)
 
 
@@ -510,7 +510,7 @@ def _invert_warm_h(ht: HTransform, h, seed, seed_val=None, seed_deriv=None):
     for _ in range(MAX_ITER):
         if abs(res) <= tol:
             return lam, val, deriv
-        if deriv == 0 or not np.isfinite(deriv):
+        if deriv == 0 or not cmath.isfinite(deriv):
             raise InversionError("vanishing h-derivative", last_iterate=lam,
                                  residual=abs(res))
         step = -res / deriv

@@ -18,11 +18,11 @@ import numpy as np
 from .acceptance import run_all
 from .arithmetic import (
     ExternalFieldSpec,
+    HTransform,
+    RTransform,
     free_add,
     free_multiply,
-    h_function,
     pastur_add_gaussian,
-    r_transform,
     verify_generalized_addition_gaussian,
 )
 from .errors import NumericalError, ValidationError
@@ -43,6 +43,7 @@ from .rmt import (
 )
 from .series import free_add_series, free_multiply_series
 from .stieltjes import (
+    DEFAULT_EPSILON_SCHEDULE,
     ContourSpec,
     cauchy_transform,
     principal_value_transform,
@@ -69,7 +70,7 @@ def contour_from_config(cfg) -> ContourSpec | None:
         return None
     grid = np.linspace(cfg["lo"], cfg["hi"], cfg.get("points", 2000))
     schedule = np.asarray(cfg.get("epsilon_schedule",
-                                  (1e-2, 5e-3, 2.5e-3)), dtype=float)
+                                  DEFAULT_EPSILON_SCHEDULE), dtype=float)
     return ContourSpec(grid, schedule)
 
 
@@ -116,24 +117,25 @@ def cmd_transform(cfg, out_dir, seed, tol_scale):
     xs = np.linspace(grid_cfg["lo"], grid_cfg["hi"],
                      grid_cfg.get("points", 200))
     offset = cfg.get("imag_offset", 1e-2)
-    rows = []
-    for x in xs:
-        if which == "cauchy":
-            val = cauchy_transform(mu, complex(x, offset))
-        elif which == "pv":
-            val = complex(principal_value_transform(mu, float(x)))
-        elif which == "r":
-            val = r_transform(mu, complex(x, -offset))
-        elif which == "h":
-            val = h_function(mu, complex(x, offset))
-        else:
-            raise ValidationError(f"unknown transform {which!r}")
-        rows.append((x, val.real, val.imag))
+    # one evaluator (and one domain check) serves the whole grid
+    if which == "cauchy":
+        vals = cauchy_transform(mu, xs + 1j * offset)
+    elif which == "pv":
+        vals = [principal_value_transform(mu, float(x)) for x in xs]
+    elif which == "r":
+        rt = RTransform(mu)
+        vals = [rt(complex(x, -offset)) for x in xs]
+    elif which == "h":
+        ht = HTransform(mu)
+        vals = [ht(complex(x, offset)) for x in xs]
+    else:
+        raise ValidationError(f"unknown transform {which!r}")
     path = out_dir / f"transform_{which}.csv"
     with open(path, "w") as fh:
         fh.write("x,re,im\n")
-        for x, re, im in rows:
-            fh.write(f"{x:.17g},{re:.17g},{im:.17g}\n")
+        for x, val in zip(xs, vals):
+            val = complex(val)
+            fh.write(f"{x:.17g},{val.real:.17g},{val.imag:.17g}\n")
     return 0
 
 

@@ -9,6 +9,7 @@ detected from the scale-invariance of eps*|G| near a pole.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,15 +122,52 @@ class MeasureResolvent(ResolventEvaluator):
         self._dt = self._t1 - self._t0
         self._apos = np.array([x for x, _ in mu.atoms])
         self._aw = np.array([w for _, w in mu.atoms])
+        self._atoms = tuple((float(x), float(w)) for x, w in mu.atoms)
+
+    def _cell_sums(self, zc):
+        """Summed cell contributions to (G, G') for zc = z - cell midpoints.
+
+        ``zc`` has the cells on its last axis: shape (cells,) for one point
+        or (points, cells) for a batch.  Both paths share this body, so
+        they cannot drift apart.  Far from a cell the log is expanded
+        around the cell midpoint: multiplying a rounded log by the steep
+        linear-extension coefficient r0 + s*(z - t0) would otherwise inject
+        absolute noise of order eps * slope * |z| and stall Newton solves
+        at ~1e-9.
+        """
+        slope = self._slope
+        u = self._halfdt / zc
+        u2 = u * u
+        d0d1 = zc * zc - self._halfdt * self._halfdt
+        # odd series: L = log(d0/d1), T3 = L - 2u, D = L + zc*L'.  The
+        # factors 1/11 stand for divisions by 11: numpy divides a complex
+        # array by a real scalar as a product with its rounded reciprocal,
+        # so these products give the same bits without the complex divide.
+        r11 = 1 / 11
+        p_l = 1 / 3 + u2 * (1 / 5 + u2 * (1 / 7 + u2 * (1 / 9 + u2 * r11)))
+        lser = 2 * u * (1.0 + u2 * p_l)
+        tu3 = 2 * u * u2
+        t3 = tu3 * p_l
+        dser = -tu3 * (
+            2 / 3 + u2 * (4 / 5 + u2 * (6 / 7 + u2 * (8 / 9 + u2 * 10 * r11)))
+        )
+        lp = -self._dt / d0d1
+        # flat indices of the near cells; every array here is C-contiguous,
+        # so reshape(-1) is a view and the writes below land in place
+        near = np.flatnonzero(np.abs(u) >= 0.05)
+        if near.size:
+            cell = near if zc.ndim == 1 else near % zc.shape[-1]
+            zcn = zc.reshape(-1)[near]
+            hn = self._halfdt[cell]
+            l_exact = np.log((zcn + hn) / (zcn - hn))
+            lser.reshape(-1)[near] = l_exact
+            t3.reshape(-1)[near] = l_exact - 2 * u.reshape(-1)[near]
+            dser.reshape(-1)[near] = l_exact + zcn * lp.reshape(-1)[near]
+        return (np.sum(self._rc * lser + slope * zc * t3, axis=-1),
+                np.sum(self._rc * lp + slope * dser, axis=-1))
 
     def _kernel(self, z):
-        """(G, G') for a 1-D complex array z.
-
-        Far from a cell the log is expanded around the cell midpoint:
-        multiplying a rounded log by the steep linear-extension coefficient
-        r0 + s*(z - t0) would otherwise inject absolute noise of order
-        eps * slope * |z| and stall Newton solves at ~1e-9.
-        """
+        """(G, G') for a 1-D complex array z."""
         z = z[:, None]
         g = np.zeros(z.shape[0], dtype=complex)
         gp = np.zeros(z.shape[0], dtype=complex)
@@ -138,34 +176,32 @@ class MeasureResolvent(ResolventEvaluator):
             g += np.sum(self._aw * inv, axis=1)
             gp += np.sum(-self._aw * inv * inv, axis=1)
         if self._t0.size:
-            slope = self._slope
-            zc = z - self._mid
-            u = self._halfdt / zc
-            u2 = u * u
-            d0d1 = zc * zc - self._halfdt * self._halfdt
-            # odd series: L = log(d0/d1), T3 = L - 2u, D = L + zc*L'
-            p_l = 1 / 3 + u2 * (1 / 5 + u2 * (1 / 7 + u2 * (1 / 9 + u2 / 11)))
-            lser = 2 * u * (1.0 + u2 * p_l)
-            t3 = 2 * u * u2 * p_l
-            dser = -2 * u * u2 * (
-                2 / 3 + u2 * (4 / 5 + u2 * (6 / 7 + u2 * (8 / 9 + u2 * 10 / 11)))
-            )
-            lp = -self._dt / d0d1
-            near = np.abs(u) >= 0.05
-            if np.any(near):
-                zcn = zc[near]
-                hn = self._halfdt[np.nonzero(near)[1]]
-                l_exact = np.log((zcn + hn) / (zcn - hn))
-                lser[near] = l_exact
-                t3[near] = l_exact - 2 * u[near]
-                dser[near] = l_exact + zcn * lp[near]
-            g += np.sum(self._rc * lser + slope * zc * t3, axis=1)
-            gp += np.sum(self._rc * lp + slope * dser, axis=1)
+            cg, cgp = self._cell_sums(z - self._mid)
+            g += cg
+            gp += cgp
         return g, gp
 
     def vd_scalar(self, z):
-        g, gp = self._kernel(np.array([z], dtype=complex))
-        return complex(g[0]), complex(gp[0])
+        """(G, G') at one point as Python complex numbers.
+
+        The hot path of every contour solve: atoms are summed in a plain
+        loop and cells on 1-D arrays, with no per-call array set-up.  An
+        exact hit on an atom gives NaN, as the batched path does.
+        """
+        z = complex(z)
+        g = gp = 0j
+        try:
+            for a, w in self._atoms:
+                inv = 1.0 / (z - a)
+                g += w * inv
+                gp -= w * inv * inv
+        except ZeroDivisionError:
+            return complex("nan"), complex("nan")
+        if self._t0.size:
+            cg, cgp = self._cell_sums(z - self._mid)
+            g += complex(cg)
+            gp += complex(cgp)
+        return g, gp
 
     def value_and_derivative(self, z):
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -184,15 +220,12 @@ class MeasureResolvent(ResolventEvaluator):
 # -- public transforms --------------------------------------------------------
 
 
-def cauchy_transform(mu: SpectralMeasure, z):
-    """G(z) = sum_i w_i/(z - a_i) + int rho(t) dt / (z - t).
-
-    Real z must lie outside the closed support; on the support use
-    principal_value_transform instead.
-    """
+def _off_support_resolvent(mu: SpectralMeasure, z) -> MeasureResolvent:
+    """Evaluator for ``mu`` after checking that no real z lies on the
+    closed support; shared domain rule of the public transforms."""
     ev = MeasureResolvent(mu)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    lo, hi = mu.support()
+    lo, hi = ev.support
     on_axis = z_arr.imag == 0
     if np.any(on_axis):
         x = z_arr.real[on_axis]
@@ -201,12 +234,21 @@ def cauchy_transform(mu: SpectralMeasure, z):
                 "z lies on the support; use principal_value_transform for "
                 "boundary values"
             )
-    return ev(z)
+    return ev
+
+
+def cauchy_transform(mu: SpectralMeasure, z):
+    """G(z) = sum_i w_i/(z - a_i) + int rho(t) dt / (z - t).
+
+    Real z must lie outside the closed support; on the support use
+    principal_value_transform instead.  ``z`` may be an array.
+    """
+    return _off_support_resolvent(mu, z)(z)
 
 
 def cauchy_derivative(mu: SpectralMeasure, z):
     """G'(z) under the same domain rules as cauchy_transform."""
-    return MeasureResolvent(mu).value_and_derivative(z)[1]
+    return _off_support_resolvent(mu, z).value_and_derivative(z)[1]
 
 
 def principal_value_transform(mu: SpectralMeasure, x: float) -> float:
@@ -263,19 +305,19 @@ def invert_cauchy(ev: ResolventEvaluator, w: complex, seed=None) -> complex:
 def _newton_invert(ev, w, lam0):
     lam = complex(lam0)
     tol = NEWTON_TOL * max(1.0, abs(w))
-    g, gp = ev.value_and_derivative(lam)
+    g, gp = ev.vd_scalar(lam)
     res = g - w
     for _ in range(NEWTON_MAX_ITER):
         if abs(res) <= tol:
             return lam
-        if gp == 0 or not np.isfinite(gp):
+        if gp == 0 or not cmath.isfinite(gp):
             raise InversionError("vanishing derivative during inversion",
                                  last_iterate=lam, residual=abs(res))
         step = -res / gp
         scale = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
             cand = lam + scale * step
-            g_c, gp_c = ev.value_and_derivative(cand)
+            g_c, gp_c = ev.vd_scalar(cand)
             if abs(g_c - w) < abs(res):
                 lam, g, gp, res = cand, g_c, gp_c, g_c - w
                 break
@@ -319,29 +361,33 @@ def _ladder(top: float, target: float, ratio: float = 2.0) -> np.ndarray:
 # -- density recovery ---------------------------------------------------------
 
 
-def _column_density(lad, col):
-    """Extrapolated density at one contour column."""
+def _column_densities(lad, cols):
+    """Extrapolated density at contour columns sharing one ladder.
+
+    ``cols`` holds one column per row, one rung per column.
+    """
     take = min(3, len(lad))
-    e = lad[-take:]
-    v = [-c.imag / np.pi for c in col[-take:]]
-    rho = float(neville_to_zero(e, v))
-    if rho < 0 and take >= 2:
+    e = np.asarray(lad[-take:], dtype=float)
+    v = -np.asarray(cols)[:, -take:].T.imag / np.pi
+    rho = neville_to_zero(e, v)
+    if take >= 2:
         # overshoot near edges: retry with the short stencil
-        rho = float(neville_to_zero(e[-2:], v[-2:]))
+        rho = np.where(rho < 0, neville_to_zero(e[-2:], v[-2:]), rho)
     # Both extrapolations negative means the boundary signal is pure
     # epsilon-linear leakage, i.e. the density itself vanishes here.
-    return max(rho, 0.0)
+    return np.where(rho < 0, 0.0, rho)
 
 
 def _detection_indices(lad, spacing):
-    """Three ladder rungs with eps nearest to 4x the local grid spacing."""
-    target = 4.0 * spacing
-    j = int(np.argmin(np.abs(np.log(np.asarray(lad) / target))))
-    j = min(max(j, 0), len(lad) - 1)
-    lo = max(0, j - 1)
-    hi = min(len(lad), lo + 3)
-    lo = max(0, hi - 3)
-    return list(range(lo, hi))
+    """Three ladder rungs with eps nearest to 4x the local grid spacing.
+
+    An array ``spacing`` gives one row of rung indices per entry.
+    """
+    lad = np.asarray(lad, dtype=float)
+    target = 4.0 * np.asarray(spacing, dtype=float)
+    j = np.argmin(np.abs(np.log(lad / target[..., None])), axis=-1)
+    lo = np.clip(j - 1, 0, max(lad.size - 3, 0))
+    return lo[..., None] + np.arange(min(3, lad.size))
 
 
 class _AtomFit:
@@ -394,16 +440,12 @@ def _detect_atoms(ev, xs, lad, cols):
     """
     n = len(xs)
     spacing = np.gradient(xs)
-    flags = np.zeros(n, dtype=bool)
-    m0 = np.zeros(n)
-    for k in range(n):
-        idx = _detection_indices(lad, spacing[k])
-        e = np.array([lad[j] for j in idx])
-        m = np.array([abs(e_j * cols[k][j]) for e_j, j in zip(e, idx)])
-        if m[0] <= 0:
-            continue
-        m0[k] = neville_to_zero(e, m)
-        flags[k] = m0[k] > ATOM_MASS_THRESHOLD
+    idx = _detection_indices(lad, spacing)
+    e = np.asarray(lad, dtype=float)[idx]
+    m = np.abs(e * np.take_along_axis(cols, idx, axis=1))
+    # no signal on the top detection rung: not a candidate
+    m0 = np.where(m[:, 0] <= 0, 0.0, neville_to_zero(e.T, m.T))
+    flags = m0 > ATOM_MASS_THRESHOLD
     atoms = []
     k = 0
     while k < n:
@@ -442,14 +484,12 @@ def _parabola_pole_position(xs, cols, lad, peak, spacing):
     return float(np.clip(vertex, x[0], x[2]))
 
 
-def _subtract_poles(xs, ladders, cols, atoms):
-    for k, (x, lad) in enumerate(zip(xs, ladders)):
-        z = x + 1j * np.asarray(lad)
-        correction = np.zeros_like(z)
-        for atom in atoms:
-            correction += atom.weight / (z - atom.position)
-        cols[k] = cols[k] - correction
-    return cols
+def _subtract_poles(xs, lad, cols, atoms):
+    z = xs[:, None] + 1j * np.asarray(lad)
+    correction = np.zeros_like(z)
+    for atom in atoms:
+        correction += atom.weight / (z - atom.position)
+    return cols - correction
 
 
 def _power_law_completion(offsets, densities, edge, inner_sign, floor_scale):
@@ -494,16 +534,14 @@ def stieltjes_invert(ev: ResolventEvaluator, contour: ContourSpec,
     """
     xs = np.asarray(contour.real_grid, dtype=float)
     sched = np.asarray(contour.epsilon_schedule, dtype=float)
-    ladders = [sched] * len(xs)
-    cols = ev.sample_columns(xs, ladders)
+    cols = np.array(ev.sample_columns(xs, [sched] * len(xs)))
     _herglotz_guard(cols)
 
     atoms = _detect_atoms(ev, xs, sched, cols)
     if atoms:
-        cols = _subtract_poles(xs, ladders, cols, atoms)
+        cols = _subtract_poles(xs, sched, cols, atoms)
 
-    dens = np.array([_column_density(lad, col)
-                     for lad, col in zip(ladders, cols)])
+    dens = _column_densities(sched, cols)
     raw_floor = max(np.max(dens), 0.0)
     floor = max(1e-8, 1e-5 * raw_floor)
 
@@ -660,7 +698,7 @@ def _refine_edge(ev, sched, anchor, hinted, inner_sign, width, spacing):
     new_ladders = [new_ladders[i] for i in order]
     cols = ev.sample_columns(new_xs, new_ladders)
     _herglotz_guard(cols)
-    new_dens = np.array([_column_density(lad, col)
+    new_dens = np.array([_column_densities(lad, [col])[0]
                          for lad, col in zip(new_ladders, cols)])
     grid, dens = new_xs, np.clip(new_dens, 0.0, None)
     singular = False

@@ -1,9 +1,14 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from freeconv.errors import DomainError, InversionError, ValidationError
 from freeconv.measures import (
     LawSpec,
+    SpectralMeasure,
     absolute_moment,
     density_l1_distance,
     dirac,
@@ -13,6 +18,7 @@ from freeconv.measures import (
 from freeconv.stieltjes import (
     ContourSpec,
     MeasureResolvent,
+    cauchy_derivative,
     cauchy_transform,
     default_contour,
     invert_cauchy,
@@ -73,6 +79,27 @@ def test_transform_rejects_on_support_real_points():
         cauchy_transform(mu, 0.5 + 0j)
     # outside the support the real axis is fine
     assert cauchy_transform(mu, 3.0 + 0j).imag == pytest.approx(0.0, abs=1e-12)
+
+
+def test_derivative_domain_rules_and_pole_hits():
+    semi = make_law(LawSpec.semicircle(1.0), 200)
+    with pytest.raises(DomainError):
+        cauchy_derivative(semi, 0.3 + 0j)
+    mp2 = make_law(LawSpec.marchenko_pastur(2.0), 200)  # atom 1/2 at 0
+    for transform in (cauchy_transform, cauchy_derivative):
+        with pytest.raises(DomainError):
+            transform(mp2, 0.0 + 0j)
+    # off the support G' matches a central difference of G
+    for z in (3.0 + 0j, 0.5 + 2j):
+        h = 1e-5
+        quotient = (cauchy_transform(semi, z + h)
+                    - cauchy_transform(semi, z - h)) / (2 * h)
+        assert cauchy_derivative(semi, z) == pytest.approx(quotient, abs=1e-8)
+    # the evaluator itself checks no domain: an exact pole hit is
+    # non-finite, never a bare ZeroDivisionError
+    for mu in (dirac(0.0), mp2):
+        g, gp = MeasureResolvent(mu).vd_scalar(0.0)
+        assert not (cmath.isfinite(g) and cmath.isfinite(gp))
 
 
 @pytest.mark.parametrize("spec", CATALOG)
@@ -248,3 +275,74 @@ def test_contour_validation():
         ContourSpec(np.array([0.0, 1.0, 0.5]))
     with pytest.raises(ValidationError):
         ContourSpec(np.linspace(0, 1, 16), np.array([1e-3, 1e-2]))
+
+
+# -- scalar and batched kernel paths ------------------------------------------
+
+CONTINUOUS = [spec for spec in CATALOG if spec.kind != "two_atom"]
+
+
+@st.composite
+def atom_lists(draw):
+    positions = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=12,
+                              unique=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(positions),
+                            max_size=len(positions)))
+    total = sum(weights)
+    return tuple((x, w / total) for x, w in zip(positions, weights))
+
+
+@st.composite
+def kernel_measures(draw):
+    """Atom lists, catalog laws on 64- to 2000-point grids, and mixtures."""
+    kind = draw(st.sampled_from(["atoms", "law", "mixture"]))
+    if kind == "atoms":
+        return SpectralMeasure(atoms=draw(atom_lists()))
+    law = make_law(draw(st.sampled_from(CONTINUOUS)),
+                   draw(st.integers(64, 2000)))
+    if kind == "law":
+        return law
+    p = draw(st.floats(0.05, 0.95))
+    return SpectralMeasure(
+        atoms=tuple((x, p * w) for x, w in draw(atom_lists())),
+        segments=tuple(s.scaled(1.0 - p) for s in law.segments),
+    )
+
+
+@st.composite
+def kernel_cases(draw):
+    """A measure and points 1e-9 to 1 above the axis: some over the
+    support, some where |halfdt / (z - mid)| sits at the 0.05 switch
+    between a cell's midpoint series and its exact log."""
+    mu = draw(kernel_measures())
+    lo, hi = mu.support()
+    zs = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(st.floats(lo - 0.5, hi + 0.5))
+        zs.append(complex(x, 10.0 ** draw(st.floats(-9.0, 0.0))))
+    cells = [(g0, g1) for s in mu.segments for g0, g1 in zip(s.grid[:-1],
+                                                            s.grid[1:])]
+    if cells:
+        for _ in range(draw(st.integers(1, 6))):
+            g0, g1 = draw(st.sampled_from(cells))
+            theta = draw(st.floats(1e-3, np.pi - 1e-3))
+            zc = 20.0 * 0.5 * (g1 - g0) * cmath.exp(1j * theta)
+            zs.append(complex(0.5 * (g0 + g1) + zc.real,
+                              max(zc.imag, 1e-9)))
+    return mu, zs
+
+
+@given(kernel_cases())
+def test_scalar_kernel_matches_batched(case):
+    mu, zs = case
+    ev = MeasureResolvent(mu)
+    g_batch, gp_batch = ev.value_and_derivative(np.array(zs))
+    for z, g_ref, gp_ref in zip(zs, g_batch, gp_batch):
+        g, gp = ev.vd_scalar(z)
+        assert type(g) is complex and type(gp) is complex
+        # The atom sums may round differently (Python loop against numpy
+        # reduction), so "relative" is against the size of the summed terms.
+        g_scale = abs(g_ref) + sum(w / abs(z - a) for a, w in mu.atoms)
+        gp_scale = abs(gp_ref) + sum(w / abs(z - a) ** 2 for a, w in mu.atoms)
+        assert abs(g - g_ref) <= 1e-13 * g_scale
+        assert abs(gp - gp_ref) <= 1e-13 * gp_scale
