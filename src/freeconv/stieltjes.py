@@ -114,12 +114,18 @@ class MeasureResolvent(ResolventEvaluator):
         self._t1 = np.concatenate(t1) if t1 else np.empty(0)
         self._r0 = np.concatenate(r0) if r0 else np.empty(0)
         self._r1 = np.concatenate(r1) if r1 else np.empty(0)
-        self._slope = (self._r1 - self._r0) / (self._t1 - self._t0) \
+        slope = (self._r1 - self._r0) / (self._t1 - self._t0) \
             if self._t0.size else np.empty(0)
-        self._rc = 0.5 * (self._r0 + self._r1)
-        self._mid = 0.5 * (self._t0 + self._t1)
-        self._halfdt = 0.5 * (self._t1 - self._t0)
-        self._dt = self._t1 - self._t0
+        halfdt = 0.5 * (self._t1 - self._t0)
+        # The kernel combines these with complex arrays.  Held as complex
+        # (imaginary part +0) they spare numpy a cast on every call, and
+        # the results keep the same bits.
+        self._slope = slope.astype(complex)
+        self._rc = (0.5 * (self._r0 + self._r1)).astype(complex)
+        self._mid = (0.5 * (self._t0 + self._t1)).astype(complex)
+        self._halfdt = halfdt.astype(complex)
+        self._halfdt2 = (halfdt * halfdt).astype(complex)
+        self._neg_dt = (-(self._t1 - self._t0)).astype(complex)
         self._apos = np.array([x for x, _ in mu.atoms])
         self._aw = np.array([w for _, w in mu.atoms])
         self._atoms = tuple((float(x), float(w)) for x, w in mu.atoms)
@@ -138,7 +144,7 @@ class MeasureResolvent(ResolventEvaluator):
         slope = self._slope
         u = self._halfdt / zc
         u2 = u * u
-        d0d1 = zc * zc - self._halfdt * self._halfdt
+        d0d1 = zc * zc - self._halfdt2
         # odd series: L = log(d0/d1), T3 = L - 2u, D = L + zc*L'.  The
         # factors 1/11 stand for divisions by 11: numpy divides a complex
         # array by a real scalar as a product with its rounded reciprocal,
@@ -151,7 +157,7 @@ class MeasureResolvent(ResolventEvaluator):
         dser = -tu3 * (
             2 / 3 + u2 * (4 / 5 + u2 * (6 / 7 + u2 * (8 / 9 + u2 * 10 * r11)))
         )
-        lp = -self._dt / d0d1
+        lp = self._neg_dt / d0d1
         # flat indices of the near cells; every array here is C-contiguous,
         # so reshape(-1) is a view and the writes below land in place
         near = np.flatnonzero(np.abs(u) >= 0.05)
