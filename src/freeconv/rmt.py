@@ -3,7 +3,14 @@
 Sampling is reproducible and parallel-safe: every random draw comes from a
 counter-based Philox generator keyed by (base_seed, purpose, trial), so a
 trial's matrices are bit-identical no matter where or in what order trials
-execute.
+execute.  Which streams an experiment draws is part of the package version:
+the bits are reproducible per version, not across versions.
+
+The two-operand experiments put their operands in free position with at
+most one Haar rotation per trial, and none when either ensemble is
+unitarily invariant (GUE, Wishart); a standalone ``fixed_spectrum`` draw
+from ``sample_ensemble`` is still Haar-rotated.  Spectra come from
+``eigen.hermitian_eigenvalues`` (LAPACK behind a Hermiticity check).
 
 Conventions.  The invariant Gaussian ensemble of scale sigma has real
 diagonal entries of variance sigma^2/N and complex off-diagonal entries
@@ -34,6 +41,9 @@ P_ROTATE_A = 1
 P_ENTRIES_B = 2
 P_ROTATE_B = 3
 P_MIX = 4
+
+# Ensembles whose law is invariant under every unitary conjugation.
+INVARIANT_KINDS = ("gue", "wishart")
 
 
 def stream(base_seed: int, purpose: int, trial: int) -> np.random.Generator:
@@ -90,10 +100,8 @@ def _gue_matrix(n, sigma, rng):
     re = rng.standard_normal((n, n))
     im = rng.standard_normal((n, n))
     off = (re + 1j * im) * (sigma / np.sqrt(2.0 * n))
-    m = np.zeros((n, n), dtype=complex)
-    iu = np.triu_indices(n, 1)
-    m[iu] = off[iu]
-    m = m + m.conj().T
+    m = np.triu(off, 1)
+    m += m.conj().T
     m[np.diag_indices(n)] = diag
     return m
 
@@ -147,19 +155,47 @@ def sample_ensemble(spec: EnsembleSpec, trial: int, slot: int = 0) -> np.ndarray
     raise ValidationError(f"unknown ensemble kind {spec.kind!r}")
 
 
-def _psd_factor(spec: EnsembleSpec, trial: int, slot: int = 0):
-    """A factor C with C C^dagger distributed as the (PSD) ensemble."""
-    p_entries = P_ENTRIES_A if slot == 0 else P_ENTRIES_B
-    p_rotate = P_ROTATE_A if slot == 0 else P_ROTATE_B
-    n = spec.dimension
-    if spec.kind == "wishart":
-        return _wishart_factor(spec, stream(spec.base_seed, p_entries, trial))
+def _mixing_unitary(spec1: EnsembleSpec, spec2: EnsembleSpec,
+                    trial: int) -> np.ndarray | None:
+    """The one Haar unitary that puts a trial's two operands in free
+    position, or None when either ensemble is unitarily invariant.
+
+    Independent draws are free as they stand when one law is invariant
+    under every unitary conjugation, and a fixed spectrum may then stay
+    diagonal: diag(T) + G has the law of U T U^dagger + Omega G
+    Omega^dagger.  Otherwise one rotation of one operand is enough.
+    """
+    if spec1.kind in INVARIANT_KINDS or spec2.kind in INVARIANT_KINDS:
+        return None
+    return haar_unitary(spec1.dimension,
+                        stream(spec1.base_seed, P_MIX, trial))
+
+
+def _operand(spec: EnsembleSpec, trial: int, slot: int,
+             u: np.ndarray | None) -> np.ndarray:
+    """The trial's draw of one operand, conjugated by u unless u is None.
+
+    A fixed spectrum is not Haar-rotated here: u is its only rotation.
+    The result is Hermitian up to rounding.
+    """
     if spec.kind == "fixed_spectrum":
-        t = quantiles(spec.measure, n)
+        t = quantiles(spec.measure, spec.dimension)
+        return np.diag(t) if u is None else (u * t) @ u.conj().T
+    m = sample_ensemble(spec, trial, slot)
+    return m if u is None else u @ m @ u.conj().T
+
+
+def _psd_factor(spec: EnsembleSpec, trial: int) -> np.ndarray:
+    """A factor C with C C^dagger distributed as the (PSD) ensemble up to
+    unitary conjugation; for a fixed spectrum the diagonal of C."""
+    if spec.kind == "wishart":
+        return _wishart_factor(spec, stream(spec.base_seed, P_ENTRIES_A,
+                                            trial))
+    if spec.kind == "fixed_spectrum":
+        t = quantiles(spec.measure, spec.dimension)
         if np.any(t < -1e-12):
             raise ValidationError("factor spectrum must be nonnegative")
-        u = haar_unitary(n, stream(spec.base_seed, p_rotate, trial))
-        return u * np.sqrt(np.clip(t, 0.0, None))
+        return np.sqrt(np.clip(t, 0.0, None))
     raise ValidationError(
         "left factor must be a positive semidefinite family "
         "(wishart or nonnegative fixed_spectrum)"
@@ -179,6 +215,8 @@ class EmpiricalSpectrum:
         arr = np.asarray(self.eigenvalues, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValidationError("need at least one trial of eigenvalues")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("eigenvalues must be finite")
         if np.any(np.diff(arr, axis=1) < 0):
             raise ValidationError("eigenvalue rows must be sorted ascending")
         object.__setattr__(self, "eigenvalues", arr)
@@ -217,17 +255,15 @@ class EmpiricalSpectrum:
 
 def mc_free_add_experiment(spec1: EnsembleSpec, spec2: EnsembleSpec,
                            trials: int) -> EmpiricalSpectrum:
-    """Spectra of M1 + Omega M2 Omega^dagger over independent trials; the
-    fresh Haar rotation puts the operands in free position."""
+    """Spectra of M1 + M2 over independent trials, with the operands put
+    in free position by at most one Haar rotation per trial (see
+    ``_mixing_unitary``)."""
     if spec1.dimension != spec2.dimension:
         raise ValidationError("operand dimensions differ")
-    n = spec1.dimension
-    out = np.empty((trials, n))
+    out = np.empty((trials, spec1.dimension))
     for t in range(trials):
-        m1 = sample_ensemble(spec1, t, slot=0)
-        m2 = sample_ensemble(spec2, t, slot=1)
-        omega = haar_unitary(n, stream(spec1.base_seed, P_MIX, t))
-        total = m1 + omega @ m2 @ omega.conj().T
+        u = _mixing_unitary(spec1, spec2, t)
+        total = _operand(spec1, t, 0, None) + _operand(spec2, t, 1, u)
         out[t] = hermitian_eigenvalues(0.5 * (total + total.conj().T))
     return EmpiricalSpectrum(out)
 
@@ -237,19 +273,22 @@ def mc_free_mul_experiment(spec1: EnsembleSpec, spec2: EnsembleSpec,
     """Spectra of A^(1/2) U B U^dagger A^(1/2) over independent trials.
 
     Realized as eig(C^dagger (U B U^dagger) C) for a factor A = C C^dagger,
-    which is Hermitian without forming A^(1/2); rank differences against N
-    are padded with (or checked as) exact zeros.
+    which is Hermitian without forming A^(1/2).  U is the identity when
+    either ensemble is unitarily invariant and one Haar draw otherwise
+    (see ``_mixing_unitary``).  Rank differences against N are padded with
+    (or checked as) exact zeros.
     """
     if spec1.dimension != spec2.dimension:
         raise ValidationError("operand dimensions differ")
     n = spec1.dimension
     out = np.empty((trials, n))
     for t in range(trials):
-        c = _psd_factor(spec1, t, slot=0)
-        b = sample_ensemble(spec2, t, slot=1)
-        u = haar_unitary(n, stream(spec1.base_seed, P_MIX, t))
-        rotated = u @ b @ u.conj().T
-        prod = c.conj().T @ rotated @ c
+        c = _psd_factor(spec1, t)
+        b = _operand(spec2, t, 1, _mixing_unitary(spec1, spec2, t))
+        if c.ndim == 1:
+            prod = c[:, None] * b * c
+        else:
+            prod = c.conj().T @ b @ c
         lam = hermitian_eigenvalues(0.5 * (prod + prod.conj().T))
         m = lam.size
         if m < n:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from freeconv.eigen import (
     hermitian_eigenvalues,
     householder_tridiagonalize,
     tridiagonal_eigenvalues,
 )
-from freeconv.errors import ValidationError
+from freeconv.errors import NumericalError, ValidationError
+from freeconv.rmt import haar_unitary
 
 RNG = np.random.default_rng(64128256)
 
@@ -34,10 +36,29 @@ def test_rejects_non_hermitian():
         hermitian_eigenvalues(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_rejects_non_finite(bad):
+    # LAPACK would return [1, nan, nan, 1] for the NaN case without raising
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = m[2, 1] = bad
+    with pytest.raises(ValidationError):
+        hermitian_eigenvalues(m)
+
+
+def test_lapack_failure_is_numerical_error(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericalError):
+        hermitian_eigenvalues(np.eye(3))
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
 def test_matches_lapack_oracle(n):
+    # the reference solver against LAPACK on fixed draws
     m = random_hermitian(n, RNG)
-    got = hermitian_eigenvalues(m)
+    got = tridiagonal_eigenvalues(*householder_tridiagonalize(m))
     expect = np.linalg.eigvalsh(m)
     scale = max(1.0, np.max(np.abs(expect)))
     assert np.max(np.abs(got - expect)) <= 1e-10 * scale
@@ -90,9 +111,59 @@ def test_tridiagonal_path_agrees():
     assert np.allclose(got, np.linalg.eigvalsh(m), atol=1e-10)
 
 
+def test_reference_solver_rank_deficient():
+    # the null space is a block of rounding-level entries; QL must deflate
+    # it against the matrix norm, not against its own tiny diagonal
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
+    m = x @ x.conj().T
+    got = tridiagonal_eigenvalues(*householder_tridiagonalize(m))
+    expect = np.linalg.eigvalsh(m)
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(expect)
+    assert np.sum(np.abs(got) <= 1e-12 * np.max(expect)) == 56
+
+
 def test_repeated_eigenvalues():
     m = np.diag([2.0, 2.0, 2.0, -1.0]).astype(complex)
     u = np.linalg.qr(random_hermitian(4, RNG))[0]
     rotated = u @ m @ u.conj().T
     got = hermitian_eigenvalues(0.5 * (rotated + rotated.conj().T))
     assert np.allclose(got, [-1.0, 2.0, 2.0, 2.0], atol=1e-10)
+
+
+# -- LAPACK against the Householder + QL reference -----------------------------
+
+
+@st.composite
+def hermitian_cases(draw):
+    """Hermitian matrices with n in 1..64: GUE draws, spectra with repeated
+    values, tight clusters, and rank-deficient Wishart products."""
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["gue", "repeated", "clustered", "wishart"]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gue":
+        return scale * random_hermitian(n, rng)
+    if kind == "wishart":
+        rank = draw(st.integers(0, n))
+        x = (rng.standard_normal((n, rank))
+             + 1j * rng.standard_normal((n, rank)))
+        m = scale * (x @ x.conj().T)
+        return 0.5 * (m + m.conj().T)
+    if kind == "repeated":
+        values = rng.choice([-2.0, 0.0, 1.0, 3.0], size=n)
+    else:
+        values = np.repeat(rng.standard_normal(3), -(-n // 3))[:n]
+        values = values + 1e-9 * rng.standard_normal(n)
+    u = haar_unitary(n, rng)
+    m = (u * (scale * values)) @ u.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+@given(hermitian_cases())
+def test_lapack_matches_reference_solver(m):
+    got = hermitian_eigenvalues(m)
+    ref = tridiagonal_eigenvalues(*householder_tridiagonalize(m))
+    scale = max(float(np.max(np.abs(ref))), np.finfo(float).tiny)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale

@@ -22,8 +22,10 @@ from freeconv.rmt import (
     sample_ensemble,
     stream,
 )
-from freeconv.arithmetic import ExternalFieldSpec
+import freeconv.rmt as rmt
+from freeconv.arithmetic import ExternalFieldSpec, pastur_add_gaussian
 from freeconv.eigen import hermitian_eigenvalues
+from freeconv.stieltjes import default_contour
 
 SEED = 20260808
 
@@ -134,6 +136,53 @@ def test_wishart_product_moments_match_fuss_catalan():
         assert es.pooled_moment(n) == pytest.approx(expect, rel=0.08)
 
 
+def _budget_specs(n):
+    two = make_law(LawSpec.two_atom(0.5, 1.0, 2.0))
+    field = ExternalFieldSpec(two)
+    return {
+        "gue": EnsembleSpec.gue(1.0, n, SEED),
+        "wishart": EnsembleSpec.wishart(1.0, n, SEED + 1),
+        "fixed_spectrum": EnsembleSpec.fixed_spectrum(two, n, SEED + 2),
+        "shifted_gue": EnsembleSpec.shifted_gue(1.0, field, n, SEED + 3),
+    }
+
+
+@pytest.mark.parametrize("experiment", ["add", "mul"])
+def test_haar_budget_per_trial(monkeypatch, experiment):
+    # free position costs at most one Haar draw per trial, and none when an
+    # operand's law is already unitarily invariant
+    calls = []
+    real = rmt.haar_unitary
+
+    def counting(n, rng):
+        calls.append(n)
+        return real(n, rng)
+
+    monkeypatch.setattr(rmt, "haar_unitary", counting)
+    specs = _budget_specs(16)
+    run = (mc_free_add_experiment if experiment == "add"
+           else mc_free_mul_experiment)
+    left = (specs if experiment == "add"
+            else {k: specs[k] for k in ("wishart", "fixed_spectrum")})
+    trials = 3
+    for k1, spec1 in left.items():
+        for k2, spec2 in specs.items():
+            calls.clear()
+            run(spec1, spec2, trials)
+            assert len(calls) <= trials, (k1, k2)
+            if {"gue", "wishart"} & {k1, k2}:
+                assert not calls, (k1, k2)
+
+
+def test_fixed_spectrum_plus_gue_matches_pastur():
+    # the fixed spectrum stays diagonal against an invariant Gaussian
+    two = make_law(LawSpec.two_atom(0.5, -1.0, 1.0))
+    es = mc_free_add_experiment(EnsembleSpec.fixed_spectrum(two, 256, SEED),
+                                EnsembleSpec.gue(1.0, 256, SEED), trials=8)
+    target = pastur_add_gaussian(two, 1.0, default_contour(-3.0, 3.0, 600))
+    assert wasserstein1_empirical(es.pooled(), target) <= 0.01
+
+
 def test_mul_requires_psd_left_factor():
     g = EnsembleSpec.gue(1.0, 32, SEED)
     with pytest.raises(ValidationError):
@@ -153,6 +202,12 @@ def test_empirical_measure_histogram_and_atom_collapse():
     assert abs(mu.mass - 1.0) <= 1e-9
     target = make_law(LawSpec.semicircle(1.0), 2000)
     assert wasserstein1(mu, target) <= 0.03
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_empirical_spectrum_rejects_non_finite(bad):
+    with pytest.raises(ValidationError):
+        EmpiricalSpectrum(np.array([[1.0, bad, bad, 1.0]]))
 
 
 def test_spectrum_csv_round_trip(tmp_path):
