@@ -179,15 +179,15 @@ def _operand(spec: EnsembleSpec, trial: int, slot: int,
     The result is Hermitian up to rounding.
     """
     if spec.kind == "fixed_spectrum":
-        t = quantiles(spec.measure, spec.dimension)
-        return np.diag(t) if u is None else (u * t) @ u.conj().T
-    m = sample_ensemble(spec, trial, slot)
+        m = np.diag(quantiles(spec.measure, spec.dimension))
+    else:
+        m = sample_ensemble(spec, trial, slot)
     return m if u is None else u @ m @ u.conj().T
 
 
 def _psd_factor(spec: EnsembleSpec, trial: int) -> np.ndarray:
     """A factor C with C C^dagger distributed as the (PSD) ensemble up to
-    unitary conjugation; for a fixed spectrum the diagonal of C."""
+    unitary conjugation; diagonal for a fixed spectrum."""
     if spec.kind == "wishart":
         return _wishart_factor(spec, stream(spec.base_seed, P_ENTRIES_A,
                                             trial))
@@ -195,7 +195,7 @@ def _psd_factor(spec: EnsembleSpec, trial: int) -> np.ndarray:
         t = quantiles(spec.measure, spec.dimension)
         if np.any(t < -1e-12):
             raise ValidationError("factor spectrum must be nonnegative")
-        return np.sqrt(np.clip(t, 0.0, None))
+        return np.diag(np.sqrt(np.clip(t, 0.0, None)))
     raise ValidationError(
         "left factor must be a positive semidefinite family "
         "(wishart or nonnegative fixed_spectrum)"
@@ -285,10 +285,7 @@ def mc_free_mul_experiment(spec1: EnsembleSpec, spec2: EnsembleSpec,
     for t in range(trials):
         c = _psd_factor(spec1, t)
         b = _operand(spec2, t, 1, _mixing_unitary(spec1, spec2, t))
-        if c.ndim == 1:
-            prod = c[:, None] * b * c
-        else:
-            prod = c.conj().T @ b @ c
+        prod = c.conj().T @ b @ c
         lam = hermitian_eigenvalues(0.5 * (prod + prod.conj().T))
         m = lam.size
         if m < n:
