@@ -67,6 +67,13 @@ def _moment_scales(m: np.ndarray) -> np.ndarray:
     return scales
 
 
+def scaled_moment_error(got: np.ndarray, expected: np.ndarray) -> float:
+    """Largest moment error of ``got`` against ``expected``, each order
+    divided by its ``_moment_scales`` scale; the one moment-error metric
+    of the acceptance suite and ``cli verify``."""
+    return float(np.max(np.abs(got - expected) / _moment_scales(expected)))
+
+
 def _report(experiment_id, inputs, metrics, criteria, t0, seed=None):
     return ReportDocument(
         experiment_id=experiment_id,
@@ -347,8 +354,7 @@ def criterion_9_oracle_equivalence(tolerance_scale=1.0):
 
     def compare(tag, out, expected, singular):
         got = MomentVector.from_measure(out, order)
-        rel = float(np.max(np.abs(got.m - expected.m)
-                           / _moment_scales(expected.m)))
+        rel = scaled_moment_error(got.m, expected.m)
         tol = (1e-2 if singular else 1e-3) * tolerance_scale
         metrics[tag] = rel
         crits.append(CriterionRecord(tag, rel, tol))

@@ -8,14 +8,17 @@ Deterministic-plus-Gaussian addition closes into the self-consistent
 equation omega = G(z - sigma^2 * omega), and the Gaussian external-field
 shift sigma^2 * a generalizes the addition law beyond the free case.
 
-Contour solves sweep left to right at each imaginary offset with warm
-starts, which keeps every Newton iteration on the physical branch through
+All three are inverse-function solves on one loop, stieltjes.damped_newton.
+The sum and the product share one two-operand solve: each outer Newton
+trial inverts both operands at the trial value, warm-started from the
+last accepted iterate.  Pastur's equation is a single solve.  Contour
+solves sweep left to right at each imaginary offset with warm starts,
+which keeps every Newton iteration on the physical branch through
 multi-cut supports.
 """
 
 from __future__ import annotations
 
-import cmath
 import time
 from dataclasses import dataclass
 
@@ -28,6 +31,7 @@ from .stieltjes import (
     ContourSpec,
     MeasureResolvent,
     ResolventEvaluator,
+    damped_newton,
     default_contour,
     invert_cauchy,
     principal_value_transform,
@@ -36,8 +40,6 @@ from .stieltjes import (
 
 INNER_TOL = 1e-13
 OUTER_TOL = 1e-12
-MAX_ITER = 100
-MAX_HALVINGS = 20
 
 
 # -- transform evaluators on measures -----------------------------------------
@@ -56,21 +58,16 @@ class RTransform:
         if w == 0:
             raise ValidationError("R is evaluated at nonzero w only")
         inv_w = 1.0 / w
-
+        vd = self.resolvent.vd_scalar
         # Newton in the centered unknown rho = lambda - 1/w, which stays
         # O(1) as w -> 0 while lambda itself blows up; subtracting 1/w from
         # a converged lambda would lose all digits there.
-        def fun(rho):
-            g, gp = self.resolvent.vd_scalar(inv_w + rho)
-            return g - w, gp
-
         try:
-            rho, _ = _newton_scalar(
-                fun, complex(self.mean),
+            return damped_newton(
+                lambda rho: vd(inv_w + rho), complex(self.mean), w,
                 tol=4e-16 * (1.0 + abs(w)),
                 stall_tol=1e-12 * max(1.0, abs(w)),
-            )
-            return rho
+            )[0]
         except InversionError:
             lam = invert_cauchy(self.resolvent, w)
             return lam - inv_w
@@ -95,108 +92,13 @@ class HTransform:
     value_and_derivative = vd_scalar
 
     def inverse(self, h: complex, seed=None) -> complex:
-        lam = complex(seed) if seed is not None else self.mean / (h - 1.0)
-        lam, _ = _newton_scalar(
-            lambda x: _shifted(self.vd_scalar(x), h), lam,
-            tol=OUTER_TOL * max(1.0, abs(h)),
-        )
-        return lam
-
-
-def _shifted(value_and_deriv, target):
-    v, d = value_and_deriv
-    return v - target, d
-
-
-def _newton_scalar(fun, x0, tol, stall_tol=None, xspace_tol=None):
-    """Damped Newton for a scalar complex equation f(x) = 0.
-
-    ``fun`` returns (residual, derivative).  Returns (root, residual).
-    A stall at the floating-point noise floor counts as converged when the
-    residual is below ``stall_tol``, or when the Newton correction it
-    implies is below ``xspace_tol`` relative to the iterate (the right
-    measure when the derivative is huge near poles).
-    """
-    if stall_tol is None:
-        stall_tol = tol
-    x = complex(x0)
-    res, deriv = fun(x)
-
-    def settled():
-        if abs(res) <= stall_tol:
-            return True
-        return (xspace_tol is not None and deriv != 0
-                and abs(res / deriv) <= xspace_tol * max(1.0, abs(x)))
-
-    for _ in range(MAX_ITER):
-        if abs(res) <= tol:
-            return x, abs(res)
-        if deriv == 0 or not cmath.isfinite(deriv):
-            raise InversionError("vanishing derivative", last_iterate=x,
-                                 residual=abs(res))
-        step = -res / deriv
-        scale = 1.0
-        for _ in range(MAX_HALVINGS):
-            cand = x + scale * step
-            res_c, deriv_c = fun(cand)
-            if abs(res_c) < abs(res):
-                x, res, deriv = cand, res_c, deriv_c
-                break
-            scale *= 0.5
-        else:
-            if settled():
-                return x, abs(res)
-            raise InversionError("damping stalled", last_iterate=x,
-                                 residual=abs(res))
-    if settled():
-        return x, abs(res)
-    raise InversionError("Newton iteration limit", last_iterate=x,
-                         residual=abs(res))
-
-
-def _invert_warm(resolvent, w, seed, seed_val=None, seed_deriv=None):
-    """Solve G(u) = w from a warm seed; returns (u, G(u), G'(u)).
-
-    When the caller already knows (G, G') at the seed from a previous
-    solve it passes them along, saving one kernel evaluation per call.
-    """
-    u = complex(seed)
-    if seed_val is None:
-        g, gp = resolvent.vd_scalar(u)
-    else:
-        g, gp = complex(seed_val), complex(seed_deriv)
-    res = g - w
-    tol = INNER_TOL * max(1.0, abs(w))
-
-    def settled():
-        # near a pole the G-space residual floor grows like |G|^2, so
-        # judge a stalled iterate by the error it implies in u-space
-        return gp != 0 and abs(res / gp) <= 1e-12 * max(1.0, abs(u))
-
-    for _ in range(MAX_ITER):
-        if abs(res) <= tol:
-            return u, g, gp
-        if gp == 0 or not cmath.isfinite(gp):
-            raise InversionError("vanishing derivative in inner inversion",
-                                 last_iterate=u, residual=abs(res))
-        step = -res / gp
-        scale = 1.0
-        for _ in range(MAX_HALVINGS):
-            cand = u + scale * step
-            g_c, gp_c = resolvent.vd_scalar(cand)
-            if abs(g_c - w) < abs(res):
-                u, g, gp, res = cand, g_c, gp_c, g_c - w
-                break
-            scale *= 0.5
-        else:
-            if settled():
-                return u, g, gp
-            raise InversionError("inner damping stalled", last_iterate=u,
-                                 residual=abs(res))
-    if settled():
-        return u, g, gp
-    raise InversionError("inner Newton iteration limit", last_iterate=u,
-                         residual=abs(res))
+        if h == 1:
+            raise ValidationError(
+                "h = 1 is the value of h at infinity, not at a finite point"
+            )
+        lam = complex(seed if seed is not None else self.mean / (h - 1.0))
+        return damped_newton(self.vd_scalar, lam, h,
+                             OUTER_TOL * max(1.0, abs(h)))[0]
 
 
 # -- pipeline evaluators -------------------------------------------------------
@@ -243,13 +145,15 @@ class _SweepResolvent(ResolventEvaluator):
                         state = self._cold_state(z)
                     except InversionError as err:
                         raise PipelineError(
-                            f"contour solve failed at z = {z!r}: {err}",
+                            f"{type(self).__name__}: contour solve failed "
+                            f"at z = {z!r}: {err}",
                             point=z,
                         ) from err
                 g = self._g_of(z, state)
                 if g.imag > 1e-9 * (1.0 + abs(g)):
                     raise PipelineError(
-                        f"non-Herglotz solution at z = {z!r}", point=z
+                        f"{type(self).__name__}: non-Herglotz solution at "
+                        f"z = {z!r}", point=z
                     )
                 col[j] = g
                 if j == 0:
@@ -286,18 +190,72 @@ def _same_measure(mu1: SpectralMeasure, mu2: SpectralMeasure) -> bool:
     )
 
 
-class FreeSumResolvent(_SweepResolvent):
+class _PairResolvent(_SweepResolvent):
+    """Two operands joined by a composition law in one shared unknown x.
+
+    Each operand is inverted at x: u_i solves f_i(u_i) = x, with f_i the
+    operand's ``vd_scalar``.  The law lam(x, u_1, u_2) must equal z.  The
+    state per point is what ``damped_newton`` returns for the outer solve,
+    (x, (lam, lam', s_1, s_2)), where s_i = (u_i, (f_i(u_i), f_i'(u_i)))
+    is what it returns for the inner one.  A self-convolution detects its
+    identical operands and solves each inner inversion once.
+
+    Subclasses give the cold seed ``_cold_seed(z) -> (x, u_1, u_2)``, the
+    admissibility rule ``_admissible(z, x)`` for trial steps, the law and
+    its x-derivative ``_law(x, s_1, s_2) -> (lam, lam')``, and ``_g_of``.
+    """
+
+    def __init__(self, op1, op2, same):
+        self.op1 = op1
+        self.op2 = op2
+        self._same = same
+
+    def _law_eval(self, x, s1, s2):
+        # The hot path of the sweep: arguments go by position, as keyword
+        # passing costs measurably at about 1 us per atom-only kernel call.
+        tol = INNER_TOL * max(1.0, abs(x))
+        s1 = damped_newton(self.op1.vd_scalar, s1[0], x, tol, None, 1e-12,
+                           s1[1])
+        s2 = s1 if self._same else damped_newton(
+            self.op2.vd_scalar, s2[0], x, tol, None, 1e-12, s2[1])
+        value, deriv = self._law(x, s1, s2)
+        return value, deriv, s1, s2
+
+    def _solve(self, z, state):
+        if state is None:
+            x, u1, u2 = self._cold_seed(z)
+            s1, s2 = (u1, None), (u2, None)
+        else:
+            x, (_, _, s1, s2) = state
+        try:
+            fx = self._law_eval(x, s1, s2)
+        except InversionError:
+            if state is None:
+                raise
+            return self._solve(z, None)
+
+        admissible, law_eval = self._admissible, self._law_eval
+
+        def trial(x, s1, s2):
+            if not admissible(z, x):
+                raise InversionError("trial step left the physical branch")
+            return law_eval(x, s1, s2)
+
+        scale = max(1.0, abs(z))
+        return damped_newton(trial, x, z, OUTER_TOL * scale, 1e-9 * scale,
+                             None, fx)
+
+
+class FreeSumResolvent(_PairResolvent):
     """Transform of the free additive convolution of two measures.
 
-    State per point: (w, (u_i, G_i(u_i), G_i'(u_i))) with G_i(u_i) = w and
-    the defining equation u1 + u2 - 1/w = z.  A self-convolution detects
-    its identical operands and solves each inner inversion once.
+    The shared unknown is w = G(z): the operands invert their resolvents
+    at w and the law is u1 + u2 - 1/w = z.
     """
 
     def __init__(self, mu1: SpectralMeasure, mu2: SpectralMeasure):
-        self.r1 = MeasureResolvent(mu1)
-        self.r2 = MeasureResolvent(mu2)
-        self._same = _same_measure(mu1, mu2)
+        super().__init__(MeasureResolvent(mu1), MeasureResolvent(mu2),
+                         _same_measure(mu1, mu2))
         lo1, hi1 = mu1.support()
         lo2, hi2 = mu2.support()
         self.support = (lo1 + lo2, hi1 + hi2)
@@ -306,64 +264,27 @@ class FreeSumResolvent(_SweepResolvent):
         self.m2 = moment(mu2, 1)
         self.mean = self.m1 + self.m2
 
-    def _k_eval(self, z, w, s1, s2):
-        s1 = _invert_warm(self.r1, w, *s1)
-        s2 = s1 if self._same else _invert_warm(self.r2, w, *s2)
-        res = s1[0] + s2[0] - 1.0 / w - z
-        deriv = 1.0 / s1[2] + 1.0 / s2[2] + 1.0 / (w * w)
-        return res, deriv, s1, s2
+    def _cold_seed(self, z):
+        return (1.0 / z, complex(z + self.m1 - self.mean / 2),
+                complex(z + self.m2 - self.mean / 2))
 
-    def _solve(self, z, state):
-        if state is None:
-            w = 1.0 / z
-            s1 = (z + self.m1 - self.mean / 2, None, None)
-            s2 = (z + self.m2 - self.mean / 2, None, None)
-        else:
-            w, s1, s2 = state
-        tol = OUTER_TOL * max(1.0, abs(z))
-        stall_tol = 1e-9 * max(1.0, abs(z))
-        try:
-            res, deriv, s1, s2 = self._k_eval(z, w, s1, s2)
-        except InversionError:
-            if state is None:
-                raise
-            return self._solve(z, None)
-        for _ in range(MAX_ITER):
-            if abs(res) <= tol:
-                return w, s1, s2
-            step = -res / deriv
-            scale = 1.0
-            for _ in range(MAX_HALVINGS):
-                w_c = w + scale * step
-                scale *= 0.5
-                # the physical branch keeps G in the lower half plane
-                if w_c == 0 or (z.imag > 0 and w_c.imag >= 0):
-                    continue
-                try:
-                    res_c, deriv_c, s1_c, s2_c = self._k_eval(z, w_c, s1, s2)
-                except InversionError:
-                    continue  # trial left the image region: shorten the step
-                if abs(res_c) < abs(res):
-                    w, res, deriv, s1, s2 = w_c, res_c, deriv_c, s1_c, s2_c
-                    break
-            else:
-                if abs(res) <= stall_tol:
-                    return w, s1, s2
-                raise InversionError("sum solve stalled", last_iterate=w,
-                                     residual=abs(res))
-        if abs(res) <= stall_tol:
-            return w, s1, s2
-        raise InversionError("sum solve iteration limit", last_iterate=w,
-                             residual=abs(res))
+    @staticmethod
+    def _admissible(z, w):
+        # the physical branch keeps G in the lower half plane
+        return w != 0 and not (z.imag > 0 and w.imag >= 0)
+
+    @staticmethod
+    def _law(w, s1, s2):
+        return (s1[0] + s2[0] - 1.0 / w,
+                1.0 / s1[1][1] + 1.0 / s2[1][1] + 1.0 / (w * w))
 
     @staticmethod
     def _g_of(z, state):
         return state[0]
 
-    def _gprime_of(self, z, state):
-        w, s1, s2 = state
-        kp = 1.0 / s1[2] + 1.0 / s2[2] + 1.0 / (w * w)
-        return 1.0 / kp
+    @staticmethod
+    def _gprime_of(z, state):
+        return 1.0 / state[1][1]
 
 
 class PasturResolvent(_SweepResolvent):
@@ -382,14 +303,14 @@ class PasturResolvent(_SweepResolvent):
 
     def _solve(self, z, state):
         omega = state if state is not None else 1.0 / z
-        tol = OUTER_TOL * max(1.0, abs(z))
+        vd, sigma2 = self.r.vd_scalar, self.sigma2
 
         def fun(om):
-            g, gp = self.r.vd_scalar(z - self.sigma2 * om)
-            return om - g, 1.0 + self.sigma2 * gp
+            g, gp = vd(z - sigma2 * om)
+            return om - g, 1.0 + sigma2 * gp
 
-        omega, _ = _newton_scalar(fun, omega, tol, xspace_tol=1e-10)
-        return omega
+        return damped_newton(fun, omega, 0.0, OUTER_TOL * max(1.0, abs(z)),
+                             None, 1e-10)[0]
 
     @staticmethod
     def _g_of(z, state):
@@ -400,11 +321,11 @@ class PasturResolvent(_SweepResolvent):
         return gp / (1.0 + self.sigma2 * gp)
 
 
-class FreeProductResolvent(_SweepResolvent):
+class FreeProductResolvent(_PairResolvent):
     """Transform of the free multiplicative convolution of two measures.
 
-    State per point: (h, l1, l2) with h_i(l_i) = h and the product law
-    l1 * l2 * (h-1)/h = z; then G(z) = h/z.
+    The shared unknown is h = z * G(z): the operands invert their h
+    functions at h and the law is l1 * l2 * (h-1)/h = z; then G(z) = h/z.
     """
 
     def __init__(self, mu1: SpectralMeasure, mu2: SpectralMeasure):
@@ -421,116 +342,39 @@ class FreeProductResolvent(_SweepResolvent):
             raise ValidationError(
                 "at least one factor must put mass away from zero"
             )
-        self.h1 = HTransform(mu1)
-        self.h2 = HTransform(mu2)
-        self._same = _same_measure(mu1, mu2)
+        super().__init__(HTransform(mu1), HTransform(mu2),
+                         _same_measure(mu1, mu2))
         lo1, hi1 = mu1.support()
         lo2, hi2 = mu2.support()
         self.support = (lo1 * lo2, hi1 * hi2)
         self.edge_hints = (lo1 * lo2, hi1 * hi2)
-        self.mean = self.h1.mean * self.h2.mean
+        self.mean = self.op1.mean * self.op2.mean
 
-    def _law_eval(self, z, h_val, s1, s2):
-        s1 = _invert_warm_h(self.h1, h_val, *s1)
-        s2 = s1 if self._same else _invert_warm_h(self.h2, h_val, *s2)
-        a1, a2 = s1[0], s2[0]
-        res = a1 * a2 * (h_val - 1.0) / h_val - z
-        deriv = ((a2 / s1[2] + a1 / s2[2]) * (h_val - 1.0) / h_val
-                 + a1 * a2 / (h_val * h_val))
-        return res, deriv, s1, s2
+    def _cold_seed(self, z):
+        h = 1.0 + self.mean / z
+        return (h, complex(self.op1.mean / (h - 1.0)),
+                complex(self.op2.mean / (h - 1.0)))
 
-    def _solve(self, z, state):
-        if state is None:
-            h = 1.0 + self.mean / z
-            s1 = (self.h1.mean / (h - 1.0), None, None)
-            s2 = (self.h2.mean / (h - 1.0), None, None)
-        else:
-            h, s1, s2 = state
-        tol = OUTER_TOL * max(1.0, abs(z))
-        stall_tol = 1e-9 * max(1.0, abs(z))
-        try:
-            res, deriv, s1, s2 = self._law_eval(z, h, s1, s2)
-        except InversionError:
-            if state is None:
-                raise
-            return self._solve(z, None)
-        for _ in range(MAX_ITER):
-            if abs(res) <= tol:
-                return h, s1, s2
-            step = -res / deriv
-            scale = 1.0
-            for _ in range(MAX_HALVINGS):
-                h_c = h + scale * step
-                scale *= 0.5
-                if h_c == 0 or h_c == 1.0:
-                    continue
-                try:
-                    res_c, deriv_c, s1_c, s2_c = self._law_eval(z, h_c, s1, s2)
-                except InversionError:
-                    continue  # trial left the inverse-h domain
-                if abs(res_c) < abs(res):
-                    h, res, deriv, s1, s2 = h_c, res_c, deriv_c, s1_c, s2_c
-                    break
-            else:
-                if abs(res) <= stall_tol:
-                    return h, s1, s2
-                raise InversionError("product solve stalled", last_iterate=h,
-                                     residual=abs(res))
-        if abs(res) <= stall_tol:
-            return h, s1, s2
-        raise InversionError("product solve iteration limit",
-                             last_iterate=h, residual=abs(res))
+    @staticmethod
+    def _admissible(z, h):
+        return h != 0 and h != 1.0
+
+    @staticmethod
+    def _law(h, s1, s2):
+        l1, l2 = s1[0], s2[0]
+        return (l1 * l2 * (h - 1.0) / h,
+                (l2 / s1[1][1] + l1 / s2[1][1]) * (h - 1.0) / h
+                + l1 * l2 / (h * h))
 
     @staticmethod
     def _g_of(z, state):
         return state[0] / z
 
-    def _gprime_of(self, z, state):
-        h, s1, s2 = state
-        l1, l2 = s1[0], s2[0]
-        lam_prime = ((l2 / s1[2] + l1 / s2[2]) * (h - 1.0) / h
-                     + l1 * l2 / (h * h))
-        dh_dz = 1.0 / lam_prime
+    @staticmethod
+    def _gprime_of(z, state):
+        h = state[0]
+        dh_dz = 1.0 / state[1][1]
         return (dh_dz * z - h) / (z * z)
-
-
-def _invert_warm_h(ht: HTransform, h, seed, seed_val=None, seed_deriv=None):
-    """Solve h(lam) = h from a warm seed; returns (lam, h(lam), h'(lam))."""
-    lam = complex(seed)
-    if seed_val is None:
-        val, deriv = ht.vd_scalar(lam)
-    else:
-        val, deriv = complex(seed_val), complex(seed_deriv)
-    res = val - h
-    tol = INNER_TOL * max(1.0, abs(h))
-
-    def settled():
-        return deriv != 0 and abs(res / deriv) <= 1e-12 * max(1.0, abs(lam))
-
-    for _ in range(MAX_ITER):
-        if abs(res) <= tol:
-            return lam, val, deriv
-        if deriv == 0 or not cmath.isfinite(deriv):
-            raise InversionError("vanishing h-derivative", last_iterate=lam,
-                                 residual=abs(res))
-        step = -res / deriv
-        scale = 1.0
-        for _ in range(MAX_HALVINGS):
-            cand = lam + scale * step
-            val_c, deriv_c = ht.vd_scalar(cand)
-            if abs(val_c - h) < abs(res):
-                lam, val, deriv, res = cand, val_c, deriv_c, val_c - h
-                break
-            scale *= 0.5
-        else:
-            if settled():
-                return lam, val, deriv
-            raise InversionError("h inversion stalled", last_iterate=lam,
-                                 residual=abs(res))
-    if settled():
-        return lam, val, deriv
-    raise InversionError("h inversion iteration limit", last_iterate=lam,
-                         residual=abs(res))
 
 
 # -- public operations ---------------------------------------------------------

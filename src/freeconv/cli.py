@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import run_all
+from .acceptance import run_all, scaled_moment_error
 from .arithmetic import (
     ExternalFieldSpec,
     HTransform,
@@ -215,8 +215,7 @@ def cmd_verify(cfg, out_dir, seed, tol_scale):
                                 contour_from_config(cfg.get("contour")))
             expected = free_multiply_series(mv1, mv2)
         got = MomentVector.from_measure(out, order)
-        rel = float(np.max(np.abs(got.m - expected.m)
-                           / np.maximum(1.0, np.abs(expected.m))))
+        rel = scaled_moment_error(got.m, expected.m)
         metrics["moment_rel_error"] = rel
         criteria.append(CriterionRecord(
             "moment_rel_error", rel,

@@ -25,8 +25,8 @@ from .measures import Segment, SpectralMeasure, _readonly, moment
 
 DEFAULT_EPSILON_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 100
-NEWTON_MAX_HALVINGS = 20
+MAX_ITER = 100
+MAX_HALVINGS = 20
 ATOM_MASS_THRESHOLD = 1e-3
 ATOM_FLATNESS = 0.9
 MASS_WINDOW = (0.99, 1.01)
@@ -283,6 +283,57 @@ def principal_value_transform(mu: SpectralMeasure, x: float) -> float:
     return total
 
 
+def damped_newton(f, x0, target, tol, stall_tol=None, xspace_tol=None,
+                  fx0=None):
+    """Solve f(x)[0] = target by damped complex Newton; returns (x, f(x)).
+
+    ``f(x, *warm)`` returns ``(value, derivative, *warm)``.  The trailing
+    entries of the accepted iterate are passed to the next trial, so a
+    nested solve inside ``f`` warm-starts from them.  ``fx0`` is f at
+    ``x0`` when the caller already has it.  Each step tries the full
+    Newton correction and halves it up to MAX_HALVINGS times; a trial that
+    raises InversionError or does not lower |value - target| is rejected.
+    A stall counts as converged when the residual is at most ``stall_tol``
+    (default ``tol``), or when the Newton correction it implies is at most
+    ``xspace_tol`` relative to the iterate: near a pole the residual floor
+    grows with the derivative, so x-space is the right measure there.
+    """
+    x = x0
+    fx = f(x0) if fx0 is None else fx0
+    res = fx[0] - target
+    for _ in range(MAX_ITER):
+        r = abs(res)
+        if r <= tol:
+            return x, fx
+        deriv = fx[1]
+        if deriv == 0 or not cmath.isfinite(deriv):
+            break
+        step = -res / deriv
+        scale = 1.0
+        warm = fx[2:]
+        for _ in range(MAX_HALVINGS):
+            cand = x + scale * step
+            scale *= 0.5
+            try:
+                f_c = f(cand, *warm) if warm else f(cand)
+            except InversionError:
+                continue
+            res_c = f_c[0] - target
+            if abs(res_c) < r:
+                x, fx, res = cand, f_c, res_c
+                break
+        else:
+            break
+    deriv = fx[1]
+    if abs(res) <= (tol if stall_tol is None else stall_tol) or (
+            xspace_tol is not None and deriv != 0
+            and abs(res / deriv) <= xspace_tol * max(1.0, abs(x))):
+        return x, fx
+    raise InversionError(
+        f"damped Newton did not converge (residual {abs(res):.3g})",
+        last_iterate=x, residual=abs(res))
+
+
 def invert_cauchy(ev: ResolventEvaluator, w: complex, seed=None) -> complex:
     """Solve G(lam) = w on the principal sheet by damped Newton.
 
@@ -293,8 +344,10 @@ def invert_cauchy(ev: ResolventEvaluator, w: complex, seed=None) -> complex:
     w = complex(w)
     if w == 0:
         raise ValidationError("w = 0 is outside the image of the resolvent")
+    lam = complex(seed) if seed is not None else 1.0 / w
     try:
-        return _newton_invert(ev, w, seed if seed is not None else 1.0 / w)
+        return damped_newton(ev.vd_scalar, lam, w,
+                             NEWTON_TOL * max(1.0, abs(w)))[0]
     except InversionError:
         if seed is not None:
             raise
@@ -304,37 +357,10 @@ def invert_cauchy(ev: ResolventEvaluator, w: complex, seed=None) -> complex:
     lam = (1.0 / w) * abs(w) / start
     phase = w / abs(w)
     for m in mags:
-        lam = _newton_invert(ev, phase * m, lam)
+        target = phase * m
+        lam = damped_newton(ev.vd_scalar, lam, target,
+                            NEWTON_TOL * max(1.0, abs(target)))[0]
     return lam
-
-
-def _newton_invert(ev, w, lam0):
-    lam = complex(lam0)
-    tol = NEWTON_TOL * max(1.0, abs(w))
-    g, gp = ev.vd_scalar(lam)
-    res = g - w
-    for _ in range(NEWTON_MAX_ITER):
-        if abs(res) <= tol:
-            return lam
-        if gp == 0 or not cmath.isfinite(gp):
-            raise InversionError("vanishing derivative during inversion",
-                                 last_iterate=lam, residual=abs(res))
-        step = -res / gp
-        scale = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS):
-            cand = lam + scale * step
-            g_c, gp_c = ev.vd_scalar(cand)
-            if abs(g_c - w) < abs(res):
-                lam, g, gp, res = cand, g_c, gp_c, g_c - w
-                break
-            scale *= 0.5
-        else:
-            raise InversionError("damping failed to reduce the residual",
-                                 last_iterate=lam, residual=abs(res))
-    raise InversionError(
-        f"no convergence in {NEWTON_MAX_ITER} iterations",
-        last_iterate=lam, residual=abs(res),
-    )
 
 
 # -- extrapolation helpers ----------------------------------------------------

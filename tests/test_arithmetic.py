@@ -3,6 +3,8 @@ import pytest
 
 from freeconv.arithmetic import (
     ExternalFieldSpec,
+    FreeProductResolvent,
+    FreeSumResolvent,
     external_field_lambda_gaussian,
     free_add,
     free_multiply,
@@ -12,7 +14,7 @@ from freeconv.arithmetic import (
     r_transform,
     verify_generalized_addition_gaussian,
 )
-from freeconv.errors import ValidationError
+from freeconv.errors import PipelineError, ValidationError
 from freeconv.measures import (
     LawSpec,
     MomentVector,
@@ -154,6 +156,15 @@ def test_invert_h_round_trip_marchenko_pastur():
     assert abs(h_function(MP1, lam) - h) <= 1e-10
 
 
+@pytest.mark.parametrize("h", [1.0, 1 + 0j])
+def test_invert_h_at_one_is_validation_error(h):
+    # h = 1 is the value of h at infinity, not at any finite lambda
+    with pytest.raises(ValidationError):
+        invert_h(MP1, h)
+    with pytest.raises(ValidationError):
+        invert_h(MP1, h, seed=2.0)
+
+
 def test_free_multiply_identity():
     out = free_multiply(MP1, dirac(1.0), quick_contour(-0.5, 4.5))
     assert density_l1_distance(MP1, out) <= 1e-2
@@ -202,6 +213,47 @@ def test_free_multiply_rejects_negative_support():
         free_multiply(SEMI, MP1)
     with pytest.raises(ValidationError):
         free_multiply(dirac(0.0), dirac(0.0))
+
+
+# -- the two-operand contour solve ---------------------------------------------
+
+
+def _kernel_calls(resolvents, ev):
+    """Run a short sweep of ``ev`` and count vd_scalar calls per resolvent."""
+    counts = [0] * len(resolvents)
+    for i, r in enumerate(resolvents):
+        def counted(z, _vd=r.vd_scalar, _i=i):
+            counts[_i] += 1
+            return _vd(z)
+        r.vd_scalar = counted
+    xs = np.linspace(-3.0, 5.0, 24)
+    ev.sample_columns(xs, [np.array([1e-2, 5e-3])] * len(xs))
+    return counts
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_self_convolution_inverts_one_operand(same):
+    mu = make_law(LawSpec.atom_list([(0.5, 0.5), (2.0, 0.5)]))
+    other = make_law(LawSpec.atom_list([(0.5, 0.5), (3.0, 0.5)]))
+    mu2 = mu if same else other
+    ev = FreeSumResolvent(mu, mu2)
+    sums = _kernel_calls([ev.op1, ev.op2], ev)
+    ev = FreeProductResolvent(mu, mu2)
+    products = _kernel_calls([ev.op1.resolvent, ev.op2.resolvent], ev)
+    for first, second in (sums, products):
+        assert first > 0
+        assert (second == 0) if same else (second > 0)
+
+
+def test_contour_failure_names_the_evaluator():
+    # The solve stalls in the gap of this sum (a known failure kept by
+    # the benchmark as fail_two_atom_semicircle).
+    ev = FreeSumResolvent(make_law(LawSpec.two_atom(0.5, -3.0, 3.0)),
+                          make_law(LawSpec.semicircle(0.5), 200))
+    z = complex(-0.0024012006003006903, 0.0025)
+    with pytest.raises(PipelineError, match="^FreeSumResolvent: ") as info:
+        ev.sample_columns([z.real], [[z.imag]])
+    assert info.value.point == z
 
 
 # -- Gaussian external field -------------------------------------------------------

@@ -2,8 +2,11 @@ import json
 import subprocess
 import sys
 
-from freeconv.cli import main
-from freeconv.measures import read_density_csv
+from freeconv.acceptance import scaled_moment_error
+from freeconv.arithmetic import free_add
+from freeconv.cli import contour_from_config, main, measure_from_config
+from freeconv.measures import MomentVector, read_density_csv
+from freeconv.series import free_add_series
 
 
 def write_config(tmp_path, name, payload):
@@ -116,6 +119,30 @@ def test_verify_with_absurd_tolerance_exits_two(tmp_path):
     assert report["verdict"] == "fail"
     failing = [c for c in report["criteria"] if not c["passed"]]
     assert failing
+
+
+def test_verify_moment_error_is_the_acceptance_metric(tmp_path):
+    # The largest error of this symmetric sum is in an odd moment, where
+    # the Cauchy-Schwarz scale is 7x larger than max(1, |m|).
+    payload = {
+        "mode": "add",
+        "law1": {"kind": "semicircle", "params": [1.0], "grid_points": 400},
+        "law2": {"kind": "uniform", "params": [-1.0, 1.0], "grid_points": 400},
+        "contour": {"lo": -4.0, "hi": 4.0, "points": 400},
+        "dimension": 32,
+        "trials": 1,
+    }
+    cfg = write_config(tmp_path, "v.json", payload)
+    main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "report.json").read_text())
+    mu1 = measure_from_config(payload["law1"])
+    mu2 = measure_from_config(payload["law2"])
+    out = free_add(mu1, mu2, contour_from_config(payload["contour"]))
+    expected = free_add_series(MomentVector.from_measure(mu1, 8),
+                               MomentVector.from_measure(mu2, 8))
+    got = MomentVector.from_measure(out, 8)
+    assert report["metrics"]["moment_rel_error"] == \
+        scaled_moment_error(got.m, expected.m)
 
 
 def test_narrow_contour_exits_three(tmp_path):

@@ -20,6 +20,7 @@ from freeconv.stieltjes import (
     MeasureResolvent,
     cauchy_derivative,
     cauchy_transform,
+    damped_newton,
     default_contour,
     invert_cauchy,
     neville_to_zero,
@@ -197,6 +198,74 @@ def test_inversion_error_carries_diagnostics():
     except InversionError as err:
         assert err.residual is not None
     # if it converged instead, the contract still held; nothing to assert
+
+
+# -- the shared damped Newton loop ---------------------------------------------
+
+
+def test_newton_trial_that_raises_halves_the_step():
+    trials = []
+
+    def f(x):
+        trials.append(x)
+        if len(trials) == 2:  # the first trial, after the call at x0
+            raise InversionError("trial left the domain")
+        return x * x, 2 * x
+
+    root, (value, _) = damped_newton(f, 3.0 + 0j, 4.0, 1e-12)
+    assert root == pytest.approx(2.0, abs=1e-12)
+    assert abs(value - 4.0) <= 1e-12
+    full_step = -(9.0 - 4.0) / 6.0
+    assert trials[1] == 3.0 + full_step
+    assert trials[2] == 3.0 + 0.5 * full_step
+
+
+def test_newton_warm_entries_come_from_the_accepted_iterate():
+    # x^3 = 1 from x = 0.1: the full Newton step overshoots to ~33, so the
+    # first trials are rejected before one is accepted.
+    calls = []
+
+    def f(x, tag="seed"):
+        calls.append((x, tag))
+        return x ** 3, 3 * x * x, ("at", x)
+
+    root, _ = damped_newton(f, 0.1 + 0j, 1.0, 1e-12)
+    assert root == pytest.approx(1.0, abs=1e-12)
+    (x0, tag0), trial_calls = calls[0], calls[1:]
+    assert tag0 == "seed"
+    accepted, best = x0, abs(x0 ** 3 - 1.0)
+    rejected = 0
+    for x, tag in trial_calls:
+        assert tag == ("at", accepted)
+        if abs(x ** 3 - 1.0) < best:
+            accepted, best = x, abs(x ** 3 - 1.0)
+        else:
+            rejected += 1
+    assert rejected >= 2
+    assert accepted == root
+
+
+def _floored_linear(x):
+    """1e6 (x - 1) whose magnitude cannot drop below 1e-3: Newton lands
+    on x = 1 and then stalls at the floor."""
+    value = 1e6 * (x - 1.0)
+    if abs(value) < 1e-3:
+        value = 1e-3
+    return value, 1e6
+
+
+def test_newton_xspace_stall_rule_accepts_a_root():
+    root, (value, _) = damped_newton(_floored_linear, 2.0 + 0j, 0.0, 1e-12,
+                                     xspace_tol=1e-8)
+    assert root == 1.0
+    assert value == 1e-3
+
+
+def test_newton_failure_carries_last_iterate_and_residual():
+    with pytest.raises(InversionError) as info:
+        damped_newton(_floored_linear, 2.0 + 0j, 0.0, 1e-12)
+    assert info.value.last_iterate == 1.0
+    assert info.value.residual == 1e-3
 
 
 # -- density recovery ---------------------------------------------------------
