@@ -13,7 +13,6 @@ import numpy as np
 
 from .arithmetic import (
     ExternalFieldSpec,
-    FreeSumResolvent,
     external_field_lambda_gaussian,
     free_add,
     free_multiply,
@@ -44,7 +43,6 @@ from .series import (
     free_add_series,
     free_multiply_series,
     free_multiply_series_h_route,
-    moments_to_free_cumulants,
 )
 from .stieltjes import MeasureResolvent, default_contour, stieltjes_invert
 

@@ -1,4 +1,4 @@
-"""Free convolution of spectral measures through functional inverses.
+"""Free convolution of spectral measures.
 
 Addition composes inverse resolvents: the centered inverse R(w) =
 G^{-1}(w) - 1/w adds under free convolution, so the sum's transform solves
@@ -8,13 +8,13 @@ Deterministic-plus-Gaussian addition closes into the self-consistent
 equation omega = G(z - sigma^2 * omega), and the Gaussian external-field
 shift sigma^2 * a generalizes the addition law beyond the free case.
 
-All three are inverse-function solves on one loop, stieltjes.damped_newton.
-The sum and the product share one two-operand solve: each outer Newton
-trial inverts both operands at the trial value, warm-started from the
-last accepted iterate.  Pastur's equation is a single solve.  Contour
-solves sweep left to right at each imaginary offset with warm starts,
-which keeps every Newton iteration on the physical branch through
-multi-cut supports.
+The sum and the product are solved for their subordination function
+omega_1 (G(z) = G_1(omega_1(z)) for the sum), the fixed point of a map
+built from the operands' forward transforms, so no operand is inverted.
+That fixed point and Pastur's equation are single solves on one loop,
+stieltjes.damped_newton.  Contour solves sweep left to right at each
+imaginary offset, warm-started from the previous column, which keeps the
+Newton iterations few.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .stieltjes import (
     stieltjes_invert,
 )
 
-INNER_TOL = 1e-13
 OUTER_TOL = 1e-12
 
 
@@ -89,8 +88,6 @@ class HTransform:
         g, gp = self.resolvent.vd_scalar(lam)
         return lam * g, g + lam * gp
 
-    value_and_derivative = vd_scalar
-
     def inverse(self, h: complex, seed=None) -> complex:
         if h == 1:
             raise ValidationError(
@@ -109,10 +106,10 @@ class _SweepResolvent(ResolventEvaluator):
 
     Columns are evaluated left to right; within a column the imaginary
     offset descends its ladder.  The state solved at the top rung of a
-    column seeds the next column, so the solver tracks the physical branch
-    continuously.  Cold starts descend vertically from far above the
-    support, where the asymptotic seeds are trustworthy.  All state is
-    local to one ``sample_columns`` call.
+    column seeds the next column, so each solve starts near its root.
+    Cold starts descend vertically from far above the support, where the
+    asymptotic seeds are trustworthy.  All state is local to one
+    ``sample_columns`` call.
     """
 
     def _cold_state(self, z):
@@ -191,18 +188,18 @@ def _same_measure(mu1: SpectralMeasure, mu2: SpectralMeasure) -> bool:
 
 
 class _PairResolvent(_SweepResolvent):
-    """Two operands joined by a composition law in one shared unknown x.
+    """Two operands joined through the subordination function omega_1.
 
-    Each operand is inverted at x: u_i solves f_i(u_i) = x, with f_i the
-    operand's ``vd_scalar``.  The law lam(x, u_1, u_2) must equal z.  The
-    state per point is what ``damped_newton`` returns for the outer solve,
-    (x, (lam, lam', s_1, s_2)), where s_i = (u_i, (f_i(u_i), f_i'(u_i)))
-    is what it returns for the inner one.  A self-convolution detects its
-    identical operands and solves each inner inversion once.
+    Operand i gives a map t_i(z, w) from one ``vd_scalar`` call at w, and
+    omega_1(z) is the fixed point of T = t_2 o t_1.  It is unique in the
+    upper half plane (Belinschi and Bercovici 2007), so any root reached
+    there is the physical one.  A self-convolution has omega_1 = omega_2
+    and solves w = t_1(w).  The state per point is what ``damped_newton``
+    returns: (w, (T - w, T_w - 1, f_1, T_z)), with f_1 the first operand's
+    (value, derivative) at w.
 
-    Subclasses give the cold seed ``_cold_seed(z) -> (x, u_1, u_2)``, the
-    admissibility rule ``_admissible(z, x)`` for trial steps, the law and
-    its x-derivative ``_law(x, s_1, s_2) -> (lam, lam')``, and ``_g_of``.
+    Subclasses give ``_t(z, w, f, f') -> (t, t_w, t_z)``, the seed
+    ``_seed(z)``, ``_g_of`` and ``_gprime_of``.
     """
 
     def __init__(self, op1, op2, same):
@@ -210,47 +207,36 @@ class _PairResolvent(_SweepResolvent):
         self.op2 = op2
         self._same = same
 
-    def _law_eval(self, x, s1, s2):
+    def _solve(self, z, state):
         # The hot path of the sweep: arguments go by position, as keyword
         # passing costs measurably at about 1 us per atom-only kernel call.
-        tol = INNER_TOL * max(1.0, abs(x))
-        s1 = damped_newton(self.op1.vd_scalar, s1[0], x, tol, None, 1e-12,
-                           s1[1])
-        s2 = s1 if self._same else damped_newton(
-            self.op2.vd_scalar, s2[0], x, tol, None, 1e-12, s2[1])
-        value, deriv = self._law(x, s1, s2)
-        return value, deriv, s1, s2
+        t, same = self._t, self._same
+        vd1, vd2 = self.op1.vd_scalar, self.op2.vd_scalar
 
-    def _solve(self, z, state):
-        if state is None:
-            x, u1, u2 = self._cold_seed(z)
-            s1, s2 = (u1, None), (u2, None)
-        else:
-            x, (_, _, s1, s2) = state
-        try:
-            fx = self._law_eval(x, s1, s2)
-        except InversionError:
-            if state is None:
-                raise
-            return self._solve(z, None)
+        def fun(w):
+            if not w.imag > 0:
+                raise InversionError("trial left the upper half plane")
+            f1 = vd1(w)
+            w2, d1, z1 = t(z, w, *f1)
+            if same:
+                return w2 - w, d1 - 1.0, f1, z1
+            w1, d2, z2 = t(z, w2, *vd2(w2))
+            return w1 - w, d2 * d1 - 1.0, f1, d2 * z1 + z2
 
-        admissible, law_eval = self._admissible, self._law_eval
+        w = self._seed(z) if state is None else state[0]
+        scale = max(1.0, abs(w))
+        return damped_newton(fun, w, 0.0, OUTER_TOL * scale, 1e-9 * scale)
 
-        def trial(x, s1, s2):
-            if not admissible(z, x):
-                raise InversionError("trial step left the physical branch")
-            return law_eval(x, s1, s2)
-
-        scale = max(1.0, abs(z))
-        return damped_newton(trial, x, z, OUTER_TOL * scale, 1e-9 * scale,
-                             None, fx)
+    @staticmethod
+    def _omega_prime(state):
+        # implicit differentiation of T(w, z) = w: w' = T_z / (1 - T_w)
+        return -state[1][3] / state[1][1]
 
 
 class FreeSumResolvent(_PairResolvent):
     """Transform of the free additive convolution of two measures.
 
-    The shared unknown is w = G(z): the operands invert their resolvents
-    at w and the law is u1 + u2 - 1/w = z.
+    With F_i = 1/G_i, t_i(z, w) = z + F_i(w) - w, and G(z) = G_1(omega_1).
     """
 
     def __init__(self, mu1: SpectralMeasure, mu2: SpectralMeasure):
@@ -260,31 +246,22 @@ class FreeSumResolvent(_PairResolvent):
         lo2, hi2 = mu2.support()
         self.support = (lo1 + lo2, hi1 + hi2)
         self.edge_hints = (lo1 + lo2, hi1 + hi2)
-        self.m1 = moment(mu1, 1)
         self.m2 = moment(mu2, 1)
-        self.mean = self.m1 + self.m2
+        self.mean = moment(mu1, 1) + self.m2
 
-    def _cold_seed(self, z):
-        return (1.0 / z, complex(z + self.m1 - self.mean / 2),
-                complex(z + self.m2 - self.mean / 2))
-
-    @staticmethod
-    def _admissible(z, w):
-        # the physical branch keeps G in the lower half plane
-        return w != 0 and not (z.imag > 0 and w.imag >= 0)
+    def _seed(self, z):
+        return complex(z - self.m2)
 
     @staticmethod
-    def _law(w, s1, s2):
-        return (s1[0] + s2[0] - 1.0 / w,
-                1.0 / s1[1][1] + 1.0 / s2[1][1] + 1.0 / (w * w))
+    def _t(z, w, g, gp):
+        return z + 1.0 / g - w, -gp / (g * g) - 1.0, 1.0
 
     @staticmethod
     def _g_of(z, state):
-        return state[0]
+        return state[1][2][0]
 
-    @staticmethod
-    def _gprime_of(z, state):
-        return 1.0 / state[1][1]
+    def _gprime_of(self, z, state):
+        return state[1][2][1] * self._omega_prime(state)
 
 
 class PasturResolvent(_SweepResolvent):
@@ -324,8 +301,9 @@ class PasturResolvent(_SweepResolvent):
 class FreeProductResolvent(_PairResolvent):
     """Transform of the free multiplicative convolution of two measures.
 
-    The shared unknown is h = z * G(z): the operands invert their h
-    functions at h and the law is l1 * l2 * (h-1)/h = z; then G(z) = h/z.
+    With h_i(w) = w * G_i(w) and k_i(w) = h_i(w) / ((h_i(w) - 1) w),
+    t_i(z, w) = z * k_i(w): the product rule with omega_i = lambda_i(h(z))
+    gives omega_1 * omega_2 = z * h / (h - 1).  Then G(z) = h_1(omega_1)/z.
     """
 
     def __init__(self, mu1: SpectralMeasure, mu2: SpectralMeasure):
@@ -334,14 +312,11 @@ class FreeProductResolvent(_PairResolvent):
                 raise ValidationError(
                     "free multiplication requires supports in [0, inf)"
                 )
-        zero_w = []
-        for mu in (mu1, mu2):
-            w = sum(wt for pos, wt in mu.atoms if pos == 0.0)
-            zero_w.append(w)
-        if min(zero_w) > 1.0 - 1e-6:
-            raise ValidationError(
-                "at least one factor must put mass away from zero"
-            )
+            if sum(wt for pos, wt in mu.atoms if pos == 0.0) > 1.0 - 1e-6:
+                raise ValidationError(
+                    "each factor must put mass away from zero (a point mass "
+                    "at 0 times any law is that point mass)"
+                )
         super().__init__(HTransform(mu1), HTransform(mu2),
                          _same_measure(mu1, mu2))
         lo1, hi1 = mu1.support()
@@ -350,31 +325,22 @@ class FreeProductResolvent(_PairResolvent):
         self.edge_hints = (lo1 * lo2, hi1 * hi2)
         self.mean = self.op1.mean * self.op2.mean
 
-    def _cold_seed(self, z):
-        h = 1.0 + self.mean / z
-        return (h, complex(self.op1.mean / (h - 1.0)),
-                complex(self.op2.mean / (h - 1.0)))
+    def _seed(self, z):
+        return complex(z / self.op2.mean)
 
     @staticmethod
-    def _admissible(z, h):
-        return h != 0 and h != 1.0
-
-    @staticmethod
-    def _law(h, s1, s2):
-        l1, l2 = s1[0], s2[0]
-        return (l1 * l2 * (h - 1.0) / h,
-                (l2 / s1[1][1] + l1 / s2[1][1]) * (h - 1.0) / h
-                + l1 * l2 / (h * h))
+    def _t(z, w, h, hp):
+        d = (h - 1.0) * w
+        k = h / d
+        return z * k, -z * (hp * w + h * (h - 1.0)) / (d * d), k
 
     @staticmethod
     def _g_of(z, state):
-        return state[0] / z
+        return state[1][2][0] / z
 
-    @staticmethod
-    def _gprime_of(z, state):
-        h = state[0]
-        dh_dz = 1.0 / state[1][1]
-        return (dh_dz * z - h) / (z * z)
+    def _gprime_of(self, z, state):
+        h, hp = state[1][2]
+        return (hp * self._omega_prime(state) * z - h) / (z * z)
 
 
 # -- public operations ---------------------------------------------------------

@@ -283,14 +283,11 @@ def principal_value_transform(mu: SpectralMeasure, x: float) -> float:
     return total
 
 
-def damped_newton(f, x0, target, tol, stall_tol=None, xspace_tol=None,
-                  fx0=None):
+def damped_newton(f, x0, target, tol, stall_tol=None, xspace_tol=None):
     """Solve f(x)[0] = target by damped complex Newton; returns (x, f(x)).
 
-    ``f(x, *warm)`` returns ``(value, derivative, *warm)``.  The trailing
-    entries of the accepted iterate are passed to the next trial, so a
-    nested solve inside ``f`` warm-starts from them.  ``fx0`` is f at
-    ``x0`` when the caller already has it.  Each step tries the full
+    ``f(x)`` returns ``(value, derivative, *extra)``; the extra entries
+    come back with the accepted iterate.  Each step tries the full
     Newton correction and halves it up to MAX_HALVINGS times; a trial that
     raises InversionError or does not lower |value - target| is rejected.
     A stall counts as converged when the residual is at most ``stall_tol``
@@ -299,7 +296,7 @@ def damped_newton(f, x0, target, tol, stall_tol=None, xspace_tol=None,
     grows with the derivative, so x-space is the right measure there.
     """
     x = x0
-    fx = f(x0) if fx0 is None else fx0
+    fx = f(x0)
     res = fx[0] - target
     for _ in range(MAX_ITER):
         r = abs(res)
@@ -310,12 +307,11 @@ def damped_newton(f, x0, target, tol, stall_tol=None, xspace_tol=None,
             break
         step = -res / deriv
         scale = 1.0
-        warm = fx[2:]
         for _ in range(MAX_HALVINGS):
             cand = x + scale * step
             scale *= 0.5
             try:
-                f_c = f(cand, *warm) if warm else f(cand)
+                f_c = f(cand)
             except InversionError:
                 continue
             res_c = f_c[0] - target

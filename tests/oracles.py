@@ -73,3 +73,14 @@ def brute_compose(outer, inner, order):
         acc[:order + 1] += c * power[:order + 1]
         power = np.convolve(power, inner)[:order + 1]
     return acc
+
+
+def semicircle_g(z, sigma=1.0):
+    """Closed-form Cauchy transform of the semicircle law of radius
+    2 * sigma, on the branch that decays like 1/z at infinity."""
+    root = np.sqrt(z * z - 4 * sigma**2)
+    if (z.imag > 0 and root.imag < 0) or (z.imag < 0 and root.imag > 0):
+        root = -root
+    if z.imag == 0 and z.real * root.real < 0:
+        root = -root
+    return (z - root) / (2 * sigma**2)

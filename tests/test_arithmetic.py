@@ -5,6 +5,7 @@ from freeconv.arithmetic import (
     ExternalFieldSpec,
     FreeProductResolvent,
     FreeSumResolvent,
+    PasturResolvent,
     external_field_lambda_gaussian,
     free_add,
     free_multiply,
@@ -27,7 +28,9 @@ from freeconv.measures import (
     wasserstein1,
 )
 from freeconv.series import free_add_series, free_multiply_series
-from freeconv.stieltjes import default_contour
+from freeconv.stieltjes import MeasureResolvent, default_contour
+
+from oracles import semicircle_g
 
 RNG = np.random.default_rng(19981031)
 
@@ -211,8 +214,10 @@ def test_free_multiply_matches_series_oracle():
 def test_free_multiply_rejects_negative_support():
     with pytest.raises(ValidationError):
         free_multiply(SEMI, MP1)
-    with pytest.raises(ValidationError):
-        free_multiply(dirac(0.0), dirac(0.0))
+    for pair in ((dirac(0.0), dirac(0.0)), (dirac(0.0), MP1),
+                 (MP1, dirac(0.0))):
+        with pytest.raises(ValidationError):
+            free_multiply(*pair)
 
 
 # -- the two-operand contour solve ---------------------------------------------
@@ -232,7 +237,9 @@ def _kernel_calls(resolvents, ev):
 
 
 @pytest.mark.parametrize("same", [True, False])
-def test_self_convolution_inverts_one_operand(same):
+def test_sweep_kernel_calls_per_point(same):
+    # A self-convolution evaluates only its first operand, and the warm
+    # sweep keeps the solve to a few kernel calls per contour point.
     mu = make_law(LawSpec.atom_list([(0.5, 0.5), (2.0, 0.5)]))
     other = make_law(LawSpec.atom_list([(0.5, 0.5), (3.0, 0.5)]))
     mu2 = mu if same else other
@@ -243,17 +250,60 @@ def test_self_convolution_inverts_one_operand(same):
     for first, second in (sums, products):
         assert first > 0
         assert (second == 0) if same else (second > 0)
+        assert (first + second) / (24 * 2) <= 20
+
+
+def test_sum_solves_in_the_gap_of_its_support():
+    # The nested inverse-function solve stalled at this point of the gap
+    # around 0; Pastur's equation gives the same law.
+    two = make_law(LawSpec.two_atom(0.5, -3.0, 3.0))
+    ev = FreeSumResolvent(two, make_law(LawSpec.semicircle(0.5), 200))
+    z = complex(-0.0024012006003006903, 0.0025)
+    got = ev.sample_columns([z.real], [[z.imag]])[0][0]
+    expect = PasturResolvent(two, 0.5).sample_columns([z.real],
+                                                      [[z.imag]])[0][0]
+    assert abs(got - expect) <= 1e-5 * abs(expect)
 
 
 def test_contour_failure_names_the_evaluator():
-    # The solve stalls in the gap of this sum (a known failure kept by
-    # the benchmark as fail_two_atom_semicircle).
-    ev = FreeSumResolvent(make_law(LawSpec.two_atom(0.5, -3.0, 3.0)),
-                          make_law(LawSpec.semicircle(0.5), 200))
-    z = complex(-0.0024012006003006903, 0.0025)
+    ev = FreeSumResolvent(TWO, SEMI)
+    ev.op2.vd_scalar = lambda w: (complex("nan"), complex("nan"))
+    z = complex(0.5, 0.01)
     with pytest.raises(PipelineError, match="^FreeSumResolvent: ") as info:
         ev.sample_columns([z.real], [[z.imag]])
     assert info.value.point == z
+
+
+def _point_case(case):
+    """(evaluator, closed form, relative tolerance) of one pipeline.  The
+    sum is checked against the exact law, so its tolerance is the
+    discretization of its 2000-point operands; the product and Pastur
+    cases are exact identities on the operands as given."""
+    if case == "sum":
+        return (FreeSumResolvent(SEMI, SEMI),
+                lambda z: semicircle_g(z, np.sqrt(2.0)), 1e-5)
+    if case == "product":
+        g_mp = MeasureResolvent(MP1)
+        return (FreeProductResolvent(MP1, dirac(2.0)),
+                lambda z: g_mp(z / 2) / 2, 1e-10)
+    return PasturResolvent(dirac(0.0), 1.0), semicircle_g, 1e-10
+
+
+@pytest.mark.parametrize("case", ["sum", "product", "pastur"])
+def test_pipeline_point_evaluation(case):
+    ev, expect, rtol = _point_case(case)
+    zs = [complex(x, y) for x in (-3.0, -0.7, 0.4, 1.9, 5.0)
+          for y in (0.05, 0.5, 3.0)]
+    h = 1e-5
+    for z in zs:
+        g, gp = ev.value_and_derivative(z)
+        assert ev(z) == g
+        assert abs(g - expect(z)) <= rtol * abs(g)
+        quotient = (ev(z + h) - ev(z - h)) / (2 * h)
+        assert abs(gp - quotient) <= 1e-6 * max(1.0, abs(gp))
+    g, gp = ev.value_and_derivative(np.array(zs))
+    assert g.shape == gp.shape == (len(zs),)
+    assert np.allclose(g, [expect(z) for z in zs], rtol=rtol, atol=0)
 
 
 # -- Gaussian external field -------------------------------------------------------

