@@ -94,9 +94,130 @@ class ResolventEvaluator:
                 for x, lad in zip(xs, ladders)]
 
 
+# Treecode constants for the cell sum.  A block of cells with centre c and
+# half-width r is far from z when |z - c| >= r / _FAR_THETA; its multipole
+# series then converges like theta^k, and truncating it after order
+# p = _ORDER errs by at most theta^(p+1)/(1 - theta) = 8e-16 of the
+# block's mass over |z - c|.
+_FAR_THETA = 1 / 3
+_ORDER = int(np.ceil(np.log(1e-15 * (1 - _FAR_THETA))
+                     / np.log(_FAR_THETA))) - 1
+_MIN_BLOCK = 16
+
+
+class _CellTree:
+    """One-level treecode for the cells of a piecewise-linear density.
+
+    The cells of each segment are grouped into contiguous blocks of about
+    sqrt(2 cells) cells, and each block keeps its exact multipole moments
+    int rho(t) ((t - c)/r)^k dt, k <= _ORDER.  At z, the blocks near z
+    span one contiguous slice of cells, which is summed exactly; every
+    block outside the slice is far and adds its multipole series.  The
+    tree holds arrays only, never the resolvent that owns it.
+    """
+
+    def __init__(self, segments):
+        t0 = np.concatenate([s.grid[:-1] for s in segments])
+        t1 = np.concatenate([s.grid[1:] for s in segments])
+        r0 = np.concatenate([s.density[:-1] for s in segments])
+        r1 = np.concatenate([s.density[1:] for s in segments])
+        size = max(_MIN_BLOCK, int(np.sqrt(2 * t0.size)))
+        bounds = [0]
+        for s in segments:
+            n = s.grid.size - 1
+            k = -(-n // size)
+            bounds.extend(bounds[-1] + (n * np.arange(1, k + 1)) // k)
+        bounds = np.array(bounds)
+        starts, stops = bounds[:-1], bounds[1:]
+        self.starts, self.stops = starts.tolist(), stops.tolist()
+        cen = 0.5 * (t0[starts] + t1[stops - 1])
+        rad = 0.5 * (t1[stops - 1] - t0[starts])
+        self.cen = cen.astype(complex)
+        self.reach = rad / _FAR_THETA
+        self.rad = rad.astype(complex)
+        # Cell moments from the two hat functions of the linear piece:
+        # with y = (t - c)/r, int_cell rho y^k dt equals
+        # dt (r1 A_k + r0 B_k) / ((k+1)(k+2)), where
+        # A_k = sum_j (j+1) y1^j y0^(k-j) and B_k is A_k with y0 and y1
+        # swapped.  Where y0 and y1 share a sign every term does too, so
+        # the moments carry no cancellation.
+        blk = np.repeat(np.arange(starts.size), stops - starts)
+        y0 = (t0 - cen[blk]) / rad[blk]
+        y1 = (t1 - cen[blk]) / rad[blk]
+        dt = t1 - t0
+        mom = np.empty((_ORDER + 1, starts.size))
+        p0 = p1 = a = b = np.ones_like(dt)
+        for k in range(_ORDER + 1):
+            if k:
+                p0, p1 = p0 * y0, p1 * y1
+                a = y0 * a + (k + 1) * p1
+                b = y1 * b + (k + 1) * p0
+            mom[k] = np.add.reduceat((r1 * a + r0 * b) * dt, starts)
+            mom[k] /= (k + 1) * (k + 2)
+        # With q = r/(z - c), the far sums are sum_k mom_k q^(k+1) / r and
+        # -sum_k (k+1) mom_k q^(k+2) / r^2: dot products of the power
+        # table q^1 .. q^(p+2) with these coefficient rows.
+        order = np.arange(1, _ORDER + 2)[:, None]
+        cg = np.zeros((_ORDER + 2, starts.size))
+        cd = np.zeros_like(cg)
+        cg[:-1] = mom / rad
+        cd[1:] = -order * mom / (rad * rad)
+        self.cg = cg.ravel().astype(complex)
+        self.cd = cd.ravel().astype(complex)
+        self.ones = np.ones(cg.shape, dtype=complex)
+        # The exact near sum works on cell midpoints and half-widths.
+        # Held as complex (imaginary part +0), the arrays spare numpy a
+        # cast on every call.
+        self.mid = (0.5 * (t0 + t1)).astype(complex)
+        self.half = (0.5 * dt).astype(complex)
+        self.rc = (0.5 * (r0 + r1)).astype(complex)
+        self.slope = ((r1 - r0) / dt).astype(complex)
+        # running sums of 2*slope*half = r1 - r0 over the cells
+        self.jumps = np.concatenate(([0.0], np.cumsum(r1 - r0))).tolist()
+
+    def __call__(self, z):
+        """(G, G') of the cells at one point, as Python complex numbers.
+
+        A near cell with midpoint m and half-width h adds
+        (rc + s w) L - 2 s h and s L + (rc + s w) L', with w = z - m,
+        L = 2 atanh(h/w) and L' = -2h/((w - h)(w + h)).  The atanh form
+        keeps full relative accuracy where h/w is small.
+        """
+        zc = z - self.cen
+        near = (np.abs(zc) < self.reach).nonzero()[0]
+        g = gp = 0j
+        if near.size:
+            jlo, jhi = int(near[0]), int(near[-1]) + 1
+            lo, hi = self.starts[jlo], self.stops[jhi - 1]
+            w = z - self.mid[lo:hi]
+            h = self.half[lo:hi]
+            s = self.slope[lo:hi]
+            at = np.arctanh(h / w)
+            a = self.rc[lo:hi] + s * w
+            half_lp = h / ((w - h) * (w + h))  # -L'/2
+            g = 2 * complex(np.dot(a, at)) - (self.jumps[hi] - self.jumps[lo])
+            gp = 2 * complex(np.dot(s, at) - np.dot(a, half_lp))
+            if hi - lo == self.mid.size:  # no block is far
+                return g, gp
+            # a near block drops out of the power table as q = r/inf = 0
+            zc[jlo:jhi] = np.inf
+        q = self.ones * (self.rad / zc)
+        np.multiply.accumulate(q, axis=0, out=q)
+        q = q.ravel()
+        return (g + complex(np.dot(q, self.cg)),
+                gp + complex(np.dot(q, self.cd)))
+
+
 class MeasureResolvent(ResolventEvaluator):
-    """Exact transform of a stored measure; each linear density piece
-    integrates against 1/(z-t) to a closed-form log expression."""
+    """Exact transform of a stored measure.
+
+    Each atom adds w/(z - a).  Each linear density cell integrates against
+    1/(z - t) to a closed-form log term; the cells are summed by a
+    one-level treecode (``_CellTree``), built once here: blocks far from z
+    add their multipole series, and the cells of the near blocks are
+    summed exactly.  ``vd_scalar`` and ``value_and_derivative`` evaluate
+    every point through the same body.
+    """
 
     def __init__(self, mu: SpectralMeasure):
         self.measure = mu
@@ -104,95 +225,15 @@ class MeasureResolvent(ResolventEvaluator):
         self.edge_hints = tuple(np.unique([e for s in mu.segments
                                            for e in (s.grid[0], s.grid[-1])]))
         self.mean = moment(mu, 1)
-        t0, t1, r0, r1 = [], [], [], []
-        for s in mu.segments:
-            t0.append(s.grid[:-1])
-            t1.append(s.grid[1:])
-            r0.append(s.density[:-1])
-            r1.append(s.density[1:])
-        self._t0 = np.concatenate(t0) if t0 else np.empty(0)
-        self._t1 = np.concatenate(t1) if t1 else np.empty(0)
-        self._r0 = np.concatenate(r0) if r0 else np.empty(0)
-        self._r1 = np.concatenate(r1) if r1 else np.empty(0)
-        slope = (self._r1 - self._r0) / (self._t1 - self._t0) \
-            if self._t0.size else np.empty(0)
-        halfdt = 0.5 * (self._t1 - self._t0)
-        # The kernel combines these with complex arrays.  Held as complex
-        # (imaginary part +0) they spare numpy a cast on every call, and
-        # the results keep the same bits.
-        self._slope = slope.astype(complex)
-        self._rc = (0.5 * (self._r0 + self._r1)).astype(complex)
-        self._mid = (0.5 * (self._t0 + self._t1)).astype(complex)
-        self._halfdt = halfdt.astype(complex)
-        self._halfdt2 = (halfdt * halfdt).astype(complex)
-        self._neg_dt = (-(self._t1 - self._t0)).astype(complex)
-        self._apos = np.array([x for x, _ in mu.atoms])
-        self._aw = np.array([w for _, w in mu.atoms])
         self._atoms = tuple((float(x), float(w)) for x, w in mu.atoms)
-
-    def _cell_sums(self, zc):
-        """Summed cell contributions to (G, G') for zc = z - cell midpoints.
-
-        ``zc`` has the cells on its last axis: shape (cells,) for one point
-        or (points, cells) for a batch.  Both paths share this body, so
-        they cannot drift apart.  Far from a cell the log is expanded
-        around the cell midpoint: multiplying a rounded log by the steep
-        linear-extension coefficient r0 + s*(z - t0) would otherwise inject
-        absolute noise of order eps * slope * |z| and stall Newton solves
-        at ~1e-9.
-        """
-        slope = self._slope
-        u = self._halfdt / zc
-        u2 = u * u
-        d0d1 = zc * zc - self._halfdt2
-        # odd series: L = log(d0/d1), T3 = L - 2u, D = L + zc*L'.  The
-        # factors 1/11 stand for divisions by 11: numpy divides a complex
-        # array by a real scalar as a product with its rounded reciprocal,
-        # so these products give the same bits without the complex divide.
-        r11 = 1 / 11
-        p_l = 1 / 3 + u2 * (1 / 5 + u2 * (1 / 7 + u2 * (1 / 9 + u2 * r11)))
-        lser = 2 * u * (1.0 + u2 * p_l)
-        tu3 = 2 * u * u2
-        t3 = tu3 * p_l
-        dser = -tu3 * (
-            2 / 3 + u2 * (4 / 5 + u2 * (6 / 7 + u2 * (8 / 9 + u2 * 10 * r11)))
-        )
-        lp = self._neg_dt / d0d1
-        # flat indices of the near cells; every array here is C-contiguous,
-        # so reshape(-1) is a view and the writes below land in place
-        near = np.flatnonzero(np.abs(u) >= 0.05)
-        if near.size:
-            cell = near if zc.ndim == 1 else near % zc.shape[-1]
-            zcn = zc.reshape(-1)[near]
-            hn = self._halfdt[cell]
-            l_exact = np.log((zcn + hn) / (zcn - hn))
-            lser.reshape(-1)[near] = l_exact
-            t3.reshape(-1)[near] = l_exact - 2 * u.reshape(-1)[near]
-            dser.reshape(-1)[near] = l_exact + zcn * lp.reshape(-1)[near]
-        return (np.sum(self._rc * lser + slope * zc * t3, axis=-1),
-                np.sum(self._rc * lp + slope * dser, axis=-1))
-
-    def _kernel(self, z):
-        """(G, G') for a 1-D complex array z."""
-        z = z[:, None]
-        g = np.zeros(z.shape[0], dtype=complex)
-        gp = np.zeros(z.shape[0], dtype=complex)
-        if self._apos.size:
-            inv = 1.0 / (z - self._apos[None, :])
-            g += np.sum(self._aw * inv, axis=1)
-            gp += np.sum(-self._aw * inv * inv, axis=1)
-        if self._t0.size:
-            cg, cgp = self._cell_sums(z - self._mid)
-            g += cg
-            gp += cgp
-        return g, gp
+        self._cells = _CellTree(mu.segments) if mu.segments else None
 
     def vd_scalar(self, z):
         """(G, G') at one point as Python complex numbers.
 
         The hot path of every contour solve: atoms are summed in a plain
-        loop and cells on 1-D arrays, with no per-call array set-up.  An
-        exact hit on an atom gives NaN, as the batched path does.
+        loop, then the cell tree adds the density.  An exact hit on an
+        atom gives NaN.
         """
         z = complex(z)
         g = gp = 0j
@@ -203,24 +244,26 @@ class MeasureResolvent(ResolventEvaluator):
                 gp -= w * inv * inv
         except ZeroDivisionError:
             return complex("nan"), complex("nan")
-        if self._t0.size:
-            cg, cgp = self._cell_sums(z - self._mid)
-            g += complex(cg)
-            gp += complex(cgp)
+        if self._cells is not None:
+            cg, cgp = self._cells(z)
+            g += cg
+            gp += cgp
         return g, gp
 
+    # The array path calls this name, so that wrapping ``vd_scalar`` (to
+    # count kernel calls) sees each array call once, not once per point.
+    _point = vd_scalar
+
     def value_and_derivative(self, z):
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        out_g = np.empty(z_arr.shape, dtype=complex)
-        out_gp = np.empty(z_arr.shape, dtype=complex)
-        chunk = max(1, 200_000 // max(1, self._t0.size + self._apos.size))
-        for i in range(0, z_arr.size, chunk):
-            g, gp = self._kernel(z_arr[i:i + chunk])
-            out_g[i:i + chunk] = g
-            out_gp[i:i + chunk] = gp
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return complex(out_g[0]), complex(out_gp[0])
-        return out_g, out_gp
+        """(G, G') at each point of ``z``, one point at a time through the
+        body of ``vd_scalar``; a scalar ``z`` gives Python complex numbers.
+        """
+        z_arr = np.asarray(z, dtype=complex)
+        if z_arr.ndim == 0:
+            return self._point(complex(z_arr))
+        pairs = [self._point(v) for v in z_arr.ravel().tolist()]
+        g, gp = np.array(pairs, dtype=complex).reshape(-1, 2).T
+        return g.reshape(z_arr.shape), gp.reshape(z_arr.shape)
 
 
 # -- public transforms --------------------------------------------------------
@@ -261,7 +304,9 @@ def principal_value_transform(mu: SpectralMeasure, x: float) -> float:
     """Cauchy principal value of the transform at real x.
 
     The log singularities of adjacent linear pieces cancel analytically, so
-    grid nodes are safe probe points; atom positions are not.
+    interior grid nodes are safe probe points.  Atom positions are not, and
+    neither is a segment endpoint where the density jumps: there the
+    principal value diverges like the jump times log|x - endpoint|.
     """
     x = float(x)
     total = 0.0
@@ -269,6 +314,10 @@ def principal_value_transform(mu: SpectralMeasure, x: float) -> float:
         if x == a:
             raise DomainError("principal value undefined at an atom position")
         total += w / (x - a)
+    jump = sum((x == s.grid[0]) * s.density[0]
+               - (x == s.grid[-1]) * s.density[-1] for s in mu.segments)
+    if jump != 0:
+        raise DomainError("principal value undefined where the density jumps")
     for s in mu.segments:
         t0, t1 = s.grid[:-1], s.grid[1:]
         r0, r1 = s.density[:-1], s.density[1:]

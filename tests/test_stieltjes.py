@@ -1,14 +1,18 @@
 import cmath
+import gc
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeconv.errors import DomainError, InversionError, ValidationError
 from freeconv.measures import (
     LawSpec,
+    Segment,
     SpectralMeasure,
+    affine_map,
     absolute_moment,
     density_l1_distance,
     dirac,
@@ -28,7 +32,7 @@ from freeconv.stieltjes import (
     stieltjes_invert,
 )
 
-from oracles import semicircle_g
+from oracles import cauchy_reference, semicircle_g
 
 RNG = np.random.default_rng(31081998)
 
@@ -141,6 +145,22 @@ def test_pv_matches_extrapolated_real_part():
 def test_pv_at_atom_rejected():
     with pytest.raises(DomainError):
         principal_value_transform(dirac(1.0), 1.0)
+
+
+def test_pv_rejected_where_the_density_jumps():
+    mu = make_law(LawSpec.uniform(-1.0, 1.0), 200)
+    for edge in (-1.0, 1.0):
+        with pytest.raises(DomainError):
+            principal_value_transform(mu, edge)
+    # interior nodes are safe, and the linear pieces represent the
+    # constant density exactly: pv(x) = log((1 + x)/(1 - x)) / 2
+    for node in mu.segments[0].grid[[1, 57, 100, 198]]:
+        assert principal_value_transform(mu, node) == pytest.approx(
+            0.5 * np.log((1 + node) / (1 - node)), abs=1e-12)
+    # a zero-density endpoint is no jump: pv is continuous into G outside
+    semi = make_law(LawSpec.semicircle(1.0), 200)
+    assert principal_value_transform(semi, 2.0) == pytest.approx(
+        cauchy_transform(semi, 2.0 + 1e-9).real, abs=1e-6)
 
 
 # -- functional inversion -----------------------------------------------------
@@ -345,17 +365,18 @@ def kernel_measures(draw):
     if kind == "law":
         return law
     p = draw(st.floats(0.05, 0.95))
+    # the segments carry 1 - p of the mass, also for a law with an atom
+    cont = 1.0 - law.atom_mass
     return SpectralMeasure(
         atoms=tuple((x, p * w) for x, w in draw(atom_lists())),
-        segments=tuple(s.scaled(1.0 - p) for s in law.segments),
+        segments=tuple(s.scaled((1.0 - p) / cont) for s in law.segments),
     )
 
 
 @st.composite
 def kernel_cases(draw):
     """A measure and points 1e-9 to 1 above the axis: some over the
-    support, some where |halfdt / (z - mid)| sits at the 0.05 switch
-    between a cell's midpoint series and its exact log."""
+    support, some 20 half-widths from a cell's midpoint."""
     mu = draw(kernel_measures())
     lo, hi = mu.support()
     zs = []
@@ -388,3 +409,108 @@ def test_scalar_kernel_matches_batched(case):
         gp_scale = abs(gp_ref) + sum(w / abs(z - a) ** 2 for a, w in mu.atoms)
         assert abs(g - g_ref) <= 1e-13 * g_scale
         assert abs(gp - gp_ref) <= 1e-13 * gp_scale
+
+
+# -- the cell treecode against a 40-digit oracle ------------------------------
+
+
+@st.composite
+def small_measures(draw):
+    """One segment of fewer cells than the smallest block."""
+    cells = draw(st.integers(1, 15))
+    grid = np.cumsum(draw(st.lists(st.floats(0.1, 1.0), min_size=cells + 1,
+                                   max_size=cells + 1)))
+    dens = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=cells + 1,
+                                  max_size=cells + 1))) + 0.01
+    return SpectralMeasure(segments=(
+        Segment(grid, dens / np.trapezoid(dens, grid)),))
+
+
+@st.composite
+def gapped_measures(draw):
+    """Two catalog laws on disjoint intervals, with a gap between."""
+    p = draw(st.floats(0.1, 0.9))
+    left = make_law(draw(st.sampled_from(CONTINUOUS)),
+                    draw(st.integers(16, 600)))
+    right = make_law(draw(st.sampled_from(CONTINUOUS)),
+                     draw(st.integers(16, 600)))
+    lo, hi = left.support()
+    left = affine_map(left, 1.0 / (hi - lo), -1.0 - lo / (hi - lo))
+    lo, hi = right.support()
+    gap = draw(st.floats(1e-3, 2.0))
+    right = affine_map(right, 2.0 / (hi - lo), gap - 2.0 * lo / (hi - lo))
+    return SpectralMeasure(
+        atoms=tuple((x, p * w) for x, w in left.atoms)
+        + tuple((x, (1 - p) * w) for x, w in right.atoms),
+        segments=tuple(s.scaled(p) for s in left.segments)
+        + tuple(s.scaled(1 - p) for s in right.segments))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A measure and points 1e-9 to 1 above the axis, plus points on the
+    circle |z - c| = r/theta where a block of cells switches between its
+    multipole series and the exact near sum."""
+    mu = draw(st.one_of(kernel_measures(), small_measures(),
+                        gapped_measures()))
+    lo, hi = mu.support()
+    zs = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = draw(st.floats(lo - 0.5, hi + 0.5))
+        zs.append(complex(x, 10.0 ** draw(st.floats(-9.0, 0.0))))
+    tree = MeasureResolvent(mu)._cells
+    if tree is not None:
+        for _ in range(draw(st.integers(1, 3))):
+            j = draw(st.integers(0, tree.cen.size - 1))
+            theta = draw(st.floats(1e-3, np.pi - 1e-3))
+            on = tree.cen[j] + tree.reach[j] * cmath.exp(1j * theta)
+            zs.append(complex(on.real, max(on.imag, 1e-9)))
+    return mu, zs
+
+
+# Bounds met by the kernel before the treecode (a midpoint series per
+# cell), over this test's cases and relative to the summed magnitudes of
+# the terms: its largest errors were 2.36e-14 in G and 1.53e-13 in G'.
+G_TOL, GP_TOL = 2.4e-14, 1.6e-13
+
+
+@settings(max_examples=30)
+@given(oracle_cases())
+def test_kernel_matches_a_40_digit_oracle(case):
+    mu, zs = case
+    ev = MeasureResolvent(mu)
+    for z in zs:
+        g, gp = ev.vd_scalar(z)
+        g_ref, gp_ref, g_abs, gp_abs = cauchy_reference(mu, z)
+        assert abs(g - g_ref) <= G_TOL * g_abs
+        assert abs(gp - gp_ref) <= GP_TOL * gp_abs
+
+
+@given(st.sampled_from(CONTINUOUS), st.floats(-3.0, 3.0),
+       st.floats(-1.0, 1.0), st.floats(-2.0, 0.0), st.floats(-1.0, 1.0))
+def test_kernel_is_affine_covariant(spec, log_scale, shift, log_height, x):
+    """G of a*mu + b at a*z + b is G(z)/a, and G' is G'(z)/a^2: the
+    near/far rule of the tree has no absolute length in it."""
+    mu = make_law(spec, 2000)
+    a = 10.0 ** log_scale
+    b = shift * a
+    lo, hi = mu.support()
+    z = complex(0.5 * (lo + hi) + x * 0.6 * (hi - lo),
+                10.0 ** log_height * (hi - lo))
+    g, gp = MeasureResolvent(mu).vd_scalar(z)
+    g_a, gp_a = MeasureResolvent(affine_map(mu, a, b)).vd_scalar(a * z + b)
+    assert abs(a * g_a - g) <= 1e-13 * abs(g)
+    assert abs(a * a * gp_a - gp) <= 1e-13 * abs(gp)
+
+
+def test_resolvent_freed_without_the_cycle_collector():
+    mu = make_law(LawSpec.semicircle(1.0), 2000)
+    ev = MeasureResolvent(mu)
+    ev.vd_scalar(0.3 + 0.1j)
+    ref = weakref.ref(ev)
+    gc.disable()
+    try:
+        del ev
+        assert ref() is None
+    finally:
+        gc.enable()
