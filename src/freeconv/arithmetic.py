@@ -13,8 +13,9 @@ omega_1 (G(z) = G_1(omega_1(z)) for the sum), the fixed point of a map
 built from the operands' forward transforms, so no operand is inverted.
 That fixed point and Pastur's equation are single solves on one loop,
 stieltjes.damped_newton.  Contour solves sweep left to right at each
-imaginary offset, warm-started from the previous column, which keeps the
-Newton iterations few.
+imaginary offset as a predictor-corrector continuation: each solve starts
+from the quadratic extrapolation of its offset's last three solutions,
+so Newton needs about one correction per point.
 """
 
 from __future__ import annotations
@@ -102,14 +103,21 @@ class HTransform:
 
 
 class _SweepResolvent(ResolventEvaluator):
-    """Shared warm-sweep driver for contour-solved transforms.
+    """Shared predictor-corrector sweep for contour-solved transforms.
 
     Columns are evaluated left to right; within a column the imaginary
-    offset descends its ladder.  The state solved at the top rung of a
-    column seeds the next column, so each solve starts near its root.
-    Cold starts descend vertically from far above the support, where the
-    asymptotic seeds are trustworthy.  All state is local to one
-    ``sample_columns`` call.
+    offset descends its ladder.  Along one rung (a fixed offset eps) the
+    solved unknown is analytic in x within distance eps, so the quadratic
+    through its values at the last three columns predicts the next one to
+    O(dx^3), and Newton corrects it in about one step.  A rung keeps its
+    history only while consecutive columns carry it; the Lagrange weights
+    use the actual abscissae, so non-uniform columns work.  A failed
+    prediction retries from the warm seed (the previous column's top rung
+    for the top rung, else the rung above), then from a cold start that
+    descends vertically from far above the support, where the asymptotic
+    seeds are trustworthy.  ``_solve(z, seed)`` takes a complex seed or
+    None and returns ``damped_newton``'s (unknown, f(unknown)).  All state
+    is local to one ``sample_columns`` call.
     """
 
     def _cold_state(self, z):
@@ -121,40 +129,70 @@ class _SweepResolvent(ResolventEvaluator):
         path = height * (max(z.imag, 1e-12) / height) ** (
             np.arange(n) / (n - 1)
         )
-        state = None
+        seed = None
         for eps in path[:-1]:
-            state = self._solve(complex(z.real, float(eps)), state)
-        return self._solve(z, state)
+            seed = self._solve(complex(z.real, float(eps)), seed)[0]
+        return self._solve(z, seed)
+
+    def _solve_from(self, z, predicted, warm):
+        """Solve at z from the first seed that converges, else cold."""
+        for seed in (predicted, warm):
+            if seed is not None:
+                try:
+                    return self._solve(z, seed)
+                except InversionError:
+                    pass
+        try:
+            return self._cold_state(z)
+        except InversionError as err:
+            raise PipelineError(
+                f"{type(self).__name__}: contour solve failed at "
+                f"z = {z!r}: {err}",
+                point=z,
+            ) from err
 
     def sample_columns(self, xs, ladders):
+        solve, g_of = self._solve_from, self._g_of
         out = []
-        top_state = None
+        past = ()   # abscissae of the last three columns, oldest first
+        hist = []   # per rung: its unknowns at those columns, oldest first
+        top = None  # the unknown at the previous column's top rung
         for x, lad in zip(xs, ladders):
+            x = float(x)
+            lad = np.asarray(lad, dtype=float)
+            if x in past:
+                # a repeated abscissa would zero a weight's denominator
+                past = ()
+                hist.clear()
+            del hist[len(lad):]
+            if len(past) == 3:
+                x0, x1, x2 = past
+                c0 = (x - x1) * (x - x2) / ((x0 - x1) * (x0 - x2))
+                c1 = (x - x0) * (x - x2) / ((x1 - x0) * (x1 - x2))
+                c2 = (x - x0) * (x - x1) / ((x2 - x0) * (x2 - x1))
             col = np.empty(len(lad), dtype=complex)
-            state = top_state
-            for j, eps in enumerate(np.asarray(lad, dtype=float)):
+            warm = top
+            for j, eps in enumerate(lad.tolist()):
                 z = complex(x, eps)
-                try:
-                    state = (self._solve(z, state) if state is not None
-                             else self._cold_state(z))
-                except InversionError:
-                    try:
-                        state = self._cold_state(z)
-                    except InversionError as err:
-                        raise PipelineError(
-                            f"{type(self).__name__}: contour solve failed "
-                            f"at z = {z!r}: {err}",
-                            point=z,
-                        ) from err
-                g = self._g_of(z, state)
+                h = hist[j] if j < len(hist) else ()
+                predicted = (c0 * h[0] + c1 * h[1] + c2 * h[2]
+                             if len(h) == 3 else None)
+                state = solve(z, predicted, warm)
+                g = g_of(z, state)
                 if g.imag > 1e-9 * (1.0 + abs(g)):
                     raise PipelineError(
                         f"{type(self).__name__}: non-Herglotz solution at "
                         f"z = {z!r}", point=z
                     )
                 col[j] = g
+                warm = state[0]
+                if h:
+                    hist[j] = h[-2:] + (warm,)
+                else:
+                    hist.append((warm,))
                 if j == 0:
-                    top_state = state
+                    top = warm
+            past = past[-2:] + (x,)
             out.append(col)
         return out
 
@@ -207,7 +245,7 @@ class _PairResolvent(_SweepResolvent):
         self.op2 = op2
         self._same = same
 
-    def _solve(self, z, state):
+    def _solve(self, z, seed):
         # The hot path of the sweep: arguments go by position, as keyword
         # passing costs measurably at about 1 us per atom-only kernel call.
         t, same = self._t, self._same
@@ -223,7 +261,7 @@ class _PairResolvent(_SweepResolvent):
             w1, d2, z2 = t(z, w2, *vd2(w2))
             return w1 - w, d2 * d1 - 1.0, f1, d2 * z1 + z2
 
-        w = self._seed(z) if state is None else state[0]
+        w = self._seed(z) if seed is None else seed
         scale = max(1.0, abs(w))
         return damped_newton(fun, w, 0.0, OUTER_TOL * scale, 1e-9 * scale)
 
@@ -278,23 +316,28 @@ class PasturResolvent(_SweepResolvent):
         self.edge_hints = ()
         self.mean = moment(mu, 1)
 
-    def _solve(self, z, state):
-        omega = state if state is not None else 1.0 / z
+    def _solve(self, z, seed):
+        omega = seed if seed is not None else 1.0 / z
         vd, sigma2 = self.r.vd_scalar, self.sigma2
 
         def fun(om):
-            g, gp = vd(z - sigma2 * om)
+            # The physical root is the one fixed point with z - sigma^2
+            # omega in the upper half plane (Biane 1997).
+            arg = z - sigma2 * om
+            if not arg.imag > 0:
+                raise InversionError("trial left the upper half plane")
+            g, gp = vd(arg)
             return om - g, 1.0 + sigma2 * gp
 
         return damped_newton(fun, omega, 0.0, OUTER_TOL * max(1.0, abs(z)),
-                             None, 1e-10)[0]
+                             None, 1e-10)
 
     @staticmethod
     def _g_of(z, state):
-        return state
+        return state[0]
 
     def _gprime_of(self, z, state):
-        g, gp = self.r.vd_scalar(z - self.sigma2 * state)
+        g, gp = self.r.vd_scalar(z - self.sigma2 * state[0])
         return gp / (1.0 + self.sigma2 * gp)
 
 

@@ -735,14 +735,13 @@ def _absorb_mass_excess(segment, zones, excess):
     return Segment(grid, dens)
 
 
-def _herglotz_guard(cols):
-    for col in cols:
-        bad = col.imag > 1e-8 * (1.0 + np.abs(col))
-        if np.any(bad):
-            raise BranchError(
-                "Im G > 0 in the upper half plane: wrong branch or invalid "
-                "evaluator"
-            )
+def _herglotz_guard(g):
+    """Raise BranchError where the sampled values ``g`` have Im G > 0."""
+    if np.any(g.imag > 1e-8 * (1.0 + np.abs(g))):
+        raise BranchError(
+            "Im G > 0 in the upper half plane: wrong branch or invalid "
+            "evaluator"
+        )
 
 
 def _refine_edge(ev, sched, anchor, hinted, inner_sign, width, spacing):
@@ -774,7 +773,7 @@ def _refine_edge(ev, sched, anchor, hinted, inner_sign, width, spacing):
     new_xs = new_xs[order]
     new_ladders = [new_ladders[i] for i in order]
     cols = ev.sample_columns(new_xs, new_ladders)
-    _herglotz_guard(cols)
+    _herglotz_guard(np.concatenate(cols))
     new_dens = np.array([_column_densities(lad, [col])[0]
                          for lad, col in zip(new_ladders, cols)])
     grid, dens = new_xs, np.clip(new_dens, 0.0, None)

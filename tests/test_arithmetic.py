@@ -15,7 +15,7 @@ from freeconv.arithmetic import (
     r_transform,
     verify_generalized_addition_gaussian,
 )
-from freeconv.errors import PipelineError, ValidationError
+from freeconv.errors import InversionError, PipelineError, ValidationError
 from freeconv.measures import (
     LawSpec,
     MomentVector,
@@ -28,7 +28,7 @@ from freeconv.measures import (
     wasserstein1,
 )
 from freeconv.series import free_add_series, free_multiply_series
-from freeconv.stieltjes import MeasureResolvent, default_contour
+from freeconv.stieltjes import MeasureResolvent, _ladder, default_contour
 
 from oracles import semicircle_g
 
@@ -223,16 +223,19 @@ def test_free_multiply_rejects_negative_support():
 # -- the two-operand contour solve ---------------------------------------------
 
 
-def _kernel_calls(resolvents, ev):
-    """Run a short sweep of ``ev`` and count vd_scalar calls per resolvent."""
+def _kernel_calls(resolvents, ev, columns=None):
+    """Sweep ``ev`` over ``columns`` (abscissae, ladders), by default 24
+    coarse two-rung columns, and count vd_scalar calls per resolvent."""
     counts = [0] * len(resolvents)
     for i, r in enumerate(resolvents):
         def counted(z, _vd=r.vd_scalar, _i=i):
             counts[_i] += 1
             return _vd(z)
         r.vd_scalar = counted
-    xs = np.linspace(-3.0, 5.0, 24)
-    ev.sample_columns(xs, [np.array([1e-2, 5e-3])] * len(xs))
+    if columns is None:
+        xs = np.linspace(-3.0, 5.0, 24)
+        columns = xs, [np.array([1e-2, 5e-3])] * len(xs)
+    ev.sample_columns(*columns)
     return counts
 
 
@@ -272,6 +275,135 @@ def test_contour_failure_names_the_evaluator():
     with pytest.raises(PipelineError, match="^FreeSumResolvent: ") as info:
         ev.sample_columns([z.real], [[z.imag]])
     assert info.value.point == z
+
+
+SEMI500 = make_law(LawSpec.semicircle(1.0), 500)
+UNIF500 = make_law(LawSpec.uniform(-1.0, 1.0), 500)
+MP500 = make_law(LawSpec.marchenko_pastur(1.0), 500)
+MP_HALF500 = make_law(LawSpec.marchenko_pastur(0.5), 500)
+
+
+def _uniform_pastur_edge(sigma):
+    # Left edge of uniform(-1, 1) plus a Gaussian of scale sigma (so for
+    # sigma = 1 of semicircle(1) + uniform(-1, 1)): the real omega < -1
+    # with sigma^2 / (omega^2 - 1) = 1, mapped by z = omega + sigma^2
+    # G(omega) (Biane 1997).
+    om = -np.sqrt(1.0 + sigma * sigma)
+    return om + sigma * sigma * 0.5 * np.log((om + 1.0) / (om - 1.0))
+
+
+# (evaluator, its left support edge, kernel calls per contour point
+# allowed on the 400-column sweep).  The bounds sit between the
+# predictor-corrector sweep (2.47, 4.62, 4.83, 2.58) and the sweep that
+# seeds each solve from the previous column only (3.51, 6.65, 6.63, 3.36).
+SWEEP_CASES = {
+    "sum_same": (lambda: FreeSumResolvent(SEMI500, SEMI500),
+                 -2.0 * np.sqrt(2.0), 3.0),
+    "sum_distinct": (lambda: FreeSumResolvent(SEMI500, UNIF500),
+                     _uniform_pastur_edge(1.0), 5.6),
+    "product": (lambda: FreeProductResolvent(MP500, MP_HALF500), 0.0, 5.7),
+    "pastur": (lambda: PasturResolvent(UNIF500, 0.5),
+               _uniform_pastur_edge(0.5), 3.0),
+}
+
+
+def _uniform_columns(ev):
+    contour = default_contour(*ev.support, points=400)
+    xs = contour.real_grid
+    return xs, [contour.epsilon_schedule] * len(xs)
+
+
+def _edge_columns(edge, width, top=1e-2, n_march=40, n_hand=6):
+    """Columns shaped like stieltjes_invert's edge refinement: geometric
+    offsets into ``edge`` from the right, each with a ladder that reaches
+    a tenth of its offset."""
+    spacing = 1.2 * width / 400
+    offsets = np.concatenate([
+        np.geomspace(1e-7 * width, 2.0 * spacing, n_march, endpoint=False),
+        np.linspace(2.0 * spacing, 8.0 * spacing, n_hand),
+    ])
+    ladders = [_ladder(top, float(np.clip(d / 10.0, 3e-11 * width, top / 4)))
+               for d in offsets]
+    return edge + offsets, ladders
+
+
+def _sweep_against_pointwise(ev, xs, ladders):
+    """Per point: |sweep - cold|, |G| and |G'| * max(1, |z|) of the cold
+    solve."""
+    cols = ev.sample_columns(xs, ladders)
+    z = np.concatenate([x + 1j * np.asarray(lad)
+                        for x, lad in zip(xs, ladders)])
+    g, gp = ev.value_and_derivative(z)
+    return (np.abs(np.concatenate(cols) - g), np.abs(g),
+            np.abs(gp) * np.maximum(1.0, np.abs(z)))
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_pointwise_solves(case):
+    # Every solve of the sweep lands on the root that a cold, per-point
+    # solve finds, on a uniform 3-rung contour and on edge-refinement
+    # columns, whose ladders differ in depth and whose abscissae are
+    # geometric.  Next to a hard edge the fixed point is ill-conditioned:
+    # two solves that both meet the Newton tolerance differ by up to 3e-7
+    # relative there, as they did when every solve was seeded from the
+    # previous column.  So the edge columns are held to 1e-10 in G or in z.
+    make, edge, _ = SWEEP_CASES[case]
+    ev = make()
+    diff, g, _ = _sweep_against_pointwise(ev, *_uniform_columns(ev))
+    assert np.max(diff / g) <= 1e-10
+    lo, hi = ev.support
+    diff, g, gp_z = _sweep_against_pointwise(ev, *_edge_columns(edge, hi - lo))
+    assert np.max(diff / (g + gp_z)) <= 1e-10
+
+
+def test_sweep_takes_columns_in_any_order():
+    # A repeated abscissa restarts the rung histories: among the last
+    # three columns it would zero a Lagrange weight's denominator.
+    ev = PasturResolvent(UNIF500, 0.5)
+    xs = [0.1, 0.2, 0.3, 0.2, 0.3, -0.4]
+    diff, g, _ = _sweep_against_pointwise(ev, xs, [[1e-2, 5e-3]] * len(xs))
+    assert np.max(diff / g) <= 1e-10
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_calls_per_point(case):
+    # Each solve is seeded by extrapolating its rung across the last three
+    # columns, so Newton needs about one correction per point.
+    make, _, bound = SWEEP_CASES[case]
+    ev = make()
+    ops = [ev.r] if isinstance(ev, PasturResolvent) else [ev.op1, ev.op2]
+    columns = _uniform_columns(ev)
+    calls = _kernel_calls([getattr(op, "resolvent", op) for op in ops], ev,
+                          columns)
+    assert sum(calls) / (3 * len(columns[0])) <= bound
+
+
+def test_arcsine_sweep_on_edge_columns():
+    # two_atom(1/2, -1, 1) added to itself is the arcsine law on [-2, 2],
+    # with G(z) = 1/sqrt(z^2 - 4); its hard edges are the deepest test of
+    # the predictor on non-uniform columns.
+    ev = FreeSumResolvent(TWO, TWO)
+    for edge, sign in ((-2.0, 1.0), (2.0, -1.0)):
+        xs, ladders = _edge_columns(0.0, 4.0, n_march=144, n_hand=25)
+        xs = edge + sign * xs
+        order = np.argsort(xs)
+        xs, ladders = xs[order], [ladders[i] for i in order]
+        cols = ev.sample_columns(xs, ladders)
+        for x, lad, col in zip(xs, ladders, cols):
+            z = x + 1j * lad
+            exact = 1.0 / (np.sqrt(z - 2.0) * np.sqrt(z + 2.0))
+            assert np.max(np.abs(col - exact) / np.abs(exact)) <= 1e-5
+
+
+def test_pastur_rejects_a_seed_off_the_physical_sheet():
+    # The physical root has z - sigma^2 omega in the upper half plane, so
+    # a seed outside it fails fast instead of converging to another root.
+    ev = PasturResolvent(UNIF500, 0.5)
+    z = complex(0.3, 1e-3)
+    with pytest.raises(InversionError, match="upper half plane"):
+        ev._solve(z, 0.04j)  # Im(z - sigma^2 omega) = 1e-3 - 1e-2
+    good = ev._solve(z, None)[0]
+    assert (z - 0.25 * good).imag > 0
 
 
 def _point_case(case):

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeconv.errors import DomainError, InversionError, ValidationError
+from freeconv.errors import (
+    BranchError,
+    DomainError,
+    InversionError,
+    ValidationError,
+)
 from freeconv.measures import (
     LawSpec,
     Segment,
@@ -22,6 +27,7 @@ from freeconv.measures import (
 from freeconv.stieltjes import (
     ContourSpec,
     MeasureResolvent,
+    ResolventEvaluator,
     cauchy_derivative,
     cauchy_transform,
     damped_newton,
@@ -330,6 +336,39 @@ def test_support_error_when_grid_too_narrow():
 
     with pytest.raises(SupportCoverageError):
         stieltjes_invert(MeasureResolvent(mu), bad)
+
+
+class _FlippedSemicircle(ResolventEvaluator):
+    """Semicircle transform on [-2, 2] with Im G > 0 where ``bad(x)``."""
+
+    support = (-2.0, 2.0)
+    edge_hints = (-2.0, 2.0)
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def value_and_derivative(self, z):
+        z = np.asarray(z, dtype=complex)
+        root = np.sqrt(z - 2.0) * np.sqrt(z + 2.0)
+        g = (z - root) / 2.0
+        g = np.where(self.bad(z.real), g.conj(), g)
+        return g, (1.0 - z / root) / 2.0
+
+
+@pytest.mark.parametrize("where", ["main", "refinement"])
+def test_branch_error_where_im_g_is_positive(where):
+    # The main pass samples x = -2.4 + 0.024 k; edge refinement marches
+    # into the hinted edge at -2 from 1e-9 of the width, so its columns
+    # alone reach the window (-2 + 1e-6, -2 + 1e-4).
+    contour = default_contour(-2.0, 2.0, 201)
+    clean = _FlippedSemicircle(lambda x: np.zeros(np.shape(x), dtype=bool))
+    assert stieltjes_invert(clean, contour).segments
+    if where == "main":
+        ev = _FlippedSemicircle(lambda x: np.abs(x) < 1e-9)
+    else:
+        ev = _FlippedSemicircle(lambda x: (x > -2 + 1e-6) & (x < -2 + 1e-4))
+    with pytest.raises(BranchError, match="Im G > 0"):
+        stieltjes_invert(ev, contour)
 
 
 def test_contour_validation():
