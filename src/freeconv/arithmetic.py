@@ -14,12 +14,14 @@ built from the operands' forward transforms, so no operand is inverted.
 That fixed point and Pastur's equation are single solves on one loop,
 stieltjes.damped_newton.  Contour solves sweep left to right at each
 imaginary offset as a predictor-corrector continuation: each solve starts
-from the quadratic extrapolation of its offset's last three solutions,
-so Newton needs about one correction per point.
+from the quintic Hermite interpolant of its offset's last three solutions
+and their z-derivatives, which every solve's state already holds, so
+Newton needs about one correction per point.
 """
 
 from __future__ import annotations
 
+import cmath
 import time
 from dataclasses import dataclass
 
@@ -102,22 +104,43 @@ class HTransform:
 # -- pipeline evaluators -------------------------------------------------------
 
 
+def _hermite_weights(past, x):
+    """Weights (H_i(x), K_i(x)) of the quintic Hermite interpolant through
+    three distinct abscissae: p(x) = sum H_i w_i + K_i w'_i.  With L_i the
+    quadratic Lagrange basis on ``past``, H_i = (1 - 2 L_i'(x_i)(x - x_i))
+    L_i^2 and K_i = (x - x_i) L_i^2."""
+    weights = []
+    for i, xi in enumerate(past):
+        a, b = past[:i] + past[i + 1:]
+        lag = (x - a) * (x - b) / ((xi - a) * (xi - b))
+        sq = lag * lag
+        d_lag = 1.0 / (xi - a) + 1.0 / (xi - b)
+        weights.append(((1.0 - 2.0 * d_lag * (x - xi)) * sq, (x - xi) * sq))
+    return weights
+
+
 class _SweepResolvent(ResolventEvaluator):
     """Shared predictor-corrector sweep for contour-solved transforms.
 
     Columns are evaluated left to right; within a column the imaginary
     offset descends its ladder.  Along one rung (a fixed offset eps) the
-    solved unknown is analytic in x within distance eps, so the quadratic
-    through its values at the last three columns predicts the next one to
-    O(dx^3), and Newton corrects it in about one step.  A rung keeps its
-    history only while consecutive columns carry it; the Lagrange weights
-    use the actual abscissae, so non-uniform columns work.  A failed
-    prediction retries from the warm seed (the previous column's top rung
-    for the top rung, else the rung above), then from a cold start that
-    descends vertically from far above the support, where the asymptotic
-    seeds are trustworthy.  ``_solve(z, seed)`` takes a complex seed or
-    None and returns ``damped_newton``'s (unknown, f(unknown)).  All state
-    is local to one ``sample_columns`` call.
+    solved unknown is analytic in x; eps bounds the reach of that
+    analyticity only near support edges and atoms.  Each rung keeps the
+    unknown and its z-derivative (read from the solve's state, with no
+    kernel call) at the last three columns, and the quintic Hermite
+    interpolant through them predicts the next column to O(dx^6); Newton
+    corrects it in about one step.  Rungs are keyed by the value of eps,
+    so ladders of different depth share the offsets they have in common,
+    and a rung keeps its history only while consecutive columns carry its
+    eps.  The weights use the actual abscissae, so non-uniform columns
+    work.  A non-finite or failed prediction retries from the warm seed
+    (the previous column's top rung for the top rung, else the rung
+    above), then from a cold start that descends vertically from far
+    above the support, where the asymptotic seeds are trustworthy.
+    ``_solve(z, seed)`` takes a complex seed or None and returns
+    ``damped_newton``'s (unknown, f(unknown)); ``_omega_prime(state)`` is
+    the unknown's z-derivative.  All state is local to one
+    ``sample_columns`` call.
     """
 
     def _cold_state(self, z):
@@ -152,31 +175,33 @@ class _SweepResolvent(ResolventEvaluator):
             ) from err
 
     def sample_columns(self, xs, ladders):
-        solve, g_of = self._solve_from, self._g_of
+        solve, g_of, slope = self._solve_from, self._g_of, self._omega_prime
         out = []
         past = ()   # abscissae of the last three columns, oldest first
-        hist = []   # per rung: its unknowns at those columns, oldest first
+        hist = {}   # eps -> (unknown, its z-derivative) at those columns
         top = None  # the unknown at the previous column's top rung
         for x, lad in zip(xs, ladders):
             x = float(x)
-            lad = np.asarray(lad, dtype=float)
             if x in past:
                 # a repeated abscissa would zero a weight's denominator
                 past = ()
-                hist.clear()
-            del hist[len(lad):]
+                hist = {}
             if len(past) == 3:
-                x0, x1, x2 = past
-                c0 = (x - x1) * (x - x2) / ((x0 - x1) * (x0 - x2))
-                c1 = (x - x0) * (x - x2) / ((x1 - x0) * (x1 - x2))
-                c2 = (x - x0) * (x - x1) / ((x2 - x0) * (x2 - x1))
+                (a0, b0), (a1, b1), (a2, b2) = _hermite_weights(past, x)
+            lad = np.asarray(lad, dtype=float).tolist()
             col = np.empty(len(lad), dtype=complex)
+            carried = {}
             warm = top
-            for j, eps in enumerate(lad.tolist()):
+            for j, eps in enumerate(lad):
                 z = complex(x, eps)
-                h = hist[j] if j < len(hist) else ()
-                predicted = (c0 * h[0] + c1 * h[1] + c2 * h[2]
-                             if len(h) == 3 else None)
+                h = hist.get(eps, ())
+                predicted = None
+                if len(h) == 3:
+                    (w0, d0), (w1, d1), (w2, d2) = h
+                    predicted = (a0 * w0 + b0 * d0 + a1 * w1 + b1 * d1
+                                 + a2 * w2 + b2 * d2)
+                    if not cmath.isfinite(predicted):
+                        predicted = None
                 state = solve(z, predicted, warm)
                 g = g_of(z, state)
                 if g.imag > 1e-9 * (1.0 + abs(g)):
@@ -186,12 +211,10 @@ class _SweepResolvent(ResolventEvaluator):
                     )
                 col[j] = g
                 warm = state[0]
-                if h:
-                    hist[j] = h[-2:] + (warm,)
-                else:
-                    hist.append((warm,))
+                carried[eps] = h[-2:] + ((warm, slope(state)),)
                 if j == 0:
                     top = warm
+            hist = carried
             past = past[-2:] + (x,)
             out.append(col)
         return out
@@ -327,18 +350,24 @@ class PasturResolvent(_SweepResolvent):
             if not arg.imag > 0:
                 raise InversionError("trial left the upper half plane")
             g, gp = vd(arg)
-            return om - g, 1.0 + sigma2 * gp
+            return om - g, 1.0 + sigma2 * gp, gp
 
         return damped_newton(fun, omega, 0.0, OUTER_TOL * max(1.0, abs(z)),
                              None, 1e-10)
+
+    @staticmethod
+    def _omega_prime(state):
+        # omega = G(z - sigma^2 omega) gives omega' = G'/d with d = 1 +
+        # sigma^2 G', the Newton derivative; G' comes with the state, so
+        # this is (d - 1)/(sigma^2 d) without the cancellation in d - 1
+        return state[1][2] / state[1][1]
 
     @staticmethod
     def _g_of(z, state):
         return state[0]
 
     def _gprime_of(self, z, state):
-        g, gp = self.r.vd_scalar(z - self.sigma2 * state[0])
-        return gp / (1.0 + self.sigma2 * gp)
+        return self._omega_prime(state)
 
 
 class FreeProductResolvent(_PairResolvent):

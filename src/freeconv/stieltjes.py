@@ -439,12 +439,14 @@ def _ladder(top: float, target: float, ratio: float = 2.0) -> np.ndarray:
 
 
 def _column_densities(lad, cols):
-    """Extrapolated density at contour columns sharing one ladder.
+    """Extrapolated density at contour columns from their bottom rungs.
 
-    ``cols`` holds one column per row, one rung per column.
+    ``cols`` holds one column per row, one rung per column.  ``lad`` is
+    one ladder shared by every column, or one ladder per row.
     """
-    take = min(3, len(lad))
-    e = np.asarray(lad[-take:], dtype=float)
+    lad = np.asarray(lad, dtype=float)
+    take = min(3, lad.shape[-1])
+    e = lad[..., -take:].T
     v = -np.asarray(cols)[:, -take:].T.imag / np.pi
     rho = neville_to_zero(e, v)
     if take >= 2:
@@ -750,6 +752,9 @@ def _refine_edge(ev, sched, anchor, hinted, inner_sign, width, spacing):
     Offsets reach down to 1e-7 of the width when the edge sits on a
     structurally exact hint (hard edge), else down to the base resolution;
     hard edges with a clean power-law profile are completed analytically.
+    Each column's ladder halves from the schedule's top down to a tenth of
+    its offset, but only its three bottom rungs are sampled: they are all
+    the density extrapolation reads.
     """
     d_min = 1e-9 * width if hinted else max(sched[-1] / 50, 1e-9 * width)
     d_max = 8.0 * spacing
@@ -765,17 +770,24 @@ def _refine_edge(ev, sched, anchor, hinted, inner_sign, width, spacing):
         np.linspace(2.0 * spacing, d_max, n_hand),
     ])
     new_xs = anchor + inner_sign * offsets
+    order = np.argsort(new_xs)
+    new_xs, offsets = new_xs[order], offsets[order]
+    # only the bottom rungs are read, so only they are solved
     new_ladders = [
-        _ladder(sched[0], float(np.clip(d / 10.0, 3e-11 * width, sched[-1])))
+        _ladder(sched[0], float(np.clip(d / 10.0, 3e-11 * width,
+                                        sched[-1])))[-3:]
         for d in offsets
     ]
-    order = np.argsort(new_xs)
-    new_xs = new_xs[order]
-    new_ladders = [new_ladders[i] for i in order]
     cols = ev.sample_columns(new_xs, new_ladders)
     _herglotz_guard(np.concatenate(cols))
-    new_dens = np.array([_column_densities(lad, [col])[0]
-                         for lad, col in zip(new_ladders, cols)])
+    new_dens = np.empty(len(cols))
+    depth = np.array([len(lad) for lad in new_ladders])
+    for k in np.unique(depth):
+        # a short ladder (only from a schedule that halves less than once)
+        # extrapolates on its own
+        rows = np.flatnonzero(depth == k)
+        new_dens[rows] = _column_densities(
+            [new_ladders[i] for i in rows], [cols[i] for i in rows])
     grid, dens = new_xs, np.clip(new_dens, 0.0, None)
     singular = False
     if hinted:

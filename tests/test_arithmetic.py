@@ -28,6 +28,7 @@ from freeconv.measures import (
     wasserstein1,
 )
 from freeconv.series import free_add_series, free_multiply_series
+from freeconv import stieltjes
 from freeconv.stieltjes import MeasureResolvent, _ladder, default_contour
 
 from oracles import semicircle_g
@@ -293,17 +294,17 @@ def _uniform_pastur_edge(sigma):
 
 
 # (evaluator, its left support edge, kernel calls per contour point
-# allowed on the 400-column sweep).  The bounds sit between the
-# predictor-corrector sweep (2.47, 4.62, 4.83, 2.58) and the sweep that
-# seeds each solve from the previous column only (3.51, 6.65, 6.63, 3.36).
+# allowed on the 400-column sweep).  The bounds sit between the quintic
+# Hermite predictor (2.12, 4.10, 4.04, 2.17) and the quadratic Lagrange
+# predictor, which reads no derivatives (2.47, 4.62, 4.83, 2.58).
 SWEEP_CASES = {
     "sum_same": (lambda: FreeSumResolvent(SEMI500, SEMI500),
-                 -2.0 * np.sqrt(2.0), 3.0),
+                 -2.0 * np.sqrt(2.0), 2.3),
     "sum_distinct": (lambda: FreeSumResolvent(SEMI500, UNIF500),
-                     _uniform_pastur_edge(1.0), 5.6),
-    "product": (lambda: FreeProductResolvent(MP500, MP_HALF500), 0.0, 5.7),
+                     _uniform_pastur_edge(1.0), 4.35),
+    "product": (lambda: FreeProductResolvent(MP500, MP_HALF500), 0.0, 4.4),
     "pastur": (lambda: PasturResolvent(UNIF500, 0.5),
-               _uniform_pastur_edge(0.5), 3.0),
+               _uniform_pastur_edge(0.5), 2.35),
 }
 
 
@@ -343,17 +344,21 @@ def test_sweep_matches_pointwise_solves(case):
     # Every solve of the sweep lands on the root that a cold, per-point
     # solve finds, on a uniform 3-rung contour and on edge-refinement
     # columns, whose ladders differ in depth and whose abscissae are
-    # geometric.  Next to a hard edge the fixed point is ill-conditioned:
-    # two solves that both meet the Newton tolerance differ by up to 3e-7
-    # relative there, as they did when every solve was seeded from the
-    # previous column.  So the edge columns are held to 1e-10 in G or in z.
+    # geometric, with full ladders and with the three bottom rungs that
+    # edge refinement samples (no two neighbours then share every eps).
+    # Next to a hard edge the fixed point is ill-conditioned: two solves
+    # that both meet the Newton tolerance differ by up to 3e-7 relative
+    # there, as they did when every solve was seeded from the previous
+    # column.  So the edge columns are held to 1e-10 in G or in z.
     make, edge, _ = SWEEP_CASES[case]
     ev = make()
     diff, g, _ = _sweep_against_pointwise(ev, *_uniform_columns(ev))
     assert np.max(diff / g) <= 1e-10
     lo, hi = ev.support
-    diff, g, gp_z = _sweep_against_pointwise(ev, *_edge_columns(edge, hi - lo))
-    assert np.max(diff / (g + gp_z)) <= 1e-10
+    xs, ladders = _edge_columns(edge, hi - lo)
+    for lads in (ladders, [lad[-3:] for lad in ladders]):
+        diff, g, gp_z = _sweep_against_pointwise(ev, xs, lads)
+        assert np.max(diff / (g + gp_z)) <= 1e-10
 
 
 def test_sweep_takes_columns_in_any_order():
@@ -393,6 +398,47 @@ def test_arcsine_sweep_on_edge_columns():
             z = x + 1j * lad
             exact = 1.0 / (np.sqrt(z - 2.0) * np.sqrt(z + 2.0))
             assert np.max(np.abs(col - exact) / np.abs(exact)) <= 1e-5
+
+
+def test_edge_refinement_samples_three_rungs(monkeypatch):
+    # Density recovery reads only the three bottom rungs of an edge
+    # column, so refinement solves only those.  Neighbouring columns then
+    # share two offsets at most, and each rung's history follows its eps:
+    # keyed by position in the ladder, the predictor would extrapolate
+    # values from other offsets and cost 3.4 kernel calls per point here
+    # instead of 2.3.
+    ev = FreeSumResolvent(TWO, TWO)
+    refine, vd = stieltjes._refine_edge, ev.op1.vd_scalar
+    columns, calls = [], [0]
+
+    def counted(w):
+        calls[0] += 1
+        return vd(w)
+
+    def refining(*args):
+        ev.op1.vd_scalar = counted
+        try:
+            return refine(*args)
+        finally:
+            ev.op1.vd_scalar = vd
+
+    def recording(xs, ladders):
+        if ev.op1.vd_scalar is counted:
+            columns.extend(zip(xs, ladders))
+        return FreeSumResolvent.sample_columns(ev, xs, ladders)
+
+    monkeypatch.setattr(stieltjes, "_refine_edge", refining)
+    ev.sample_columns = recording
+    contour = default_contour(*ev.support)
+    stieltjes.stieltjes_invert(ev, contour)
+    bottom = contour.epsilon_schedule[-1]
+    assert len(columns) == 2 * 169
+    for x, lad in columns:
+        lad = np.asarray(lad)
+        assert lad.size == 3
+        assert np.allclose(lad[:-1] / lad[1:], 2.0, rtol=1e-12, atol=0)
+        assert lad[-1] <= 1.01 * min((2.0 - abs(x)) / 10.0, bottom)
+    assert calls[0] / (3 * len(columns)) <= 2.8
 
 
 def test_pastur_rejects_a_seed_off_the_physical_sheet():

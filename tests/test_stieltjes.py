@@ -28,6 +28,8 @@ from freeconv.stieltjes import (
     ContourSpec,
     MeasureResolvent,
     ResolventEvaluator,
+    _column_densities,
+    _ladder,
     cauchy_derivative,
     cauchy_transform,
     damped_newton,
@@ -315,6 +317,14 @@ def test_round_trip_marchenko_pastur_with_atom():
     assert back.atoms[0][1] == pytest.approx(0.5, abs=2e-3)
 
 
+def test_round_trip_on_a_shallow_schedule():
+    # A schedule that halves less than once gives the outer edge columns
+    # of a coarse contour two-rung ladders and the inner ones three, so
+    # edge refinement extrapolates each depth on its own.
+    err, _, _ = l1_round_trip(LawSpec.semicircle(1.0), 200, (1e-2, 6e-3))
+    assert err <= 1e-2
+
+
 def test_round_trip_edge_singular_laws():
     for spec in (LawSpec.marchenko_pastur(1.0), LawSpec.arcsine(2.0)):
         err, _, _ = l1_round_trip(spec)
@@ -327,6 +337,20 @@ def test_round_trip_preserves_moments():
     back = stieltjes_invert(MeasureResolvent(mu), contour)
     for n in range(1, 9):
         assert moment(back, n) == pytest.approx(moment(mu, n), abs=2e-3)
+
+
+def test_column_densities_take_one_ladder_per_column():
+    # Edge refinement extrapolates every column in one call, each on its
+    # own three rungs; the answer is the per-column one to the last bit,
+    # including where the long stencil overshoots below zero.
+    rng = np.random.default_rng(8)
+    ladders = np.array([_ladder(1e-2, t)[-3:]
+                        for t in np.geomspace(1e-9, 2.5e-3, 60)])
+    cols = -1j * np.pi * rng.normal(0.5, 1.0, (60, 3))
+    per_column = [_column_densities(lad, [col])[0]
+                  for lad, col in zip(ladders, cols)]
+    assert np.array_equal(_column_densities(ladders, cols), per_column)
+    assert 0.0 in per_column and max(per_column) > 0.0
 
 
 def test_support_error_when_grid_too_narrow():
