@@ -14,9 +14,12 @@ built from the operands' forward transforms, so no operand is inverted.
 That fixed point and Pastur's equation are single solves on one loop,
 stieltjes.damped_newton.  Contour solves sweep left to right at each
 imaginary offset as a predictor-corrector continuation: each solve starts
-from the quintic Hermite interpolant of its offset's last three solutions
+from the septic Hermite interpolant of its offset's last four solutions
 and their z-derivatives, which every solve's state already holds, so
-Newton needs about one correction per point.
+Newton needs about one correction per point.  The stored solutions are
+taken one Newton step past each accepted iterate, from the residual and
+derivative the state holds, so the extrapolation does not amplify the
+solver's tolerance.
 """
 
 from __future__ import annotations
@@ -105,18 +108,27 @@ class HTransform:
 
 
 def _hermite_weights(past, x):
-    """Weights (H_i(x), K_i(x)) of the quintic Hermite interpolant through
-    three distinct abscissae: p(x) = sum H_i w_i + K_i w'_i.  With L_i the
-    quadratic Lagrange basis on ``past``, H_i = (1 - 2 L_i'(x_i)(x - x_i))
-    L_i^2 and K_i = (x - x_i) L_i^2."""
+    """Weights (H_i(x), K_i(x)) of the Hermite interpolant through distinct
+    abscissae: p(x) = sum H_i w_i + K_i w'_i, of degree 2n - 1 for n
+    abscissae.  With L_i the Lagrange basis on ``past``, H_i = (1 - 2
+    L_i'(x_i)(x - x_i)) L_i^2 and K_i = (x - x_i) L_i^2; one abscissa gives
+    w + w' (x - x_i)."""
     weights = []
     for i, xi in enumerate(past):
-        a, b = past[:i] + past[i + 1:]
-        lag = (x - a) * (x - b) / ((xi - a) * (xi - b))
+        lag, d_lag = 1.0, 0.0
+        for xj in past[:i] + past[i + 1:]:
+            lag *= (x - xj) / (xi - xj)
+            d_lag += 1.0 / (xi - xj)
         sq = lag * lag
-        d_lag = 1.0 / (xi - a) + 1.0 / (xi - b)
         weights.append(((1.0 - 2.0 * d_lag * (x - xi)) * sq, (x - xi) * sq))
     return weights
+
+
+def _refined(state):
+    """The unknown one Newton step past a solve's accepted state, with no
+    kernel call: the state's f(x) holds the residual and its derivative."""
+    x, fx = state
+    return x - fx[0] / fx[1] if fx[1] else x
 
 
 class _SweepResolvent(ResolventEvaluator):
@@ -127,20 +139,26 @@ class _SweepResolvent(ResolventEvaluator):
     solved unknown is analytic in x; eps bounds the reach of that
     analyticity only near support edges and atoms.  Each rung keeps the
     unknown and its z-derivative (read from the solve's state, with no
-    kernel call) at the last three columns, and the quintic Hermite
-    interpolant through them predicts the next column to O(dx^6); Newton
-    corrects it in about one step.  Rungs are keyed by the value of eps,
-    so ladders of different depth share the offsets they have in common,
-    and a rung keeps its history only while consecutive columns carry its
-    eps.  The weights use the actual abscissae, so non-uniform columns
-    work.  A non-finite or failed prediction retries from the warm seed
-    (the previous column's top rung for the top rung, else the rung
-    above), then from a cold start that descends vertically from far
-    above the support, where the asymptotic seeds are trustworthy.
-    ``_solve(z, seed)`` takes a complex seed or None and returns
-    ``damped_newton``'s (unknown, f(unknown)); ``_omega_prime(state)`` is
-    the unknown's z-derivative.  All state is local to one
-    ``sample_columns`` call.
+    kernel call) at the last four columns, and the septic Hermite
+    interpolant through them predicts the next column to O(dx^8); Newton
+    corrects it in about one step.  A rung seen on fewer columns
+    interpolates through those.  The stored unknown, like the warm seeds
+    below, is the accepted iterate refined by one Newton step from the
+    residual and derivative in its state: an accepted iterate is only as
+    good as the Newton tolerance, and extrapolation amplifies that error.
+    The returned G is that of the accepted iterate.  Rungs are keyed by
+    the value of eps, so ladders of different depth share the offsets
+    they have in common, and a rung keeps its history only while
+    consecutive columns carry its eps.  The weights use the actual
+    abscissae, so non-uniform columns work.  A non-finite or failed
+    prediction retries from the warm seed (the previous column's top rung
+    for the top rung, else the rung above), then from a cold start that
+    descends vertically from far above the support, where the asymptotic
+    seeds are trustworthy.  ``_solve(z, seed)`` takes a complex seed or
+    None and returns ``damped_newton``'s (unknown, f(unknown)), where
+    f(unknown) starts with the residual and its derivative;
+    ``_omega_prime(state)`` is the unknown's z-derivative.  All state is
+    local to one ``sample_columns`` call.
     """
 
     def _cold_state(self, z):
@@ -154,7 +172,7 @@ class _SweepResolvent(ResolventEvaluator):
         )
         seed = None
         for eps in path[:-1]:
-            seed = self._solve(complex(z.real, float(eps)), seed)[0]
+            seed = _refined(self._solve(complex(z.real, float(eps)), seed))
         return self._solve(z, seed)
 
     def _solve_from(self, z, predicted, warm):
@@ -177,17 +195,19 @@ class _SweepResolvent(ResolventEvaluator):
     def sample_columns(self, xs, ladders):
         solve, g_of, slope = self._solve_from, self._g_of, self._omega_prime
         out = []
-        past = ()   # abscissae of the last three columns, oldest first
-        hist = {}   # eps -> (unknown, its z-derivative) at those columns
-        top = None  # the unknown at the previous column's top rung
+        past = ()   # abscissae of the last four columns, oldest first
+        hist = {}   # eps -> (refined unknown, z-derivative) at those columns
+        top = None  # the refined unknown at the previous column's top rung
         for x, lad in zip(xs, ladders):
             x = float(x)
             if x in past:
                 # a repeated abscissa would zero a weight's denominator
                 past = ()
                 hist = {}
-            if len(past) == 3:
-                (a0, b0), (a1, b1), (a2, b2) = _hermite_weights(past, x)
+            short = {}  # history length -> weights through its columns
+            if len(past) == 4:
+                (a0, b0), (a1, b1), (a2, b2), (a3, b3) = _hermite_weights(
+                    past, x)
             lad = np.asarray(lad, dtype=float).tolist()
             col = np.empty(len(lad), dtype=complex)
             carried = {}
@@ -196,12 +216,19 @@ class _SweepResolvent(ResolventEvaluator):
                 z = complex(x, eps)
                 h = hist.get(eps, ())
                 predicted = None
-                if len(h) == 3:
-                    (w0, d0), (w1, d1), (w2, d2) = h
+                if len(h) == 4:
+                    (w0, d0), (w1, d1), (w2, d2), (w3, d3) = h
                     predicted = (a0 * w0 + b0 * d0 + a1 * w1 + b1 * d1
-                                 + a2 * w2 + b2 * d2)
-                    if not cmath.isfinite(predicted):
-                        predicted = None
+                                 + a2 * w2 + b2 * d2 + a3 * w3 + b3 * d3)
+                elif h:
+                    # a rung seen on fewer columns interpolates through them
+                    n = len(h)
+                    if n not in short:
+                        short[n] = _hermite_weights(past[-n:], x)
+                    predicted = sum(a * w + b * d
+                                    for (a, b), (w, d) in zip(short[n], h))
+                if predicted is not None and not cmath.isfinite(predicted):
+                    predicted = None
                 state = solve(z, predicted, warm)
                 g = g_of(z, state)
                 if g.imag > 1e-9 * (1.0 + abs(g)):
@@ -210,12 +237,12 @@ class _SweepResolvent(ResolventEvaluator):
                         f"z = {z!r}", point=z
                     )
                 col[j] = g
-                warm = state[0]
-                carried[eps] = h[-2:] + ((warm, slope(state)),)
+                warm = _refined(state)
+                carried[eps] = h[-3:] + ((warm, slope(state)),)
                 if j == 0:
                     top = warm
             hist = carried
-            past = past[-2:] + (x,)
+            past = past[-3:] + (x,)
             out.append(col)
         return out
 

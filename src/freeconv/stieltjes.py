@@ -123,7 +123,9 @@ class _CellTree:
         r1 = np.concatenate([s.density[1:] for s in segments])
         size = max(_MIN_BLOCK, int(np.sqrt(2 * t0.size)))
         bounds = [0]
+        firsts = []  # the first block of each segment
         for s in segments:
+            firsts.append(len(bounds) - 1)
             n = s.grid.size - 1
             k = -(-n // size)
             bounds.extend(bounds[-1] + (n * np.arange(1, k + 1)) // k)
@@ -174,6 +176,12 @@ class _CellTree:
         self.slope = ((r1 - r0) / dt).astype(complex)
         # running sums of 2*slope*half = r1 - r0 over the cells
         self.jumps = np.concatenate(([0.0], np.cumsum(r1 - r0))).tolist()
+        # (t, rho(t)) where each block starts and ends, and the blocks
+        # that start a later segment: the boundary terms of the near G'.
+        self.heads = list(zip(t0[starts].tolist(), r0[starts].tolist()))
+        self.tails = list(zip(t1[stops - 1].tolist(),
+                              r1[stops - 1].tolist()))
+        self.splits = firsts[1:]
 
     def __call__(self, z):
         """(G, G') of the cells at one point, as Python complex numbers.
@@ -181,7 +189,12 @@ class _CellTree:
         A near cell with midpoint m and half-width h adds
         (rc + s w) L - 2 s h and s L + (rc + s w) L', with w = z - m,
         L = 2 atanh(h/w) and L' = -2h/((w - h)(w + h)).  The atanh form
-        keeps full relative accuracy where h/w is small.
+        keeps full relative accuracy where h/w is small.  The second
+        term of G' is rho(t0)/(z - t0) - rho(t1)/(z - t1) for a cell
+        [t0, t1], which telescopes along a segment, so the near sum adds
+        it only at the ends of the segments it spans: summed cell by cell
+        those large terms cancel and swamp G' next to the real axis.  A
+        real z at the end of a segment gives NaN.
         """
         zc = z - self.cen
         near = (np.abs(zc) < self.reach).nonzero()[0]
@@ -193,10 +206,17 @@ class _CellTree:
             h = self.half[lo:hi]
             s = self.slope[lo:hi]
             at = np.arctanh(h / w)
-            a = self.rc[lo:hi] + s * w
-            half_lp = h / ((w - h) * (w + h))  # -L'/2
-            g = 2 * complex(np.dot(a, at)) - (self.jumps[hi] - self.jumps[lo])
-            gp = 2 * complex(np.dot(s, at) - np.dot(a, half_lp))
+            g = (2 * complex(np.dot(self.rc[lo:hi] + s * w, at))
+                 - (self.jumps[hi] - self.jumps[lo]))
+            (ta, ra), (tb, rb) = self.heads[jlo], self.tails[jhi - 1]
+            try:
+                gp = 2 * complex(np.dot(s, at)) + ra / (z - ta) - rb / (z - tb)
+                for k in self.splits:
+                    if jlo < k < jhi:
+                        (ta, ra), (tb, rb) = self.heads[k], self.tails[k - 1]
+                        gp += ra / (z - ta) - rb / (z - tb)
+            except ZeroDivisionError:
+                return complex("nan"), complex("nan")
             if hi - lo == self.mid.size:  # no block is far
                 return g, gp
             # a near block drops out of the power table as q = r/inf = 0

@@ -294,17 +294,18 @@ def _uniform_pastur_edge(sigma):
 
 
 # (evaluator, its left support edge, kernel calls per contour point
-# allowed on the 400-column sweep).  The bounds sit between the quintic
-# Hermite predictor (2.12, 4.10, 4.04, 2.17) and the quadratic Lagrange
-# predictor, which reads no derivatives (2.47, 4.62, 4.83, 2.58).
+# allowed on the 400-column sweep).  The bounds sit between the septic
+# Hermite predictor through four columns of Newton-refined history (1.51,
+# 2.87, 2.99, 1.57) and the quintic one through three columns of accepted
+# iterates (2.12, 4.10, 4.04, 2.17).
 SWEEP_CASES = {
     "sum_same": (lambda: FreeSumResolvent(SEMI500, SEMI500),
-                 -2.0 * np.sqrt(2.0), 2.3),
+                 -2.0 * np.sqrt(2.0), 1.8),
     "sum_distinct": (lambda: FreeSumResolvent(SEMI500, UNIF500),
-                     _uniform_pastur_edge(1.0), 4.35),
-    "product": (lambda: FreeProductResolvent(MP500, MP_HALF500), 0.0, 4.4),
+                     _uniform_pastur_edge(1.0), 3.45),
+    "product": (lambda: FreeProductResolvent(MP500, MP_HALF500), 0.0, 3.5),
     "pastur": (lambda: PasturResolvent(UNIF500, 0.5),
-               _uniform_pastur_edge(0.5), 2.35),
+               _uniform_pastur_edge(0.5), 1.85),
 }
 
 
@@ -362,17 +363,18 @@ def test_sweep_matches_pointwise_solves(case):
 
 
 def test_sweep_takes_columns_in_any_order():
-    # A repeated abscissa restarts the rung histories: among the last
-    # three columns it would zero a Lagrange weight's denominator.
+    # A repeated abscissa restarts the rung histories: two equal abscissae
+    # in one history would zero a Lagrange weight's denominator.  The last
+    # column repeats the fourth-to-last, the oldest one a history holds.
     ev = PasturResolvent(UNIF500, 0.5)
-    xs = [0.1, 0.2, 0.3, 0.2, 0.3, -0.4]
+    xs = [0.1, 0.2, 0.3, 0.2, 0.3, -0.4, 0.5, 0.6, 0.7, -0.4]
     diff, g, _ = _sweep_against_pointwise(ev, xs, [[1e-2, 5e-3]] * len(xs))
     assert np.max(diff / g) <= 1e-10
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_calls_per_point(case):
-    # Each solve is seeded by extrapolating its rung across the last three
+    # Each solve is seeded by extrapolating its rung across the last four
     # columns, so Newton needs about one correction per point.
     make, _, bound = SWEEP_CASES[case]
     ev = make()
@@ -405,8 +407,9 @@ def test_edge_refinement_samples_three_rungs(monkeypatch):
     # column, so refinement solves only those.  Neighbouring columns then
     # share two offsets at most, and each rung's history follows its eps:
     # keyed by position in the ladder, the predictor would extrapolate
-    # values from other offsets and cost 3.4 kernel calls per point here
-    # instead of 2.3.
+    # values from other offsets and cost 4.5 kernel calls per point here
+    # instead of 2.08.  A rung that has just entered the three bottom ones
+    # is seeded from the columns it has (2.30 if it waited for four).
     ev = FreeSumResolvent(TWO, TWO)
     refine, vd = stieltjes._refine_edge, ev.op1.vd_scalar
     columns, calls = [], [0]
@@ -438,7 +441,7 @@ def test_edge_refinement_samples_three_rungs(monkeypatch):
         assert lad.size == 3
         assert np.allclose(lad[:-1] / lad[1:], 2.0, rtol=1e-12, atol=0)
         assert lad[-1] <= 1.01 * min((2.0 - abs(x)) / 10.0, bottom)
-    assert calls[0] / (3 * len(columns)) <= 2.8
+    assert calls[0] / (3 * len(columns)) <= 2.2
 
 
 def test_pastur_rejects_a_seed_off_the_physical_sheet():

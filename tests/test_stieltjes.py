@@ -549,6 +549,34 @@ def test_kernel_matches_a_40_digit_oracle(case):
         assert abs(gp - gp_ref) <= GP_TOL * gp_abs
 
 
+def _gapped_semicircle_uniform():
+    # semicircle(1) on [-2, 2] and uniform on [2.001, 4.001], half the mass
+    # each: the near sum at 2.0015 spans the end of one segment and the
+    # start of the next, where the density jumps.
+    left = make_law(LawSpec.semicircle(1.0), 300)
+    right = affine_map(make_law(LawSpec.uniform(-1.0, 1.0), 300), 1.0, 3.001)
+    return SpectralMeasure(segments=tuple(
+        s.scaled(0.5) for s in left.segments + right.segments))
+
+
+@pytest.mark.parametrize("law, x", [
+    (lambda: make_law(LawSpec.marchenko_pastur(0.5), 500),
+     1.3976982732318584),
+    (lambda: make_law(LawSpec.marchenko_pastur(0.5), 500), 0.7),
+    (_gapped_semicircle_uniform, 2.0015),
+], ids=["mp-near-a-node", "mp-between-nodes", "segment-boundary"])
+def test_kernel_derivative_keeps_its_digits_next_to_the_axis(law, x):
+    # 1e-7 above the axis the rho(t)/(z - t) terms of neighbouring cells
+    # are up to 1e7 times |G'| and cancel.  The oracle test above bounds
+    # the error against the summed magnitudes of the terms, which hides
+    # that cancellation; this bounds it against |G'| itself.
+    mu = law()
+    z = complex(x, 1e-7)
+    gp = MeasureResolvent(mu).vd_scalar(z)[1]
+    gp_ref = cauchy_reference(mu, z)[1]
+    assert abs(gp - gp_ref) <= 1e-9 * abs(gp_ref)
+
+
 @given(st.sampled_from(CONTINUOUS), st.floats(-3.0, 3.0),
        st.floats(-1.0, 1.0), st.floats(-2.0, 0.0), st.floats(-1.0, 1.0))
 def test_kernel_is_affine_covariant(spec, log_scale, shift, log_height, x):
