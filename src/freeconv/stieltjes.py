@@ -95,25 +95,110 @@ class ResolventEvaluator:
 
 
 # Treecode constants for the cell sum.  A block of cells with centre c and
-# half-width r is far from z when |z - c| >= r / _FAR_THETA; its multipole
-# series then converges like theta^k, and truncating it after order
-# p = _ORDER errs by at most theta^(p+1)/(1 - theta) = 8e-16 of the
-# block's mass over |z - c|.
+# half-width r is far from z when |z - c| >= r / _FAR_THETA.  There the
+# block's measure rho(t) dt is replaced by its n-point Gauss rule: exact
+# for polynomials of degree 2n - 1, with positive weights that sum to the
+# block's mass m and nodes inside the block.  So, with y = (t - c)/r and
+# z' = (z - c)/r, it errs on 1/(z - t) by at most 2m/r times the tail of
+# the Chebyshev series of 1/(z' - y) past degree 2n - 1, which is
+# 2 rho^(-2n) / (|s| (1 - 1/rho)) with s = sqrt(z'^2 - 1) and rho =
+# |z' + s| the Bernstein ellipse through z'.  Over |z'| >= 1/theta this is
+# largest at z' = 1/theta on the axis, rho = 3 + sqrt(8), and n = _NODES
+# keeps it under 1e-15 of m/|z - c|.
 _FAR_THETA = 1 / 3
-_ORDER = int(np.ceil(np.log(1e-15 * (1 - _FAR_THETA))
-                     / np.log(_FAR_THETA))) - 1
+_RHO = (1 + np.sqrt(1 - _FAR_THETA ** 2)) / _FAR_THETA
+_NODES = int(np.ceil(np.log(1e-15 * np.sqrt(1 - _FAR_THETA ** 2)
+                            * (1 - 1 / _RHO) / 4) / (-2 * np.log(_RHO))))
 _MIN_BLOCK = 16
+# For the modified moments of a block (see _recurrences): the recurrence
+# coefficients b_k of the monic Legendre polynomials p_k = P_k / lead_k,
+# and 3 / ((k - 1) k (k + 1) (k + 2) lead_k) for k >= 2.
+_k = np.arange(2.0 * _NODES)
+_LEGENDRE_B = _k * _k / (4 * _k * _k - 1)
+_LEAD = np.cumprod(np.r_[1.0, (2 * _k[1:] - 1) / _k[1:]])
+_JUMP_SCALE = 3 / ((_k - 1) * _k * (_k + 1) * (_k + 2) * _LEAD)[2:, None]
+
+
+def _recurrences(t0, t1, r0, r1, bounds):
+    """The centres c and half-widths r of the blocks of cells between
+    ``bounds``; the recurrence coefficients alpha_k, beta_k, k < _NODES, of
+    the measure rho dy of each block, y = (t - c)/r, as (_NODES, blocks)
+    arrays; and a mask of the blocks of more than one cell whose moments
+    pin those down too loosely.
+
+    The moments of rho dy against the monic Legendre polynomials p_k(y)
+    come in closed form.  Twice by parts against I_k = 3 (1 - y^2)^2
+    C_(k-2)(y) / ((k - 1) k (k + 1) (k + 2)), C the Gegenbauer polynomials
+    of index 5/2, which is the antiderivative of P_k whose value and slope
+    vanish at y = -1 and 1, moment k >= 2 is sum_j (s_j - s_(j-1)) I_k(y_j)
+    / lead_k over the nodes inside the block, s the slopes drho/dy of its
+    cells.  The terms are small where the density is smooth, and the
+    double zero of I_k damps the large slopes next to a singular edge.
+    The sum cancels, though, where the slopes jump by much more than the
+    mass, as on a rough density over cells of very unequal size; such a
+    block is in the mask once sum_j |s_j - s_(j-1)| (1 - y_j^2)^2 exceeds
+    1000 times its mass (|I_k| <= 1/8, so that bounds the rounding by
+    about 3e-14 of the mass).  Gautschi's modified Chebyshev algorithm turns
+    the moments into the coefficients.  It loses about log10 prod_k
+    b_k/beta_k digits, b_k the Legendre coefficients: O(1) for a density
+    spread over its block, but without bound where the density all but
+    vanishes on part of it; such a block is in the mask once the product
+    exceeds 100.
+    """
+    starts, nb = bounds[:-1], np.diff(bounds)
+    cen = 0.5 * (t0[starts] + t1[bounds[1:] - 1])
+    rad = 0.5 * (t1[bounds[1:] - 1] - t0[starts])
+    y = (t0 - np.repeat(cen, nb)) / np.repeat(rad, nb)
+    dy = (t1 - t0) / np.repeat(rad, nb)
+    u = (r1 - r0) / dy
+    u[1:] = np.diff(u)
+    u[starts] = 0.0
+    u *= ((1 - y) * (1 + y)) ** 2
+    c = np.zeros((2 * _NODES - 1, y.size))  # c[j + 1] = C_j, c[0] = 0
+    c[1] = 1.0
+    for j in range(2 * _NODES - 3):
+        c[j + 2] = ((2 * j + 5) * y * c[j + 1] - (j + 4) * c[j]) / (j + 1)
+    mom = np.empty((2 * _NODES, starts.size))
+    mom[0] = np.add.reduceat((r0 + r1) * dy, starts) / 2
+    mom[1] = np.add.reduceat(
+        (r0 * (3 * y + dy) + r1 * (3 * y + 2 * dy)) * dy, starts) / 6
+    mom[2:] = np.add.reduceat(c[1:] * u, starts, axis=1) * _JUMP_SCALE
+    alpha, beta = np.empty((2, _NODES, starts.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # unit mass, so that no sig underflows; beta_0 is the mass
+        rough = np.add.reduceat(np.abs(u), starts) / mom[0]
+        sig_old, sig = np.zeros_like(mom), mom / mom[0]
+        alpha[0], beta[0] = sig[1], mom[0]
+        for k in range(1, _NODES):
+            new = np.zeros_like(mom)
+            new[1:-1] = (sig[2:] - alpha[k - 1] * sig[1:-1]
+                         - beta[k - 1] * sig_old[1:-1]
+                         + _LEGENDRE_B[1:-1, None] * sig[:-2])
+            alpha[k] = new[k + 1] / new[k] - sig[k] / sig[k - 1]
+            beta[k] = new[k] / sig[k - 1]
+            sig_old, sig = sig, new
+        loss = np.cumprod(np.where(beta[1:] > 0, _LEGENDRE_B[1:_NODES, None]
+                                   / beta[1:], np.inf), axis=0)
+    # The Jacobi matrix ends before a block's first beta <= 0: a block of
+    # zero mass gets no rule, and one too narrow for its moments to pin
+    # down more than k coefficients gets a k-point rule.
+    ok = np.logical_and.accumulate((beta > 0) & np.isfinite(alpha))
+    bad = ok[0] & (nb > 1) & ~(np.all(loss <= 100, axis=0) & (rough <= 1000))
+    return cen, rad, np.where(ok, alpha, 0.0), np.where(ok, beta, 0.0), bad
 
 
 class _CellTree:
     """One-level treecode for the cells of a piecewise-linear density.
 
     The cells of each segment are grouped into contiguous blocks of about
-    sqrt(2 cells) cells, and each block keeps its exact multipole moments
-    int rho(t) ((t - c)/r)^k dt, k <= _ORDER.  At z, the blocks near z
-    span one contiguous slice of cells, which is summed exactly; every
-    block outside the slice is far and adds its multipole series.  The
-    tree holds arrays only, never the resolvent that owns it.
+    sqrt(2 cells) cells, and each block keeps the _NODES-point Gauss rule
+    of its measure rho(t) dt (``_recurrences``).  A block on which the
+    density all but vanishes in part, or whose slopes jump by far more
+    than its mass, is split in two until its moments pin the rule down.
+    At z, the blocks near z span one contiguous slice of cells, which is
+    summed exactly; every block outside the slice is far and adds
+    sum_j w_j/(z - t_j) over its rule.  The tree holds arrays only, never
+    the resolvent that owns it.
     """
 
     def __init__(self, segments):
@@ -123,57 +208,42 @@ class _CellTree:
         r1 = np.concatenate([s.density[1:] for s in segments])
         size = max(_MIN_BLOCK, int(np.sqrt(2 * t0.size)))
         bounds = [0]
-        firsts = []  # the first block of each segment
+        cuts = []  # the first cell of each segment
         for s in segments:
-            firsts.append(len(bounds) - 1)
+            cuts.append(bounds[-1])
             n = s.grid.size - 1
             k = -(-n // size)
             bounds.extend(bounds[-1] + (n * np.arange(1, k + 1)) // k)
         bounds = np.array(bounds)
+        while True:
+            cen, rad, alpha, beta, bad = _recurrences(t0, t1, r0, r1, bounds)
+            if not bad.any():
+                break
+            bounds = np.union1d(bounds, (bounds[:-1] + bounds[1:])[bad] // 2)
         starts, stops = bounds[:-1], bounds[1:]
+        # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix
+        # and the weights the mass times the squared first components of
+        # its eigenvectors.
+        i = np.arange(_NODES)
+        jac = np.zeros((starts.size, _NODES, _NODES))
+        jac[:, i, i], jac[:, i[1:], i[:-1]] = alpha.T, np.sqrt(beta[1:]).T
+        y, vec = np.linalg.eigh(jac)  # reads the lower triangle only
+        y = np.clip(y, -1.0, 1.0)  # rounding can push a node of a tiny block out
         self.starts, self.stops = starts.tolist(), stops.tolist()
-        cen = 0.5 * (t0[starts] + t1[stops - 1])
-        rad = 0.5 * (t1[stops - 1] - t0[starts])
         self.cen = cen.astype(complex)
         self.reach = rad / _FAR_THETA
-        self.rad = rad.astype(complex)
-        # Cell moments from the two hat functions of the linear piece:
-        # with y = (t - c)/r, int_cell rho y^k dt equals
-        # dt (r1 A_k + r0 B_k) / ((k+1)(k+2)), where
-        # A_k = sum_j (j+1) y1^j y0^(k-j) and B_k is A_k with y0 and y1
-        # swapped.  Where y0 and y1 share a sign every term does too, so
-        # the moments carry no cancellation.
-        blk = np.repeat(np.arange(starts.size), stops - starts)
-        y0 = (t0 - cen[blk]) / rad[blk]
-        y1 = (t1 - cen[blk]) / rad[blk]
-        dt = t1 - t0
-        mom = np.empty((_ORDER + 1, starts.size))
-        p0 = p1 = a = b = np.ones_like(dt)
-        for k in range(_ORDER + 1):
-            if k:
-                p0, p1 = p0 * y0, p1 * y1
-                a = y0 * a + (k + 1) * p1
-                b = y1 * b + (k + 1) * p0
-            mom[k] = np.add.reduceat((r1 * a + r0 * b) * dt, starts)
-            mom[k] /= (k + 1) * (k + 2)
-        # With q = r/(z - c), the far sums are sum_k mom_k q^(k+1) / r and
-        # -sum_k (k+1) mom_k q^(k+2) / r^2: dot products of the power
-        # table q^1 .. q^(p+2) with these coefficient rows.
-        order = np.arange(1, _ORDER + 2)[:, None]
-        cg = np.zeros((_ORDER + 2, starts.size))
-        cd = np.zeros_like(cg)
-        cg[:-1] = mom / rad
-        cd[1:] = -order * mom / (rad * rad)
-        self.cg = cg.ravel().astype(complex)
-        self.cd = cd.ravel().astype(complex)
-        self.ones = np.ones(cg.shape, dtype=complex)
-        # The exact near sum works on cell midpoints and half-widths.
         # Held as complex (imaginary part +0), the arrays spare numpy a
         # cast on every call.
+        self.nodes = (cen[:, None] + rad[:, None] * y).ravel().astype(complex)
+        self.weights = ((beta[0] * rad)[:, None] * vec[:, 0] ** 2).ravel(
+            ).astype(complex)
+        # The exact near sum works on cell midpoints and half-widths, and
+        # on the stored ends of the cells next to Re z.
         self.mid = (0.5 * (t0 + t1)).astype(complex)
-        self.half = (0.5 * dt).astype(complex)
+        self.half = (0.5 * (t1 - t0)).astype(complex)
         self.rc = (0.5 * (r0 + r1)).astype(complex)
-        self.slope = ((r1 - r0) / dt).astype(complex)
+        self.slope = ((r1 - r0) / (t1 - t0)).astype(complex)
+        self.t0, self.t1 = t0, t1
         # running sums of 2*slope*half = r1 - r0 over the cells
         self.jumps = np.concatenate(([0.0], np.cumsum(r1 - r0))).tolist()
         # (t, rho(t)) where each block starts and ends, and the blocks
@@ -181,23 +251,26 @@ class _CellTree:
         self.heads = list(zip(t0[starts].tolist(), r0[starts].tolist()))
         self.tails = list(zip(t1[stops - 1].tolist(),
                               r1[stops - 1].tolist()))
-        self.splits = firsts[1:]
+        self.splits = np.searchsorted(starts, cuts[1:]).tolist()
 
     def __call__(self, z):
         """(G, G') of the cells at one point, as Python complex numbers.
 
-        A near cell with midpoint m and half-width h adds
+        A near cell [t0, t1] with midpoint m and half-width h adds
         (rc + s w) L - 2 s h and s L + (rc + s w) L', with w = z - m,
-        L = 2 atanh(h/w) and L' = -2h/((w - h)(w + h)).  The atanh form
-        keeps full relative accuracy where h/w is small.  The second
-        term of G' is rho(t0)/(z - t0) - rho(t1)/(z - t1) for a cell
-        [t0, t1], which telescopes along a segment, so the near sum adds
-        it only at the ends of the segments it spans: summed cell by cell
-        those large terms cancel and swamp G' next to the real axis.  A
-        real z at the end of a segment gives NaN.
+        L = log((z - t0)/(z - t1)) and L' = -2h/((w - h)(w + h)).  L is
+        taken as 2 atanh(h/w), which keeps full relative accuracy where
+        h/w is small, except on the cells next to Re z with |h/w| > 1/2:
+        there a grid node can lie closer to z than the rounding of m + h
+        or m - h, so L comes from the stored ends.  The second term of G' is
+        rho(t0)/(z - t0) - rho(t1)/(z - t1), which telescopes along a
+        segment, so the near sum adds it only at the ends of the segments
+        it spans: summed cell by cell those large terms cancel and swamp
+        G' next to the real axis.  A real z on a grid node gives NaN.
         """
         zc = z - self.cen
         near = (np.abs(zc) < self.reach).nonzero()[0]
+        d = z - self.nodes
         g = gp = 0j
         if near.size:
             jlo, jhi = int(near[0]), int(near[-1]) + 1
@@ -205,27 +278,32 @@ class _CellTree:
             w = z - self.mid[lo:hi]
             h = self.half[lo:hi]
             s = self.slope[lo:hi]
-            at = np.arctanh(h / w)
-            g = (2 * complex(np.dot(self.rc[lo:hi] + s * w, at))
-                 - (self.jumps[hi] - self.jumps[lo]))
+            q = h / w
+            at = np.arctanh(q)
+            # the cells around the first cell that starts at or past Re z
+            nxt = int(self.t0.searchsorted(z.real))
             (ta, ra), (tb, rb) = self.heads[jlo], self.tails[jhi - 1]
             try:
+                for i in range(max(lo, nxt - 2), min(hi, nxt + 1)):
+                    if abs(q[i - lo]) > 0.5:
+                        at[i - lo] = 0.5 * cmath.log(
+                            (z - float(self.t0[i])) / (z - float(self.t1[i])))
+                g = (2 * complex(np.dot(self.rc[lo:hi] + s * w, at))
+                     - (self.jumps[hi] - self.jumps[lo]))
                 gp = 2 * complex(np.dot(s, at)) + ra / (z - ta) - rb / (z - tb)
                 for k in self.splits:
                     if jlo < k < jhi:
                         (ta, ra), (tb, rb) = self.heads[k], self.tails[k - 1]
                         gp += ra / (z - ta) - rb / (z - tb)
-            except ZeroDivisionError:
+            except (ZeroDivisionError, ValueError):
                 return complex("nan"), complex("nan")
             if hi - lo == self.mid.size:  # no block is far
                 return g, gp
-            # a near block drops out of the power table as q = r/inf = 0
-            zc[jlo:jhi] = np.inf
-        q = self.ones * (self.rad / zc)
-        np.multiply.accumulate(q, axis=0, out=q)
-        q = q.ravel()
-        return (g + complex(np.dot(q, self.cg)),
-                gp + complex(np.dot(q, self.cd)))
+            # a near block drops out of the far sum as 1/inf = 0
+            d[jlo * _NODES:jhi * _NODES] = np.inf
+        inv = np.reciprocal(d)
+        return (g + complex(np.dot(self.weights, inv)),
+                gp - complex(np.dot(self.weights * inv, inv)))
 
 
 class MeasureResolvent(ResolventEvaluator):
@@ -234,7 +312,7 @@ class MeasureResolvent(ResolventEvaluator):
     Each atom adds w/(z - a).  Each linear density cell integrates against
     1/(z - t) to a closed-form log term; the cells are summed by a
     one-level treecode (``_CellTree``), built once here: blocks far from z
-    add their multipole series, and the cells of the near blocks are
+    add the sum of their Gauss rule, and the cells of the near blocks are
     summed exactly.  ``vd_scalar`` and ``value_and_derivative`` evaluate
     every point through the same body.
     """

@@ -118,3 +118,26 @@ def cauchy_reference(mu, z, dps=40):
                 g, gp = g + term, gp + dterm
                 g_abs, gp_abs = g_abs + abs(term), gp_abs + abs(dterm)
         return complex(g), complex(gp), float(g_abs), float(gp_abs)
+
+
+def block_moments(t0, t1, r0, r1, c, r, count):
+    """int rho(t) ((t - c)/r)^k dt, k < count, over linear cells [t0, t1]
+    with end densities r0, r1 (arrays), by the two hat functions of each
+    cell.
+
+    With y = (t - c)/r, a cell adds dt (r1 A_k + r0 B_k) / ((k+1)(k+2)),
+    where A_k = sum_j (j+1) y1^j y0^(k-j) and B_k is A_k with y0 and y1
+    swapped.  Where y0 and y1 share a sign every term does too, so the
+    moments carry no cancellation.
+    """
+    y0, y1 = (t0 - c) / r, (t1 - c) / r
+    dt = t1 - t0
+    mom = np.empty(count)
+    p0 = p1 = a = b = np.ones_like(dt)
+    for k in range(count):
+        if k:
+            p0, p1 = p0 * y0, p1 * y1
+            a = y0 * a + (k + 1) * p1
+            b = y1 * b + (k + 1) * p0
+        mom[k] = np.sum((r1 * a + r0 * b) * dt) / ((k + 1) * (k + 2))
+    return mom

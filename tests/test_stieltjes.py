@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeconv.errors import (
@@ -25,6 +25,7 @@ from freeconv.measures import (
     moment,
 )
 from freeconv.stieltjes import (
+    _NODES,
     ContourSpec,
     MeasureResolvent,
     ResolventEvaluator,
@@ -40,7 +41,7 @@ from freeconv.stieltjes import (
     stieltjes_invert,
 )
 
-from oracles import cauchy_reference, semicircle_g
+from oracles import block_moments, cauchy_reference, semicircle_g
 
 RNG = np.random.default_rng(31081998)
 
@@ -513,7 +514,8 @@ def gapped_measures(draw):
 def oracle_cases(draw):
     """A measure and points 1e-9 to 1 above the axis, plus points on the
     circle |z - c| = r/theta where a block of cells switches between its
-    multipole series and the exact near sum."""
+    Gauss rule and the exact near sum, and, with two segments, points
+    within a few cells of the split, where the near slice spans both."""
     mu = draw(st.one_of(kernel_measures(), small_measures(),
                         gapped_measures()))
     lo, hi = mu.support()
@@ -521,6 +523,11 @@ def oracle_cases(draw):
     for _ in range(draw(st.integers(1, 3))):
         x = draw(st.floats(lo - 0.5, hi + 0.5))
         zs.append(complex(x, 10.0 ** draw(st.floats(-9.0, 0.0))))
+    if len(mu.segments) > 1:
+        left, right = mu.segments[0].grid, mu.segments[1].grid
+        for _ in range(draw(st.integers(1, 3))):
+            x = draw(st.floats(left[-4], right[3]))
+            zs.append(complex(x, 10.0 ** draw(st.floats(-9.0, -1.0))))
     tree = MeasureResolvent(mu)._cells
     if tree is not None:
         for _ in range(draw(st.integers(1, 3))):
@@ -537,18 +544,6 @@ def oracle_cases(draw):
 G_TOL, GP_TOL = 2.4e-14, 1.6e-13
 
 
-@settings(max_examples=30)
-@given(oracle_cases())
-def test_kernel_matches_a_40_digit_oracle(case):
-    mu, zs = case
-    ev = MeasureResolvent(mu)
-    for z in zs:
-        g, gp = ev.vd_scalar(z)
-        g_ref, gp_ref, g_abs, gp_abs = cauchy_reference(mu, z)
-        assert abs(g - g_ref) <= G_TOL * g_abs
-        assert abs(gp - gp_ref) <= GP_TOL * gp_abs
-
-
 def _gapped_semicircle_uniform():
     # semicircle(1) on [-2, 2] and uniform on [2.001, 4.001], half the mass
     # each: the near sum at 2.0015 spans the end of one segment and the
@@ -557,6 +552,20 @@ def _gapped_semicircle_uniform():
     right = affine_map(make_law(LawSpec.uniform(-1.0, 1.0), 300), 1.0, 3.001)
     return SpectralMeasure(segments=tuple(
         s.scaled(0.5) for s in left.segments + right.segments))
+
+
+@settings(max_examples=30)
+@given(oracle_cases())
+# the near slice spans a split where the density jumps to 1/4
+@example((_gapped_semicircle_uniform(), [2.0005 + 1e-9j, 2.0015 + 1e-4j]))
+def test_kernel_matches_a_40_digit_oracle(case):
+    mu, zs = case
+    ev = MeasureResolvent(mu)
+    for z in zs:
+        g, gp = ev.vd_scalar(z)
+        g_ref, gp_ref, g_abs, gp_abs = cauchy_reference(mu, z)
+        assert abs(g - g_ref) <= G_TOL * g_abs
+        assert abs(gp - gp_ref) <= GP_TOL * gp_abs
 
 
 @pytest.mark.parametrize("law, x", [
@@ -569,12 +578,83 @@ def test_kernel_derivative_keeps_its_digits_next_to_the_axis(law, x):
     # 1e-7 above the axis the rho(t)/(z - t) terms of neighbouring cells
     # are up to 1e7 times |G'| and cancel.  The oracle test above bounds
     # the error against the summed magnitudes of the terms, which hides
-    # that cancellation; this bounds it against |G'| itself.
+    # that cancellation; this bounds it against |G'| itself.  6.9e-8 from
+    # a node (mp-near-a-node), cell ends rebuilt as m +- h round by
+    # eps |m|, a few 1e-9 of z - t: G must take them from the grid.
     mu = law()
     z = complex(x, 1e-7)
-    gp = MeasureResolvent(mu).vd_scalar(z)[1]
-    gp_ref = cauchy_reference(mu, z)[1]
+    g, gp = MeasureResolvent(mu).vd_scalar(z)
+    g_ref, gp_ref = cauchy_reference(mu, z)[:2]
+    assert abs(g - g_ref) <= 1e-12 * abs(g_ref)
     assert abs(gp - gp_ref) <= 1e-9 * abs(gp_ref)
+
+
+def _one_bump(grid, values):
+    density = np.asarray(values, dtype=float)
+    return SpectralMeasure(segments=(
+        Segment(grid, density / np.trapezoid(density, grid)),))
+
+
+_FLAT = np.linspace(0.0, 1.0, 65)
+RULE_CASES = {
+    "semicircle-2000": lambda: make_law(LawSpec.semicircle(1.0), 2000),
+    "mp1-2000": lambda: make_law(LawSpec.marchenko_pastur(1.0), 2000),
+    "mp-half-500": lambda: make_law(LawSpec.marchenko_pastur(0.5), 500),
+    "uniform-64": lambda: make_law(LawSpec.uniform(-1.0, 1.0), 64),
+    "two-segments": _gapped_semicircle_uniform,
+    # densities that vanish on most of a block: the tree splits it
+    "one-hat": lambda: _one_bump(_FLAT, np.arange(65) == 30),
+    "two-ends": lambda: _one_bump(_FLAT, (np.arange(65) < 3)
+                                  | (np.arange(65) > 61)),
+    "floor-1e-300": lambda: _one_bump(
+        _FLAT, np.where(np.arange(65) == 30, 1.0, 1e-300)),
+}
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_each_block_keeps_the_gauss_rule_of_its_measure(case):
+    mu = RULE_CASES[case]()
+    tree = MeasureResolvent(mu)._cells
+    t0, t1, r0, r1 = (np.concatenate(parts) for parts in zip(
+        *[(s.grid[:-1], s.grid[1:], s.density[:-1], s.density[1:])
+          for s in mu.segments]))
+    nodes = tree.nodes.real.reshape(-1, _NODES)
+    weights = tree.weights.real.reshape(-1, _NODES)
+    eps = np.finfo(float).eps
+    for j, (lo, hi) in enumerate(zip(tree.starts, tree.stops)):
+        a, b = t0[lo], t1[hi - 1]
+        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        mom = block_moments(t0[lo:hi], t1[lo:hi], r0[lo:hi], r1[lo:hi],
+                            c, r, 2 * _NODES)
+        assert np.all((a <= nodes[j]) & (nodes[j] <= b))
+        if mom[0] == 0:
+            assert np.all(weights[j] == 0)
+            continue
+        assert np.all(weights[j] > 0)
+        assert abs(weights[j].sum() - mom[0]) <= 1e-14 * mom[0]
+        # nodes are stored as t, which rounds y = (t - c)/r by eps |c|/r
+        y = (nodes[j] - c) / r
+        tol = (1e-14 + 2 * _NODES * eps * abs(c) / r) * mom[0]
+        for k in range(2 * _NODES):
+            assert abs(np.dot(weights[j], y ** k) - mom[k]) <= tol
+
+
+@pytest.mark.parametrize("case", ["mp1-300", "semicircle-300", "one-hat"])
+def test_kernel_holds_its_bound_at_the_worst_far_points(case):
+    """Where a block's Gauss rule takes over, on the axis at c +- r/theta
+    (its Bernstein ellipse is thinnest there) and at the top of the
+    circle, against the 40-digit oracle."""
+    mu = {"mp1-300": lambda: make_law(LawSpec.marchenko_pastur(1.0), 300),
+          "semicircle-300": lambda: make_law(LawSpec.semicircle(1.0), 300),
+          "one-hat": RULE_CASES["one-hat"]}[case]()
+    ev = MeasureResolvent(mu)
+    tree = ev._cells
+    for c, reach in zip(tree.cen.real, tree.reach):
+        for z in (c - reach + 1e-12j, c + reach + 1e-12j, c + 1j * reach):
+            g, gp = ev.vd_scalar(z)
+            g_ref, gp_ref, g_abs, gp_abs = cauchy_reference(mu, z)
+            assert abs(g - g_ref) <= G_TOL * g_abs
+            assert abs(gp - gp_ref) <= GP_TOL * gp_abs
 
 
 @given(st.sampled_from(CONTINUOUS), st.floats(-3.0, 3.0),
