@@ -2,7 +2,10 @@
 
 These are the package's exit criteria.  Every check pins its tolerances
 here; ``run_all`` is what the CLI selftest executes and what the test
-suite asserts on.
+suite asserts on.  The checks ``freeconv verify`` runs live here too:
+``oracle_moment_error``, ``pastur_l1`` and ``external_field_check`` serve
+criteria 9, 3 and 6 and the verify modes alike, and ``verify_report``
+holds verify's default tolerances.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import numpy as np
 
 from .arithmetic import (
     ExternalFieldSpec,
-    external_field_lambda_gaussian,
     free_add,
     free_multiply,
     invert_cauchy,
@@ -83,6 +85,86 @@ def _report(experiment_id, inputs, metrics, criteria, t0, seed=None):
     )
 
 
+# -- checks shared with ``freeconv verify`` -----------------------------------
+
+_PAIR_OPERATIONS = {
+    "add": (free_add, free_add_series, mc_free_add_experiment),
+    "mul": (free_multiply, free_multiply_series, mc_free_mul_experiment),
+}
+
+# Default tolerance of each ``freeconv verify`` metric.  The Monte Carlo
+# fraction is a floor that neither overrides nor the tolerance scale move.
+VERIFY_TOLERANCES = {
+    "moment_rel_error": 1e-2,
+    "w1_vs_monte_carlo": 0.05,
+    "l1_vs_free_add": 1e-2,
+    "max_analytic_residual": 1e-12,
+}
+MC_FRACTION_FLOOR = 0.95
+
+
+def oracle_moment_error(operation, mu1, mu2, order, contour=None):
+    """Run the ``operation`` pipeline ("add" or "mul") on two measures;
+    returns its output and the output's ``scaled_moment_error`` through
+    order ``order`` against the series oracle on the operands' moments."""
+    pipeline, series, _ = _PAIR_OPERATIONS[operation]
+    out = pipeline(mu1, mu2, contour)
+    expected = series(MomentVector.from_measure(mu1, order),
+                      MomentVector.from_measure(mu2, order))
+    got = MomentVector.from_measure(out, order)
+    return out, scaled_moment_error(got.m, expected.m)
+
+
+def monte_carlo_w1(operation, out, mu1, mu2, dimension, trials, seed):
+    """W1 distance from ``out`` to the pooled spectra of ``trials`` free
+    sums or products of two ``dimension``-square fixed-spectrum matrices."""
+    experiment = _PAIR_OPERATIONS[operation][2]
+    es = experiment(EnsembleSpec.fixed_spectrum(mu1, dimension, seed),
+                    EnsembleSpec.fixed_spectrum(mu2, dimension, seed + 1),
+                    trials)
+    return wasserstein1_empirical(es.pooled(), out)
+
+
+def pastur_l1(mu, sigma, contour=None):
+    """The Pastur solver's law of ``mu`` plus a Gaussian of scale
+    ``sigma``, and its L1 distance to ``free_add`` of ``mu`` and the
+    2000-cell semicircle of radius ``2 * sigma``."""
+    out = pastur_add_gaussian(mu, sigma, contour)
+    semi = make_law(LawSpec.semicircle(sigma), 2000)
+    return out, density_l1_distance(out, free_add(mu, semi, contour))
+
+
+def external_field_check(cases, mc_sigma, mc_field, dimension, trials, seed):
+    """The worst external-field additivity residual over ``cases``, each a
+    (sigma1, sigma2, field, probes) tuple, and the fraction of sampled
+    diagonal averages of a ``mc_sigma`` Gaussian in ``mc_field`` within 3
+    standard errors of the analytic shift.  A NaN residual makes the worst
+    one NaN, which fails every tolerance."""
+    residuals = [verify_generalized_addition_gaussian(*case)
+                 .metrics["max_residual"] for case in cases]
+    mc = mc_external_field(mc_sigma, mc_field, dimension, trials, seed)
+    return {"max_analytic_residual": float(np.max(residuals)),
+            "mc_fraction_within_3_stderr":
+                mc.metrics["fraction_within_3_stderr"]}
+
+
+def verify_report(mode, inputs, metrics, t0, seed, tolerances=None,
+                  tolerance_scale=1.0):
+    """The ``freeconv verify`` report: each metric against its tolerance
+    in ``tolerances``, else in ``VERIFY_TOLERANCES``, times
+    ``tolerance_scale``; the Monte Carlo fraction against its floor."""
+    tolerances = tolerances or {}
+    crits = []
+    for name, value in metrics.items():
+        if name == "mc_fraction_within_3_stderr":
+            crits.append(CriterionRecord(name, value, MC_FRACTION_FLOOR,
+                                         comparator=">="))
+        else:
+            tol = tolerances.get(name, VERIFY_TOLERANCES[name])
+            crits.append(CriterionRecord(name, value, tol * tolerance_scale))
+    return _report(f"verify_{mode}", inputs, metrics, crits, t0, seed)
+
+
 def criterion_1_semicircle_stability(tolerance_scale=1.0):
     """Self-convolution of the unit semicircle against the closed form."""
     t0 = time.perf_counter()
@@ -138,11 +220,7 @@ def criterion_3_pastur_consistency(seed=DEFAULT_SEED, tolerance_scale=1.0):
     pipeline and against Monte Carlo sampling."""
     t0 = time.perf_counter()
     two = make_law(LawSpec.two_atom(0.5, -1.0, 1.0))
-    semi = make_law(LawSpec.semicircle(1.0), 2000)
-    contour = default_contour(-3.0, 3.0, 1200)
-    a = pastur_add_gaussian(two, 1.0, contour)
-    b = free_add(two, semi, contour)
-    l1 = density_l1_distance(a, b)
+    a, l1 = pastur_l1(two, 1.0, default_contour(-3.0, 3.0, 1200))
     n_dim, trials = 1024, 20
     es = mc_free_add_experiment(
         EnsembleSpec.fixed_spectrum(two, n_dim, seed),
@@ -238,30 +316,28 @@ def criterion_6_generalized_addition(seed=DEFAULT_SEED, tolerance_scale=1.0):
     two = make_law(LawSpec.two_atom(0.5, -1.0, 1.0))
     fields = [ExternalFieldSpec(two), ExternalFieldSpec(dirac(0.0)),
               ExternalFieldSpec(make_law(LawSpec.two_atom(0.25, -2.0, 0.5)))]
-    worst = 0.0
+    cases = []
     for k in range(5):
         s1, s2 = rng.uniform(0.5, 3.0, size=2)
         field = fields[k % len(fields)]
         lo, hi = field.measure.support()
-        probes = rng.uniform(hi + 0.5, hi + 3.0, size=50)
-        rep = verify_generalized_addition_gaussian(s1, s2, field, probes)
-        worst = max(worst, rep.metrics["max_residual"])
-    mc = mc_external_field(1.0, ExternalFieldSpec(two), 128, 400, seed)
+        cases.append((s1, s2, field,
+                      rng.uniform(hi + 0.5, hi + 3.0, size=50)))
+    metrics = external_field_check(cases, 1.0, ExternalFieldSpec(two), 128,
+                                   400, seed)
     crits = [
-        CriterionRecord("max_analytic_residual", worst,
+        CriterionRecord("max_analytic_residual",
+                        metrics["max_analytic_residual"],
                         1e-12 * tolerance_scale),
         CriterionRecord("mc_fraction_within_3_stderr",
-                        mc.metrics["fraction_within_3_stderr"], 0.95,
-                        comparator=">="),
+                        metrics["mc_fraction_within_3_stderr"],
+                        MC_FRACTION_FLOOR, comparator=">="),
     ]
     return _report(
         "generalized_addition_gaussian",
         {"configs": 5, "probes_per_config": 50, "mc_dimension": 128,
          "mc_trials": 400},
-        {"max_analytic_residual": worst,
-         "mc_fraction_within_3_stderr":
-             mc.metrics["fraction_within_3_stderr"]},
-        crits, t0, seed=seed,
+        metrics, crits, t0, seed=seed,
     )
 
 
@@ -349,30 +425,14 @@ def criterion_9_oracle_equivalence(tolerance_scale=1.0):
     metrics = {}
     crits = []
     order = 8
-
-    def compare(tag, out, expected, singular):
-        got = MomentVector.from_measure(out, order)
-        rel = scaled_moment_error(got.m, expected.m)
-        tol = (1e-2 if singular else 1e-3) * tolerance_scale
-        metrics[tag] = rel
-        crits.append(CriterionRecord(tag, rel, tol))
-
-    for i, (name1, mu1, sing1) in enumerate(add_catalog):
-        for name2, mu2, sing2 in add_catalog[i:]:
-            out = free_add(mu1, mu2)
-            expected = free_add_series(
-                MomentVector.from_measure(mu1, order),
-                MomentVector.from_measure(mu2, order),
-            )
-            compare(f"add_{name1}_{name2}", out, expected, sing1 or sing2)
-    for i, (name1, mu1, sing1) in enumerate(mul_catalog):
-        for name2, mu2, sing2 in mul_catalog[i:]:
-            out = free_multiply(mu1, mu2)
-            expected = free_multiply_series(
-                MomentVector.from_measure(mu1, order),
-                MomentVector.from_measure(mu2, order),
-            )
-            compare(f"mul_{name1}_{name2}", out, expected, sing1 or sing2)
+    for operation, catalog in (("add", add_catalog), ("mul", mul_catalog)):
+        for i, (name1, mu1, sing1) in enumerate(catalog):
+            for name2, mu2, sing2 in catalog[i:]:
+                _, rel = oracle_moment_error(operation, mu1, mu2, order)
+                tag = f"{operation}_{name1}_{name2}"
+                metrics[tag] = rel
+                tol = (1e-2 if sing1 or sing2 else 1e-3) * tolerance_scale
+                crits.append(CriterionRecord(tag, rel, tol))
     return _report(
         "oracle_equivalence",
         {"order": order,

@@ -335,7 +335,6 @@ class FreeSumResolvent(_PairResolvent):
         self.support = (lo1 + lo2, hi1 + hi2)
         self.edge_hints = (lo1 + lo2, hi1 + hi2)
         self.m2 = moment(mu2, 1)
-        self.mean = moment(mu1, 1) + self.m2
 
     def _seed(self, z):
         return complex(z - self.m2)
@@ -364,7 +363,6 @@ class PasturResolvent(_SweepResolvent):
         lo, hi = mu.support()
         self.support = (lo - 2 * sigma, hi + 2 * sigma)
         self.edge_hints = ()
-        self.mean = moment(mu, 1)
 
     def _solve(self, z, seed):
         omega = seed if seed is not None else 1.0 / z
@@ -422,7 +420,6 @@ class FreeProductResolvent(_PairResolvent):
         lo2, hi2 = mu2.support()
         self.support = (lo1 * lo2, hi1 * hi2)
         self.edge_hints = (lo1 * lo2, hi1 * hi2)
-        self.mean = self.op1.mean * self.op2.mean
 
     def _seed(self, z):
         return complex(z / self.op2.mean)

@@ -2,7 +2,9 @@
 
 Subcommands: law, transform, add, mul, sample, verify, selftest.  Exit
 codes: 0 success, 1 invalid config or parameters, 2 a verification
-tolerance failed, 3 a numerical pipeline failure.
+tolerance failed, 3 a numerical pipeline failure.  ``verify`` and
+``selftest`` run the checks of ``acceptance``; this module only turns
+config keys into their arguments and writes what they return.
 """
 
 from __future__ import annotations
@@ -15,33 +17,32 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import run_all, scaled_moment_error
+from .acceptance import (
+    external_field_check,
+    monte_carlo_w1,
+    oracle_moment_error,
+    pastur_l1,
+    run_all,
+    verify_report,
+)
 from .arithmetic import (
     ExternalFieldSpec,
     HTransform,
     RTransform,
     free_add,
     free_multiply,
-    pastur_add_gaussian,
-    verify_generalized_addition_gaussian,
 )
+from .eigen import hermitian_eigenvalues
 from .errors import NumericalError, ValidationError
-from .measures import (
-    LawSpec,
-    MomentVector,
-    density_l1_distance,
-    make_law,
-    wasserstein1_empirical,
-    write_density_csv,
-)
-from .report import CriterionRecord, ReportDocument
+from .measures import LawSpec, make_law, write_density_csv
+from .report import ReportDocument
 from .rmt import (
+    EmpiricalSpectrum,
     EnsembleSpec,
-    mc_external_field,
     mc_free_add_experiment,
     mc_free_mul_experiment,
+    sample_ensemble,
 )
-from .series import free_add_series, free_multiply_series
 from .stieltjes import (
     DEFAULT_EPSILON_SCHEDULE,
     ContourSpec,
@@ -140,25 +141,14 @@ def cmd_transform(cfg, out_dir, seed, tol_scale):
 
 
 def cmd_add(cfg, out_dir, seed, tol_scale):
+    if "pastur_cross_check" in cfg or "pastur_sigma" in cfg:
+        raise ValidationError(
+            "add no longer takes pastur_cross_check or pastur_sigma; run "
+            "verify --mode pastur for the Pastur cross-check")
     mu1 = measure_from_config(cfg["law1"])
     mu2 = measure_from_config(cfg["law2"])
     out = free_add(mu1, mu2, contour_from_config(cfg.get("contour")))
     _write_measure(out, out_dir, "sum_density")
-    if cfg.get("pastur_cross_check"):
-        sigma = cfg["pastur_sigma"]
-        alt = pastur_add_gaussian(mu1, sigma,
-                                  contour_from_config(cfg.get("contour")))
-        l1 = density_l1_distance(out, alt)
-        crit = CriterionRecord("pastur_cross_check_l1", l1,
-                               1e-2 * tol_scale)
-        report = ReportDocument(
-            experiment_id="add_with_pastur_cross_check",
-            inputs={"config": cfg}, metrics={"l1": l1}, criteria=(crit,),
-            seed=seed,
-        )
-        _write_report(report, out_dir)
-        if not report.passed:
-            return 2
     return 0
 
 
@@ -180,102 +170,44 @@ def cmd_sample(cfg, out_dir, seed, tol_scale):
         spec2 = ensemble_from_config(cfg["ensemble2"], seed)
         es = mc_free_add_experiment(spec1, spec2, trials)
     else:
-        from .eigen import hermitian_eigenvalues
-        from .rmt import sample_ensemble
-
         rows = [hermitian_eigenvalues(sample_ensemble(spec1, t))
                 for t in range(trials)]
-        from .rmt import EmpiricalSpectrum
-
         es = EmpiricalSpectrum(np.asarray(rows))
     es.to_csv(out_dir / "spectrum.csv")
     return 0
 
 
-def _tolerance(cfg, name, default, tol_scale):
-    return cfg.get("tolerances", {}).get(name, default) * tol_scale
-
-
 def cmd_verify(cfg, out_dir, seed, tol_scale):
     mode = cfg.get("mode", "add")
     t0 = time.perf_counter()
-    criteria = []
-    metrics = {}
+    contour = contour_from_config(cfg.get("contour"))
     if mode in ("add", "mul"):
         mu1 = measure_from_config(cfg["law1"])
         mu2 = measure_from_config(cfg["law2"])
-        order = cfg.get("order", 8)
-        mv1 = MomentVector.from_measure(mu1, order)
-        mv2 = MomentVector.from_measure(mu2, order)
-        if mode == "add":
-            out = free_add(mu1, mu2, contour_from_config(cfg.get("contour")))
-            expected = free_add_series(mv1, mv2)
-        else:
-            out = free_multiply(mu1, mu2,
-                                contour_from_config(cfg.get("contour")))
-            expected = free_multiply_series(mv1, mv2)
-        got = MomentVector.from_measure(out, order)
-        rel = scaled_moment_error(got.m, expected.m)
-        metrics["moment_rel_error"] = rel
-        criteria.append(CriterionRecord(
-            "moment_rel_error", rel,
-            _tolerance(cfg, "moment_rel_error", 1e-2, tol_scale)))
-        trials = cfg.get("trials", 10)
-        dim = cfg.get("dimension", 512)
-        e1 = EnsembleSpec.fixed_spectrum(mu1, dim, seed)
-        e2 = EnsembleSpec.fixed_spectrum(mu2, dim, seed + 1)
-        es = (mc_free_add_experiment(e1, e2, trials) if mode == "add"
-              else mc_free_mul_experiment(e1, e2, trials))
-        w1 = wasserstein1_empirical(es.pooled(), out)
-        metrics["w1_vs_monte_carlo"] = w1
-        criteria.append(CriterionRecord(
-            "w1_vs_monte_carlo", w1,
-            _tolerance(cfg, "w1_vs_monte_carlo", 0.05, tol_scale)))
+        out, err = oracle_moment_error(mode, mu1, mu2, cfg.get("order", 8),
+                                       contour)
+        w1 = monte_carlo_w1(mode, out, mu1, mu2, cfg.get("dimension", 512),
+                            cfg.get("trials", 10), seed)
+        metrics = {"moment_rel_error": err, "w1_vs_monte_carlo": w1}
         _write_measure(out, out_dir, f"{mode}_density")
     elif mode == "pastur":
-        mu = measure_from_config(cfg["law"])
-        sigma = cfg.get("sigma", 1.0)
-        semi = make_law(LawSpec.semicircle(sigma), 2000)
-        a = pastur_add_gaussian(mu, sigma,
-                                contour_from_config(cfg.get("contour")))
-        b = free_add(mu, semi, contour_from_config(cfg.get("contour")))
-        l1 = density_l1_distance(a, b)
-        metrics["l1_vs_free_add"] = l1
-        criteria.append(CriterionRecord(
-            "l1_vs_free_add", l1,
-            _tolerance(cfg, "l1_vs_free_add", 1e-2, tol_scale)))
-        _write_measure(a, out_dir, "pastur_density")
+        out, l1 = pastur_l1(measure_from_config(cfg["law"]),
+                            cfg.get("sigma", 1.0), contour)
+        metrics = {"l1_vs_free_add": l1}
+        _write_measure(out, out_dir, "pastur_density")
     elif mode == "external_field":
         field = ExternalFieldSpec(measure_from_config(cfg["field"]))
         sigma1 = cfg.get("sigma1", 1.0)
-        sigma2 = cfg.get("sigma2", 1.0)
         lo, hi = field.measure.support()
         rng = np.random.default_rng(seed)
         probes = rng.uniform(hi + 0.5, hi + 3.0, cfg.get("probes", 50))
-        rep = verify_generalized_addition_gaussian(sigma1, sigma2, field,
-                                                   probes)
-        metrics.update(
-            {"max_analytic_residual": rep.metrics["max_residual"]})
-        criteria.append(CriterionRecord(
-            "max_analytic_residual", rep.metrics["max_residual"],
-            _tolerance(cfg, "max_analytic_residual", 1e-12, tol_scale)))
-        mc = mc_external_field(sigma1, field, cfg.get("dimension", 128),
-                               cfg.get("trials", 400), seed)
-        metrics["mc_fraction_within_3_stderr"] = \
-            mc.metrics["fraction_within_3_stderr"]
-        criteria.append(CriterionRecord(
-            "mc_fraction_within_3_stderr",
-            mc.metrics["fraction_within_3_stderr"], 0.95, comparator=">="))
+        metrics = external_field_check(
+            [(sigma1, cfg.get("sigma2", 1.0), field, probes)], sigma1, field,
+            cfg.get("dimension", 128), cfg.get("trials", 400), seed)
     else:
         raise ValidationError(f"unknown verify mode {mode!r}")
-    report = ReportDocument(
-        experiment_id=f"verify_{mode}",
-        inputs={"config": cfg},
-        metrics=metrics,
-        criteria=tuple(criteria),
-        wall_time_s=time.perf_counter() - t0,
-        seed=seed,
-    )
+    report = verify_report(mode, {"config": cfg}, metrics, t0, seed,
+                           cfg.get("tolerances"), tol_scale)
     _write_report(report, out_dir)
     print(f"verify {mode}: {'pass' if report.passed else 'FAIL'}")
     return 0 if report.passed else 2

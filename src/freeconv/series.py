@@ -16,8 +16,6 @@ import numpy as np
 from .errors import ValidationError
 from .measures import MomentVector, _readonly
 
-DEFAULT_ORDER = 12
-
 
 @dataclass(frozen=True)
 class TruncatedSeries:
@@ -39,11 +37,6 @@ class TruncatedSeries:
         k = min(order, self.order) + 1
         c[:k] = self.coeffs[:k]
         return TruncatedSeries(c)
-
-
-def series_add(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    order = min(s.order, t.order)
-    return TruncatedSeries(s.coeffs[:order + 1] + t.coeffs[:order + 1])
 
 
 def series_multiply(s: TruncatedSeries, t: TruncatedSeries,

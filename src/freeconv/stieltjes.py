@@ -21,7 +21,7 @@ from .errors import (
     SupportCoverageError,
     ValidationError,
 )
-from .measures import Segment, SpectralMeasure, _readonly, moment
+from .measures import Segment, SpectralMeasure, _readonly
 
 DEFAULT_EPSILON_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 NEWTON_TOL = 1e-12
@@ -55,11 +55,11 @@ class ContourSpec:
 
 
 def default_contour(lo: float, hi: float, points: int = 2000,
-                    schedule=DEFAULT_EPSILON_SCHEDULE,
-                    margin: float = 0.1) -> ContourSpec:
-    """Uniform contour covering [lo, hi] with a relative margin each side."""
+                    schedule=DEFAULT_EPSILON_SCHEDULE) -> ContourSpec:
+    """Uniform contour covering [lo, hi] with a margin of a tenth of the
+    width (at least 0.1) each side."""
     width = max(hi - lo, 1.0)
-    grid = np.linspace(lo - margin * width, hi + margin * width, points)
+    grid = np.linspace(lo - 0.1 * width, hi + 0.1 * width, points)
     return ContourSpec(grid, np.asarray(schedule, dtype=float))
 
 
@@ -70,14 +70,12 @@ class ResolventEvaluator:
     """Deterministic contract z -> G(z) for z off the real support.
 
     Subclasses provide ``value_and_derivative`` returning (G, G'), report a
-    ``support`` interval, structurally exact ``edge_hints``, and a ``mean``
-    used for seeding.  Evaluation is reentrant: ``sample_columns`` carries
+    ``support`` interval and structurally exact ``edge_hints``.  Evaluation is reentrant: ``sample_columns`` carries
     any warm-start state locally, so concurrent use needs no coordination.
     """
 
     support: tuple[float, float] = (-1.0, 1.0)
     edge_hints: tuple = ()
-    mean: float = 0.0
 
     def value_and_derivative(self, z):
         raise NotImplementedError
@@ -322,7 +320,6 @@ class MeasureResolvent(ResolventEvaluator):
         self.support = mu.support()
         self.edge_hints = tuple(np.unique([e for s in mu.segments
                                            for e in (s.grid[0], s.grid[-1])]))
-        self.mean = moment(mu, 1)
         self._atoms = tuple((float(x), float(w)) for x, w in mu.atoms)
         self._cells = _CellTree(mu.segments) if mu.segments else None
 
@@ -567,14 +564,6 @@ def _detection_indices(lad, spacing):
     return lo[..., None] + np.arange(min(3, lad.size))
 
 
-class _AtomFit:
-    __slots__ = ("position", "weight")
-
-    def __init__(self, position, weight):
-        self.position = position
-        self.weight = weight
-
-
 def _refine_atom(ev, a0, top_eps, spacing):
     """Re-center on a pole candidate and weigh it on a deep ladder.
 
@@ -583,7 +572,8 @@ def _refine_atom(ev, a0, top_eps, spacing):
     to the contamination level of the surrounding continuous part.  The
     verification rungs sit at ~1e-4 so any point mass (or sub-resolution
     bump) shows a flat eps*|G| profile there, while integrable edge
-    singularities keep decaying and are rejected by the caller.
+    singularities keep decaying and are rejected by the caller.  Returns
+    ((position, weight), flatness).
     """
     a = float(a0)
     scale = max(1.0, abs(a0))
@@ -603,7 +593,7 @@ def _refine_atom(ev, a0, top_eps, spacing):
     m = np.abs(tail * col[-3:])
     flatness = float(m[-1] / m[0]) if m[0] > 0 else 0.0
     w = float(neville_to_zero(tail, m))
-    return _AtomFit(a, w), flatness
+    return (a, w), flatness
 
 
 def _detect_atoms(ev, xs, lad, cols):
@@ -635,7 +625,7 @@ def _detect_atoms(ev, xs, lad, cols):
         peak = k + int(np.argmax(m0[k:j + 1]))
         a0 = _parabola_pole_position(xs, cols, lad, peak, spacing[peak])
         fit, flatness = _refine_atom(ev, a0, lad[0], spacing[peak])
-        if fit.weight > ATOM_MASS_THRESHOLD and flatness > ATOM_FLATNESS:
+        if fit[1] > ATOM_MASS_THRESHOLD and flatness > ATOM_FLATNESS:
             atoms.append(fit)
         k = j + 1
     return atoms
@@ -664,14 +654,15 @@ def _parabola_pole_position(xs, cols, lad, peak, spacing):
 def _subtract_poles(xs, lad, cols, atoms):
     z = xs[:, None] + 1j * np.asarray(lad)
     correction = np.zeros_like(z)
-    for atom in atoms:
-        correction += atom.weight / (z - atom.position)
+    for position, weight in atoms:
+        correction += weight / (z - position)
     return cols - correction
 
 
-def _power_law_completion(offsets, densities, edge, inner_sign, floor_scale):
+def _power_law_completion(offsets, densities, edge, inner_sign):
     """Fit rho ~ C*d^(-alpha) on the innermost resolved nodes and extend the
-    grid toward a hard edge; returns (grid, density) arrays or None."""
+    grid toward a hard edge, down to 1e-5 of the innermost offset;
+    returns (grid, density) arrays or None."""
     mask = (densities > 0) & (offsets > 0)
     if np.sum(mask) < 4:
         return None
@@ -689,25 +680,23 @@ def _power_law_completion(offsets, densities, edge, inner_sign, floor_scale):
     if np.max(np.abs(resid)) > 0.15:
         return None
     c_fit = np.exp(intercept)
-    d_lo = d[0] * floor_scale
-    tail = np.geomspace(d_lo, d[0], 40, endpoint=False)
+    tail = np.geomspace(d[0] * 1e-5, d[0], 40, endpoint=False)
     grid = edge + inner_sign * tail
     dens = c_fit * tail ** (-alpha)
     order = np.argsort(grid)
     return grid[order], dens[order]
 
 
-def stieltjes_invert(ev: ResolventEvaluator, contour: ContourSpec,
-                     edge_refine: bool = True) -> SpectralMeasure:
+def stieltjes_invert(ev: ResolventEvaluator,
+                     contour: ContourSpec) -> SpectralMeasure:
     """Recover the measure whose transform the evaluator computes.
 
     Density at every contour node comes from Neville extrapolation of
     -Im G(x + i eps)/pi over the epsilon ladder; atoms are detected and
-    removed first.  When ``edge_refine`` is on, support edges found in the
-    first pass are re-sampled on deeper ladders (and, near structurally
-    exact hard edges, completed by a fitted power law) so edge-singular
-    densities keep their mass.  Output mass must land in [0.99, 1.01] and
-    is renormalized.
+    removed first.  Support edges found in the first pass are re-sampled
+    on deeper ladders (and, near structurally exact hard edges, completed
+    by a fitted power law) so edge-singular densities keep their mass.
+    Output mass must land in [0.99, 1.01] and is renormalized.
     """
     xs = np.asarray(contour.real_grid, dtype=float)
     sched = np.asarray(contour.epsilon_schedule, dtype=float)
@@ -733,7 +722,7 @@ def stieltjes_invert(ev: ResolventEvaluator, contour: ContourSpec,
     dens_parts = [dens]
     keep_mask = np.ones(len(xs), dtype=bool)
     singular_zones = []
-    if total > 10 * ATOM_MASS_THRESHOLD and edge_refine:
+    if total > 10 * ATOM_MASS_THRESHOLD:
         def quantile_x(q):
             return xs[int(np.clip(np.searchsorted(cum, q), 0, len(xs) - 1))]
 
@@ -789,7 +778,7 @@ def stieltjes_invert(ev: ResolventEvaluator, contour: ContourSpec,
         seg_dens = np.clip(dens_all[lo:hi + 1], 0.0, None)
         segments = (Segment(seg_grid, seg_dens),)
 
-    atom_pairs = tuple((a.position, a.weight) for a in atoms)
+    atom_pairs = tuple(atoms)
     mass = sum(w for _, w in atom_pairs) + sum(s.mass for s in segments)
     if not MASS_WINDOW[0] <= mass <= MASS_WINDOW[1]:
         raise SupportCoverageError(
@@ -892,9 +881,7 @@ def _refine_edge(ev, sched, anchor, hinted, inner_sign, width, spacing):
         off_sorted = np.abs(grid - anchor)
         inner_first = np.argsort(off_sorted)
         comp = _power_law_completion(
-            off_sorted[inner_first], dens[inner_first], anchor, inner_sign,
-            floor_scale=1e-5,
-        )
+            off_sorted[inner_first], dens[inner_first], anchor, inner_sign)
         if comp is not None:
             singular = True
             grid = np.concatenate([grid, comp[0]])

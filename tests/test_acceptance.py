@@ -4,6 +4,8 @@ Every test prints a one-line pass/fail verdict for its criterion, and the
 suite as a whole is what `freeconv selftest` replays.
 """
 
+import math
+
 import pytest
 
 from freeconv import acceptance
@@ -74,3 +76,22 @@ def test_reports_are_self_contained():
     back = ReportDocument.from_json(report.to_json())
     assert back.passed == report.passed
     assert back.metrics == report.metrics
+
+
+def test_external_field_check_keeps_a_nan_residual(monkeypatch):
+    # max(0.0, nan) is 0.0: a running Python max would pass a NaN residual
+    from types import SimpleNamespace
+
+    from freeconv.arithmetic import ExternalFieldSpec
+    from freeconv.measures import dirac
+
+    residuals = iter([float("nan"), 1e-15])
+    monkeypatch.setattr(
+        acceptance, "verify_generalized_addition_gaussian",
+        lambda *case: SimpleNamespace(
+            metrics={"max_residual": next(residuals)}))
+    field = ExternalFieldSpec(dirac(0.0))
+    metrics = acceptance.external_field_check(
+        [(1.0, 1.0, field, [2.0]), (1.0, 2.0, field, [3.0])], 1.0, field,
+        16, 20, 3)
+    assert math.isnan(metrics["max_analytic_residual"])

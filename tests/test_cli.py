@@ -2,10 +2,32 @@ import json
 import subprocess
 import sys
 
-from freeconv.acceptance import scaled_moment_error
-from freeconv.arithmetic import free_add
-from freeconv.cli import contour_from_config, main, measure_from_config
-from freeconv.measures import MomentVector, read_density_csv
+import numpy as np
+import pytest
+
+from freeconv.acceptance import (
+    MC_FRACTION_FLOOR,
+    VERIFY_TOLERANCES,
+    external_field_check,
+    monte_carlo_w1,
+    oracle_moment_error,
+    pastur_l1,
+    scaled_moment_error,
+)
+from freeconv.arithmetic import ExternalFieldSpec, free_add
+from freeconv.cli import (
+    contour_from_config,
+    ensemble_from_config,
+    main,
+    measure_from_config,
+)
+from freeconv.eigen import hermitian_eigenvalues
+from freeconv.measures import MomentVector, moment, read_density_csv
+from freeconv.rmt import (
+    EmpiricalSpectrum,
+    mc_free_mul_experiment,
+    sample_ensemble,
+)
 from freeconv.series import free_add_series
 
 
@@ -175,3 +197,160 @@ def test_console_entry_point_runs():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+def test_add_writes_the_sum_density(tmp_path):
+    cfg = write_config(tmp_path, "add.json", {
+        "law1": {"kind": "semicircle", "params": [1.0], "grid_points": 400},
+        "law2": {"kind": "semicircle", "params": [1.0], "grid_points": 400},
+        "contour": {"lo": -4.0, "hi": 4.0, "points": 400},
+    })
+    assert main(["add", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    mu = read_density_csv(tmp_path / "sum_density.csv",
+                          tmp_path / "sum_density.atoms.json")
+    assert abs(mu.mass - 1.0) <= 1e-6
+    # semicircle variances add: 1 + 1
+    assert moment(mu, 2) == pytest.approx(2.0, rel=1e-2)
+
+
+def test_mul_writes_the_product_density(tmp_path):
+    payload = {
+        "law1": {"kind": "marchenko_pastur", "params": [1.0],
+                 "grid_points": 400},
+        "law2": {"kind": "uniform", "params": [0.5, 1.5], "grid_points": 400},
+    }
+    cfg = write_config(tmp_path, "mul.json", payload)
+    assert main(["mul", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    mu = read_density_csv(tmp_path / "product_density.csv",
+                          tmp_path / "product_density.atoms.json")
+    # free means multiply, to the 1e-3 free_multiply itself enforces (the
+    # 400-cell MP(1) law has mean 1.0025)
+    expected = moment(measure_from_config(payload["law1"]), 1) * \
+        moment(measure_from_config(payload["law2"]), 1)
+    assert moment(mu, 1) == pytest.approx(expected, rel=1e-3)
+
+
+def test_add_with_pastur_cross_check_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, "add.json", {
+        "law1": {"kind": "two_atom", "params": [0.5, -1.0, 1.0]},
+        "law2": {"kind": "semicircle", "params": [1.0]},
+        "pastur_cross_check": True,
+        "pastur_sigma": 1.0,
+    })
+    assert main(["add", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "verify --mode pastur" in capsys.readouterr().err
+    assert not (tmp_path / "sum_density.csv").exists()
+
+
+def test_sample_mul_experiment(tmp_path):
+    payload = {
+        "experiment": "mul",
+        "ensemble1": {"kind": "wishart", "ratio": 1.0, "dimension": 16},
+        "ensemble2": {"kind": "wishart", "ratio": 0.5, "dimension": 16},
+        "trials": 2,
+        "base_seed": 3,
+    }
+    cfg = write_config(tmp_path, "s.json", payload)
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    got = EmpiricalSpectrum.from_csv(tmp_path / "spectrum.csv")
+    expected = mc_free_mul_experiment(
+        ensemble_from_config(payload["ensemble1"], 3),
+        ensemble_from_config(payload["ensemble2"], 3), 2)
+    np.testing.assert_array_equal(got.eigenvalues, expected.eigenvalues)
+    assert np.all(got.eigenvalues > -1e-12)
+
+
+def test_sample_one_ensemble(tmp_path):
+    payload = {
+        "ensemble1": {"kind": "fixed_spectrum", "dimension": 16,
+                      "measure": {"kind": "two_atom",
+                                  "params": [0.5, -1.0, 1.0]}},
+        "trials": 3,
+        "base_seed": 4,
+    }
+    cfg = write_config(tmp_path, "s.json", payload)
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    got = EmpiricalSpectrum.from_csv(tmp_path / "spectrum.csv")
+    spec = ensemble_from_config(payload["ensemble1"], 4)
+    expected = [hermitian_eigenvalues(sample_ensemble(spec, t))
+                for t in range(3)]
+    np.testing.assert_array_equal(got.eigenvalues, np.asarray(expected))
+    # a rotated two-point spectrum keeps its eigenvalues
+    np.testing.assert_allclose(np.abs(got.eigenvalues), 1.0, atol=1e-12)
+
+
+def _pair_metrics(mode, cfg, seed):
+    mu1 = measure_from_config(cfg["law1"])
+    mu2 = measure_from_config(cfg["law2"])
+    out, err = oracle_moment_error(mode, mu1, mu2, 8,
+                                   contour_from_config(cfg.get("contour")))
+    w1 = monte_carlo_w1(mode, out, mu1, mu2, cfg["dimension"],
+                        cfg["trials"], seed)
+    return {"moment_rel_error": err, "w1_vs_monte_carlo": w1}
+
+
+def _pastur_metrics(mode, cfg, seed):
+    _, l1 = pastur_l1(measure_from_config(cfg["law"]), cfg["sigma"],
+                      contour_from_config(cfg["contour"]))
+    return {"l1_vs_free_add": l1}
+
+
+def _external_field_metrics(mode, cfg, seed):
+    field = ExternalFieldSpec(measure_from_config(cfg["field"]))
+    hi = field.measure.support()[1]
+    probes = np.random.default_rng(seed).uniform(hi + 0.5, hi + 3.0,
+                                                 cfg["probes"])
+    return external_field_check(
+        [(cfg["sigma1"], cfg["sigma2"], field, probes)], cfg["sigma1"],
+        field, cfg["dimension"], cfg["trials"], seed)
+
+
+VERIFY_CASES = {
+    "add": ({
+        "law1": {"kind": "semicircle", "params": [1.0], "grid_points": 400},
+        "law2": {"kind": "uniform", "params": [-1.0, 1.0],
+                 "grid_points": 400},
+        "contour": {"lo": -4.0, "hi": 4.0, "points": 400},
+        "dimension": 32,
+        "trials": 2,
+    }, _pair_metrics),
+    "mul": ({
+        "law1": {"kind": "marchenko_pastur", "params": [1.0],
+                 "grid_points": 400},
+        "law2": {"kind": "uniform", "params": [0.5, 1.5], "grid_points": 400},
+        "dimension": 32,
+        "trials": 2,
+    }, _pair_metrics),
+    "pastur": ({
+        "law": {"kind": "two_atom", "params": [0.5, -1.0, 1.0]},
+        "sigma": 0.8,
+        "contour": {"lo": -3.5, "hi": 3.5, "points": 600},
+    }, _pastur_metrics),
+    "external_field": ({
+        "field": {"kind": "two_atom", "params": [0.25, -2.0, 0.5]},
+        "sigma1": 1.5,
+        "sigma2": 0.7,
+        "probes": 10,
+        "dimension": 32,
+        "trials": 50,
+    }, _external_field_metrics),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(VERIFY_CASES))
+def test_verify_reports_the_shared_check_values(tmp_path, mode):
+    cfg, metrics_of = VERIFY_CASES[mode]
+    path = write_config(tmp_path, "v.json", {"mode": mode, **cfg})
+    code = main(["verify", "--config", str(path), "--out", str(tmp_path),
+                 "--seed", "5", "--tolerance-scale", "2"])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["metrics"] == metrics_of(mode, cfg, 5)
+    assert code == 0 and report["verdict"] == "pass"
+    for c in report["criteria"]:
+        if c["name"] == "mc_fraction_within_3_stderr":
+            assert (c["tolerance"], c["comparator"]) == \
+                (MC_FRACTION_FLOOR, ">=")
+        else:
+            assert c["tolerance"] == 2 * VERIFY_TOLERANCES[c["name"]]
+    if mode in ("add", "mul", "pastur"):
+        assert (tmp_path / f"{mode}_density.csv").exists()
