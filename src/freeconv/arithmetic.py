@@ -12,14 +12,18 @@ The sum and the product are solved for their subordination function
 omega_1 (G(z) = G_1(omega_1(z)) for the sum), the fixed point of a map
 built from the operands' forward transforms, so no operand is inverted.
 That fixed point and Pastur's equation are single solves on one loop,
-stieltjes.damped_newton.  Contour solves sweep left to right at each
-imaginary offset as a predictor-corrector continuation: each solve starts
-from the septic Hermite interpolant of its offset's last four solutions
-and their z-derivatives, which every solve's state already holds, so
-Newton needs about one correction per point.  The stored solutions are
-taken one Newton step past each accepted iterate, from the residual and
-derivative the state holds, so the extrapolation does not amplify the
-solver's tolerance.
+stieltjes.damped_newton.  Contour solves take two levels.  Every other
+column is solved serially, left to right at each imaginary offset, as a
+predictor-corrector continuation: each solve starts from the septic
+Hermite interpolant of its offset's last four solutions and their
+z-derivatives, which every solve's state already holds, so Newton needs
+about one correction per point.  The stored solutions are taken one
+Newton step past each accepted iterate, from the residual and derivative
+the state holds, so the extrapolation does not amplify the solver's
+tolerance.  The columns between are then seeded by Hermite interpolation
+through the solved columns around them and corrected all at once by
+Newton on arrays, with the serial solve as the fallback of any point that
+does not converge there.
 """
 
 from __future__ import annotations
@@ -94,6 +98,11 @@ class HTransform:
         g, gp = self.resolvent.vd_scalar(lam)
         return lam * g, g + lam * gp
 
+    def value_and_derivative(self, lam):
+        """(h, h') at each point of an array."""
+        g, gp = self.resolvent.value_and_derivative(lam)
+        return lam * g, g + lam * gp
+
     def inverse(self, h: complex, seed=None) -> complex:
         if h == 1:
             raise ValidationError(
@@ -112,7 +121,8 @@ def _hermite_weights(past, x):
     abscissae: p(x) = sum H_i w_i + K_i w'_i, of degree 2n - 1 for n
     abscissae.  With L_i the Lagrange basis on ``past``, H_i = (1 - 2
     L_i'(x_i)(x - x_i)) L_i^2 and K_i = (x - x_i) L_i^2; one abscissa gives
-    w + w' (x - x_i)."""
+    w + w' (x - x_i).  ``past`` is a tuple of abscissae, or of arrays of
+    them with ``x`` an array: one stencil per point."""
     weights = []
     for i, xi in enumerate(past):
         lag, d_lag = 1.0, 0.0
@@ -131,34 +141,62 @@ def _refined(state):
     return x - fx[0] / fx[1] if fx[1] else x
 
 
-class _SweepResolvent(ResolventEvaluator):
-    """Shared predictor-corrector sweep for contour-solved transforms.
+def _rung(offsets, eps):
+    """The index of each of ``eps`` in ``offsets``, sorted with a NaN last;
+    an offset not there gets the NaN's."""
+    at = np.searchsorted(offsets, eps)
+    at[offsets[at] != eps] = offsets.size - 1
+    return at
 
-    Columns are evaluated left to right; within a column the imaginary
-    offset descends its ladder.  Along one rung (a fixed offset eps) the
-    solved unknown is analytic in x; eps bounds the reach of that
-    analyticity only near support edges and atoms.  Each rung keeps the
-    unknown and its z-derivative (read from the solve's state, with no
-    kernel call) at the last four columns, and the septic Hermite
-    interpolant through them predicts the next column to O(dx^8); Newton
-    corrects it in about one step.  A rung seen on fewer columns
-    interpolates through those.  The stored unknown, like the warm seeds
-    below, is the accepted iterate refined by one Newton step from the
-    residual and derivative in its state: an accepted iterate is only as
-    good as the Newton tolerance, and extrapolation amplifies that error.
-    The returned G is that of the accepted iterate.  Rungs are keyed by
-    the value of eps, so ladders of different depth share the offsets
-    they have in common, and a rung keeps its history only while
-    consecutive columns carry its eps.  The weights use the actual
-    abscissae, so non-uniform columns work.  A non-finite or failed
-    prediction retries from the warm seed (the previous column's top rung
-    for the top rung, else the rung above), then from a cold start that
-    descends vertically from far above the support, where the asymptotic
-    seeds are trustworthy.  ``_solve(z, seed)`` takes a complex seed or
-    None and returns ``damped_newton``'s (unknown, f(unknown)), where
-    f(unknown) starts with the residual and its derivative;
-    ``_omega_prime(state)`` is the unknown's z-derivative.  All state is
-    local to one ``sample_columns`` call.
+
+# Newton evaluations per point in the array pass before a point is handed
+# to the serial solve, and the columns between anchors corrected at once,
+# which bounds the pass's arrays.
+_ARRAY_PASSES = 6
+_BLOCK = 512
+
+
+class _SweepResolvent(ResolventEvaluator):
+    """Shared two-level predictor-corrector sweep for contour-solved
+    transforms.
+
+    The anchors, columns 0, 2, 4, ... and the last, are solved serially,
+    left to right, each ladder top down.  Along one rung (a fixed offset
+    eps) the unknown is analytic in x, so each rung keeps the unknown and
+    its z-derivative (read from the solve's state, with no kernel call) at
+    the last four anchors, and the septic Hermite interpolant through them
+    seeds the next anchor; a rung seen on fewer anchors interpolates
+    through those.  The stored unknown, like the warm seeds, is the
+    accepted iterate refined by one Newton step from the residual and
+    derivative in its state, since extrapolation amplifies the Newton
+    tolerance; the returned G is that of the accepted iterate.  Rungs are
+    keyed by the value of eps and keep their history only while
+    consecutive anchors carry it; the weights use the actual abscissae.
+    A non-finite or failed prediction retries from the warm seed (the
+    previous column's top rung for the top rung, else the rung above),
+    then from a cold start that descends vertically from far above the
+    support.
+
+    Each point between two anchors is then seeded by the Hermite
+    interpolant through those of the two nearest anchors on each side
+    that carry its eps, and all of them take full Newton steps at once on
+    arrays (``_correct``), _BLOCK columns at a time, each accepted at the
+    tolerance of its serial solve.  The serial solve, from that seed, then
+    warm, then cold, takes the points whose bracketing anchors do not both
+    carry their eps or whose seed is not finite, and those whose trial
+    leaves the physical sheet, whose residual does not fall or is not
+    finite, or that run out of passes.
+
+    Subclasses give ``_map(z, array)``: the fixed-point map at z, w ->
+    (residual, derivative, *extra), one formula for one w and for an
+    array of them; off the physical sheet it raises InversionError on one
+    point and gives a NaN residual on an array.  Also ``_scale(z, w)``,
+    which the Newton tolerance is relative to, and ``_solve(z, seed)``,
+    ``damped_newton`` on ``_map`` from ``seed`` (None for a cold seed),
+    which returns (unknown, f(unknown)).  ``_omega_prime(state)`` is the
+    unknown's z-derivative, and ``_g_of`` and ``_gprime_of`` read G and
+    G' from a state, one point's or an array's.  All state is local to
+    one ``sample_columns`` call.
     """
 
     def _cold_state(self, z):
@@ -192,23 +230,60 @@ class _SweepResolvent(ResolventEvaluator):
                 point=z,
             ) from err
 
+    def _herglotz(self, z, g):
+        """Raise PipelineError at the first z whose G has Im G > 0."""
+        bad = np.flatnonzero(np.imag(g) > 1e-9 * (1.0 + np.abs(g)))
+        if bad.size:
+            z = complex(np.ravel(z)[bad[0]])
+            raise PipelineError(
+                f"{type(self).__name__}: non-Herglotz solution at "
+                f"z = {z!r}", point=z
+            )
+
     def sample_columns(self, xs, ladders):
+        xs = np.asarray(xs, dtype=float)
+        lads = [np.asarray(lad, dtype=float) for lad in ladders]
+        n = len(lads)
+        anchors = list(range(0, n, 2))
+        if n % 2 == 0 and n:
+            anchors.append(n - 1)
+        out = [None] * n
+        known = self._sweep(xs, lads, anchors, out)
+        for lo in range(1, n - 1, 2 * _BLOCK):
+            self._between(xs, lads, anchors, known, out,
+                          range(lo, min(lo + 2 * _BLOCK, n - 1), 2))
+        return out
+
+    def _sweep(self, xs, lads, anchors, out):
+        """Solve the anchor columns serially into ``out``; returns the
+        offsets they carry, sorted and then a NaN, and the refined unknowns
+        and their z-derivatives as (anchors + 1, offsets) arrays, NaN where
+        an anchor does not carry an offset and in the last row and column.
+        """
         solve, g_of, slope = self._solve_from, self._g_of, self._omega_prime
-        out = []
-        past = ()   # abscissae of the last four columns, oldest first
-        hist = {}   # eps -> (refined unknown, z-derivative) at those columns
-        top = None  # the refined unknown at the previous column's top rung
-        for x, lad in zip(xs, ladders):
-            x = float(x)
+        # the weights through each run of four anchors at the next one
+        xa = xs[anchors]
+        runs = max(0, xa.size - 4)
+        with np.errstate(all="ignore"):
+            stencils = np.array(_hermite_weights(
+                tuple(xa[i:i + runs] for i in range(4)), xa[4:])).reshape(
+                    8, runs).T
+        held = [lads[c].size for c in anchors]
+        ws, ds = np.empty((2, sum(held)), dtype=complex)
+        p = 0
+        past = ()   # abscissae of the last four anchors, oldest first
+        hist = {}   # eps -> (refined unknown, z-derivative) at those anchors
+        top = None  # the refined unknown at the previous anchor's top rung
+        for i, c in enumerate(anchors):
+            x, lad = float(xs[c]), lads[c].tolist()
             if x in past:
                 # a repeated abscissa would zero a weight's denominator
                 past = ()
                 hist = {}
-            short = {}  # history length -> weights through its columns
+            short = {}  # history length -> weights through its anchors
             if len(past) == 4:
-                (a0, b0), (a1, b1), (a2, b2), (a3, b3) = _hermite_weights(
-                    past, x)
-            lad = np.asarray(lad, dtype=float).tolist()
+                # past holds the four anchors before this one
+                a0, b0, a1, b1, a2, b2, a3, b3 = stencils[i - 4].tolist()
             col = np.empty(len(lad), dtype=complex)
             carried = {}
             warm = top
@@ -221,7 +296,7 @@ class _SweepResolvent(ResolventEvaluator):
                     predicted = (a0 * w0 + b0 * d0 + a1 * w1 + b1 * d1
                                  + a2 * w2 + b2 * d2 + a3 * w3 + b3 * d3)
                 elif h:
-                    # a rung seen on fewer columns interpolates through them
+                    # a rung seen on fewer anchors interpolates through them
                     n = len(h)
                     if n not in short:
                         short[n] = _hermite_weights(past[-n:], x)
@@ -232,19 +307,112 @@ class _SweepResolvent(ResolventEvaluator):
                 state = solve(z, predicted, warm)
                 g = g_of(z, state)
                 if g.imag > 1e-9 * (1.0 + abs(g)):
-                    raise PipelineError(
-                        f"{type(self).__name__}: non-Herglotz solution at "
-                        f"z = {z!r}", point=z
-                    )
+                    self._herglotz(z, g)
                 col[j] = g
                 warm = _refined(state)
-                carried[eps] = h[-3:] + ((warm, slope(state)),)
+                d = slope(state)
+                ws[p], ds[p] = warm, d
+                p += 1
+                carried[eps] = h[-3:] + ((warm, d),)
                 if j == 0:
                     top = warm
             hist = carried
             past = past[-3:] + (x,)
-            out.append(col)
-        return out
+            out[c] = col
+        carried = np.concatenate([lads[c] for c in anchors] or [[]])
+        offsets = np.append(np.unique(carried), np.nan)
+        vals = np.full((len(anchors) + 1, offsets.size), np.nan,
+                       dtype=complex)
+        slopes = vals.copy()
+        at = np.repeat(np.arange(len(anchors)), held), _rung(offsets, carried)
+        vals[at], slopes[at] = ws, ds
+        return offsets, vals, slopes
+
+    def _between(self, xs, lads, anchors, known, out, inner):
+        """Solve the columns ``inner``, each between two anchors, into
+        ``out``: interpolated seeds, one array Newton pass, the serial
+        solve as its fallback."""
+        offsets, vals, slopes = known
+        m = len(anchors)
+        sizes = [lads[c].size for c in inner]
+        eps = np.concatenate([lads[c] for c in inner])
+        col = np.repeat(inner, sizes)
+        x = xs[col]
+        z = x + 1j * eps
+        # anchor k, the left neighbour of column c = 2k + 1, brackets it
+        # with anchor k + 1; the stencil is anchors k - 1 .. k + 2, and a
+        # slot past either end, or an offset no anchor carries, reads NaN
+        k = (col - 1) // 2
+        slots = k[:, None] + np.arange(-1, 3)
+        slots[(slots < 0) | (slots >= m)] = m
+        e = _rung(offsets, eps)[:, None]
+        ax = np.append(xs[anchors], np.nan)[slots]
+        # the stencil runs one way, with x strictly inside its brackets
+        run = ax[:, 2] - ax[:, 1]
+        present = (np.isfinite(vals[slots, e])
+                   & ((x - ax[:, 1]) * (ax[:, 2] - x) > 0)[:, None])
+        present[:, 0] &= (ax[:, 1] - ax[:, 0]) * run > 0
+        present[:, 3] &= (ax[:, 3] - ax[:, 2]) * run > 0
+        seed = np.full(x.size, np.nan, dtype=complex)
+        code = present @ (1 << np.arange(4))
+        with np.errstate(all="ignore"):
+            for pattern in np.unique(code[code > 0]):
+                rows = np.flatnonzero(code == pattern)
+                use = np.flatnonzero(present[rows[0]])
+                weights = _hermite_weights(
+                    tuple(ax[rows, i] for i in use), x[rows])
+                at = slots[rows][:, use], e[rows]
+                seed[rows] = sum(h * w + kd * d for (h, kd), w, d in zip(
+                    weights, vals[at].T, slopes[at].T))
+        batch = np.flatnonzero(present[:, 1] & present[:, 2]
+                               & np.isfinite(seed))
+        g, warm = self._correct(z, seed, batch)
+        first = np.cumsum([0] + sizes).tolist()
+        heads = set(first)
+        for p in np.flatnonzero(~np.isfinite(warm)).tolist():
+            # the serial fallback, in column order: the warm seed is the
+            # rung above, or the left anchor's top rung
+            if p in heads:
+                above = vals[k[p], _rung(offsets, lads[col[p] - 1][:1])[0]]
+            else:
+                above = warm[p - 1]
+            state = self._solve_from(
+                complex(z[p]),
+                complex(seed[p]) if cmath.isfinite(seed[p]) else None,
+                complex(above))
+            g[p] = self._g_of(complex(z[p]), state)
+            warm[p] = _refined(state)
+        self._herglotz(z, g)
+        for c, lo, hi in zip(inner, first[:-1], first[1:]):
+            out[c] = g[lo:hi]
+
+    def _correct(self, z, seed, batch):
+        """Full Newton steps on the points ``batch`` of ``z``, from ``seed``,
+        all at once; returns G and the refined unknown at every point, the
+        latter not finite where a point was not accepted."""
+        g = np.full(z.shape, np.nan, dtype=complex)
+        refined = g.copy()
+        with np.errstate(all="ignore"):
+            zb, w = z[batch], seed[batch]
+            tol = OUTER_TOL * np.maximum(1.0, self._scale(zb, w))
+            fx = self._map(zb, True)(w)
+            r = np.abs(fx[0])
+            fell = np.ones(batch.size, dtype=bool)
+            for n in range(_ARRAY_PASSES):
+                nxt = w - fx[0] / fx[1]
+                done = fell & (r <= tol)
+                g[batch[done]] = self._g_of(zb, (w, fx))[done]
+                refined[batch[done]] = nxt[done]
+                # a NaN residual (a trial off the physical sheet) or one
+                # that did not fall drops the point
+                keep = fell & ~done & np.isfinite(r)
+                if n == _ARRAY_PASSES - 1 or not keep.any():
+                    break
+                batch, zb, w, tol = batch[keep], zb[keep], nxt[keep], tol[keep]
+                fx = self._map(zb, True)(w)
+                r, last = np.abs(fx[0]), r[keep]
+                fell = r < last
+        return g, refined
 
     def value_and_derivative(self, z):
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -278,16 +446,17 @@ def _same_measure(mu1: SpectralMeasure, mu2: SpectralMeasure) -> bool:
 class _PairResolvent(_SweepResolvent):
     """Two operands joined through the subordination function omega_1.
 
-    Operand i gives a map t_i(z, w) from one ``vd_scalar`` call at w, and
-    omega_1(z) is the fixed point of T = t_2 o t_1.  It is unique in the
-    upper half plane (Belinschi and Bercovici 2007), so any root reached
-    there is the physical one.  A self-convolution has omega_1 = omega_2
-    and solves w = t_1(w).  The state per point is what ``damped_newton``
-    returns: (w, (T - w, T_w - 1, f_1, T_z)), with f_1 the first operand's
-    (value, derivative) at w.
+    Operand i gives a map t_i(z, w) from one kernel call at w (one
+    ``vd_scalar`` call, or one ``value_and_derivative`` call for an array
+    of w), and omega_1(z) is the fixed point of T = t_2 o t_1.  It is
+    unique in the upper half plane (Belinschi and Bercovici 2007), so any
+    root reached there is the physical one.  A self-convolution has
+    omega_1 = omega_2 and solves w = t_1(w).  The state per point is what
+    ``damped_newton`` returns: (w, (T - w, T_w - 1, f_1, T_z)), with f_1
+    the first operand's (value, derivative) at w.
 
-    Subclasses give ``_t(z, w, f, f') -> (t, t_w, t_z)``, the seed
-    ``_seed(z)``, ``_g_of`` and ``_gprime_of``.
+    Subclasses give ``_t(z, w, f, f') -> (t, t_w, t_z)``, plain arithmetic
+    that broadcasts, the seed ``_seed(z)``, ``_g_of`` and ``_gprime_of``.
     """
 
     def __init__(self, op1, op2, same):
@@ -295,25 +464,41 @@ class _PairResolvent(_SweepResolvent):
         self.op2 = op2
         self._same = same
 
-    def _solve(self, z, seed):
-        # The hot path of the sweep: arguments go by position, as keyword
-        # passing costs measurably at about 1 us per atom-only kernel call.
+    def _map(self, z, array):
         t, same = self._t, self._same
-        vd1, vd2 = self.op1.vd_scalar, self.op2.vd_scalar
+        if array:
+            vd1 = self.op1.value_and_derivative
+            vd2 = self.op2.value_and_derivative
+        else:
+            vd1, vd2 = self.op1.vd_scalar, self.op2.vd_scalar
 
-        def fun(w):
-            if not w.imag > 0:
+        def fixed(w):
+            inside = w.imag > 0
+            if not (array or inside):
                 raise InversionError("trial left the upper half plane")
             f1 = vd1(w)
-            w2, d1, z1 = t(z, w, *f1)
-            if same:
-                return w2 - w, d1 - 1.0, f1, z1
-            w1, d2, z2 = t(z, w2, *vd2(w2))
-            return w1 - w, d2 * d1 - 1.0, f1, d2 * z1 + z2
+            tw, dw, dz = t(z, w, *f1)
+            if not same:
+                t2, d2, z2 = t(z, tw, *vd2(tw))
+                tw, dw, dz = t2, d2 * dw, d2 * dz + z2
+            res = tw - w
+            if array:
+                res = np.where(inside, res, np.nan)
+            return res, dw - 1.0, f1, dz
 
+        return fixed
+
+    @staticmethod
+    def _scale(z, w):
+        return abs(w)
+
+    def _solve(self, z, seed):
         w = self._seed(z) if seed is None else seed
-        scale = max(1.0, abs(w))
-        return damped_newton(fun, w, 0.0, OUTER_TOL * scale, 1e-9 * scale)
+        scale = max(1.0, self._scale(z, w))
+        # arguments go by position: keyword passing costs measurably on
+        # the hot path of the sweep
+        return damped_newton(self._map(z, False), w, 0.0, OUTER_TOL * scale,
+                             1e-9 * scale)
 
     @staticmethod
     def _omega_prime(state):
@@ -364,20 +549,33 @@ class PasturResolvent(_SweepResolvent):
         self.support = (lo - 2 * sigma, hi + 2 * sigma)
         self.edge_hints = ()
 
-    def _solve(self, z, seed):
-        omega = seed if seed is not None else 1.0 / z
-        vd, sigma2 = self.r.vd_scalar, self.sigma2
+    def _map(self, z, array):
+        vd = self.r.value_and_derivative if array else self.r.vd_scalar
+        sigma2 = self.sigma2
 
-        def fun(om):
+        def fixed(om):
             # The physical root is the one fixed point with z - sigma^2
             # omega in the upper half plane (Biane 1997).
             arg = z - sigma2 * om
-            if not arg.imag > 0:
+            inside = arg.imag > 0
+            if not (array or inside):
                 raise InversionError("trial left the upper half plane")
             g, gp = vd(arg)
-            return om - g, 1.0 + sigma2 * gp, gp
+            res = om - g
+            if array:
+                res = np.where(inside, res, np.nan)
+            return res, 1.0 + sigma2 * gp, gp
 
-        return damped_newton(fun, omega, 0.0, OUTER_TOL * max(1.0, abs(z)),
+        return fixed
+
+    @staticmethod
+    def _scale(z, om):
+        return abs(z)
+
+    def _solve(self, z, seed):
+        omega = 1.0 / z if seed is None else seed
+        return damped_newton(self._map(z, False), omega, 0.0,
+                             OUTER_TOL * max(1.0, self._scale(z, omega)),
                              None, 1e-10)
 
     @staticmethod

@@ -241,7 +241,7 @@ class _CellTree:
         self.half = (0.5 * (t1 - t0)).astype(complex)
         self.rc = (0.5 * (r0 + r1)).astype(complex)
         self.slope = ((r1 - r0) / (t1 - t0)).astype(complex)
-        self.t0, self.t1 = t0, t1
+        self.t0, self.t1, self.r0, self.r1 = t0, t1, r0, r1
         # running sums of 2*slope*half = r1 - r0 over the cells
         self.jumps = np.concatenate(([0.0], np.cumsum(r1 - r0))).tolist()
         # (t, rho(t)) where each block starts and ends, and the blocks
@@ -260,7 +260,10 @@ class _CellTree:
         taken as 2 atanh(h/w), which keeps full relative accuracy where
         h/w is small, except on the cells next to Re z with |h/w| > 1/2:
         there a grid node can lie closer to z than the rounding of m + h
-        or m - h, so L comes from the stored ends.  The second term of G' is
+        or m - h, so L comes from the stored ends, and so does rho(z) =
+        rc + s w, as rho(t) + s (z - t) at the nearer end t: from the
+        midpoint it rounds by about eps |s h|, which a steep cell ending
+        next to z multiplies by its large L.  The second term of G' is
         rho(t0)/(z - t0) - rho(t1)/(z - t1), which telescopes along a
         segment, so the near sum adds it only at the ends of the segments
         it spans: summed cell by cell those large terms cancel and swamp
@@ -281,12 +284,16 @@ class _CellTree:
             # the cells around the first cell that starts at or past Re z
             nxt = int(self.t0.searchsorted(z.real))
             (ta, ra), (tb, rb) = self.heads[jlo], self.tails[jhi - 1]
+            rho = self.rc[lo:hi] + s * w
             try:
                 for i in range(max(lo, nxt - 2), min(hi, nxt + 1)):
                     if abs(q[i - lo]) > 0.5:
-                        at[i - lo] = 0.5 * cmath.log(
-                            (z - float(self.t0[i])) / (z - float(self.t1[i])))
-                g = (2 * complex(np.dot(self.rc[lo:hi] + s * w, at))
+                        d0, d1 = z - float(self.t0[i]), z - float(self.t1[i])
+                        at[i - lo] = 0.5 * cmath.log(d0 / d1)
+                        rho[i - lo] = (self.r0[i] + s[i - lo] * d0
+                                       if abs(d0) < abs(d1)
+                                       else self.r1[i] + s[i - lo] * d1)
+                g = (2 * complex(np.dot(rho, at))
                      - (self.jumps[hi] - self.jumps[lo]))
                 gp = 2 * complex(np.dot(s, at)) + ra / (z - ta) - rb / (z - tb)
                 for k in self.splits:
@@ -311,8 +318,9 @@ class MeasureResolvent(ResolventEvaluator):
     1/(z - t) to a closed-form log term; the cells are summed by a
     one-level treecode (``_CellTree``), built once here: blocks far from z
     add the sum of their Gauss rule, and the cells of the near blocks are
-    summed exactly.  ``vd_scalar`` and ``value_and_derivative`` evaluate
-    every point through the same body.
+    summed exactly.  ``vd_scalar`` sums the atoms of one point in a loop;
+    ``value_and_derivative`` sums those of many points as one array
+    expression.  Both add the cells point by point through the same tree.
     """
 
     def __init__(self, mu: SpectralMeasure):
@@ -321,14 +329,15 @@ class MeasureResolvent(ResolventEvaluator):
         self.edge_hints = tuple(np.unique([e for s in mu.segments
                                            for e in (s.grid[0], s.grid[-1])]))
         self._atoms = tuple((float(x), float(w)) for x, w in mu.atoms)
+        self._atom_x, self._atom_w = np.array(self._atoms).reshape(-1, 2).T
         self._cells = _CellTree(mu.segments) if mu.segments else None
 
     def vd_scalar(self, z):
         """(G, G') at one point as Python complex numbers.
 
-        The hot path of every contour solve: atoms are summed in a plain
-        loop, then the cell tree adds the density.  An exact hit on an
-        atom gives NaN.
+        The hot path of every serial contour solve: atoms are summed in a
+        plain loop, then the cell tree adds the density.  An exact hit on
+        an atom gives NaN.
         """
         z = complex(z)
         g = gp = 0j
@@ -345,19 +354,39 @@ class MeasureResolvent(ResolventEvaluator):
             gp += cgp
         return g, gp
 
-    # The array path calls this name, so that wrapping ``vd_scalar`` (to
-    # count kernel calls) sees each array call once, not once per point.
+    # A 0-d array takes this name, so that wrapping ``vd_scalar`` (to count
+    # kernel calls) sees each call once.
     _point = vd_scalar
 
     def value_and_derivative(self, z):
-        """(G, G') at each point of ``z``, one point at a time through the
-        body of ``vd_scalar``; a scalar ``z`` gives Python complex numbers.
+        """(G, G') at each point of ``z``; a scalar ``z`` gives Python
+        complex numbers.  The atoms add one (points x atoms) reciprocal and
+        two contractions, in row blocks of at most 2^13 entries; an exact
+        hit on an atom gives NaN, as in ``vd_scalar``.
         """
         z_arr = np.asarray(z, dtype=complex)
         if z_arr.ndim == 0:
             return self._point(complex(z_arr))
-        pairs = [self._point(v) for v in z_arr.ravel().tolist()]
-        g, gp = np.array(pairs, dtype=complex).reshape(-1, 2).T
+        zf = z_arr.ravel()
+        g = np.zeros(zf.shape, dtype=complex)
+        gp = np.zeros(zf.shape, dtype=complex)
+        if self._atoms:
+            rows = max(1, (1 << 13) // self._atom_x.size)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for i in range(0, zf.size, rows):
+                    inv = 1.0 / (zf[i:i + rows, None] - self._atom_x)
+                    # einsum, not BLAS: a threaded BLAS takes milliseconds
+                    # over a few atoms on a busy machine
+                    g[i:i + rows] = np.einsum("pk,k->p", inv, self._atom_w)
+                    gp[i:i + rows] = -np.einsum("pk,k->p", inv * inv,
+                                                self._atom_w)
+            hit = ~np.isfinite(g)
+            g[hit] = gp[hit] = complex("nan")
+        if self._cells is not None:
+            cells = [self._cells(v) for v in zf.tolist()]
+            cg, cgp = np.array(cells, dtype=complex).reshape(-1, 2).T
+            g += cg
+            gp += cgp
         return g.reshape(z_arr.shape), gp.reshape(z_arr.shape)
 
 

@@ -224,15 +224,24 @@ def test_free_multiply_rejects_negative_support():
 # -- the two-operand contour solve ---------------------------------------------
 
 
+def _counting(r, counts, i):
+    """Count the points that ``r`` is evaluated at into ``counts[i]``: one
+    per ``vd_scalar`` call and one per point of an array call."""
+    def count(fn):
+        def counted(z):
+            counts[i] += np.size(z)
+            return fn(z)
+        return counted
+    r.vd_scalar = count(r.vd_scalar)
+    r.value_and_derivative = count(r.value_and_derivative)
+
+
 def _kernel_calls(resolvents, ev, columns=None):
     """Sweep ``ev`` over ``columns`` (abscissae, ladders), by default 24
-    coarse two-rung columns, and count vd_scalar calls per resolvent."""
+    coarse two-rung columns, and count kernel points per resolvent."""
     counts = [0] * len(resolvents)
     for i, r in enumerate(resolvents):
-        def counted(z, _vd=r.vd_scalar, _i=i):
-            counts[_i] += 1
-            return _vd(z)
-        r.vd_scalar = counted
+        _counting(r, counts, i)
     if columns is None:
         xs = np.linspace(-3.0, 5.0, 24)
         columns = xs, [np.array([1e-2, 5e-3])] * len(xs)
@@ -293,10 +302,12 @@ def _uniform_pastur_edge(sigma):
     return om + sigma * sigma * 0.5 * np.log((om + 1.0) / (om - 1.0))
 
 
-# (evaluator, its left support edge, kernel calls per contour point
-# allowed on the 400-column sweep).  The bounds sit between the septic
-# Hermite predictor through four columns of Newton-refined history (1.51,
-# 2.87, 2.99, 1.57) and the quintic one through three columns of accepted
+# (evaluator, its left support edge, kernel points per contour point
+# allowed on the 400-column sweep, each point of an array call counting
+# as one).  The bounds sit between the septic Hermite predictor through
+# four columns of Newton-refined history (1.51, 2.87, 2.99, 1.57 solved
+# serially; 1.73, 3.20, 3.27, 1.76 with every other column corrected in
+# the array pass) and the quintic one through three columns of accepted
 # iterates (2.12, 4.10, 4.04, 2.17).
 SWEEP_CASES = {
     "sum_same": (lambda: FreeSumResolvent(SEMI500, SEMI500),
@@ -372,6 +383,75 @@ def test_sweep_takes_columns_in_any_order():
     assert np.max(diff / g) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_sweeps_of_few_columns(n):
+    # Anchors are columns 0, 2, 4, ... and the last, so an even count ends
+    # on two anchors and one to three columns leave zero or one between.
+    ev = FreeSumResolvent(SEMI500, UNIF500)
+    xs = np.linspace(-1.0, 1.5, n)
+    diff, g, _ = _sweep_against_pointwise(ev, xs, [[1e-2, 5e-3, 2.5e-3]] * n)
+    assert diff.size == 3 * n
+    assert np.max(diff / g) <= 1e-10
+
+
+def _recording_serial_solves(ev):
+    """Record the z of every serial solve (anchors and fallbacks alike)."""
+    seen = []
+    solve = ev._solve_from
+
+    def recorded(z, predicted, warm):
+        seen.append(z)
+        return solve(z, predicted, warm)
+
+    ev._solve_from = recorded
+    return seen
+
+
+def test_points_the_array_pass_rejects_are_solved_serially():
+    # The array residual is NaN right of 0.2, so the array pass rejects
+    # every point there between anchors; the serial fallback must land
+    # each on the root a cold solve finds.
+    ev = PasturResolvent(UNIF500, 0.5)
+    make = ev._map
+
+    def rejecting(z, array):
+        fixed = make(z, array)
+
+        def fun(w):
+            res, *rest = fixed(w)
+            return (np.where(np.real(z) > 0.2, np.nan, res), *rest)
+
+        return fun if array else fixed
+
+    ev._map = rejecting
+    seen = _recording_serial_solves(ev)
+    xs = np.linspace(-1.0, 1.0, 41)
+    ladders = [[1e-2, 5e-3]] * len(xs)
+    diff, g, _ = _sweep_against_pointwise(ev, xs, ladders)
+    assert np.max(diff / g) <= 1e-10
+    seen = set(seen)
+    between = {complex(x, e) for x in xs[1:-1:2] for e in ladders[0]}
+    rejected = {z for z in between if z.real > 0.2}
+    assert len(rejected) == 16 and rejected <= seen
+    assert not (between - rejected) & seen
+
+
+def test_offset_missing_from_a_bracketing_anchor_is_solved_serially():
+    # Column 3 lies between anchors 2 and 4; its bottom offset is on
+    # anchor 4 only, so that point has no bracketing interpolant and is
+    # solved serially, while its other rungs go to the array pass.
+    ev = FreeSumResolvent(SEMI500, UNIF500)
+    xs = np.linspace(-0.5, 0.5, 9)
+    ladders = [[1e-2, 5e-3]] * 9
+    ladders[3] = ladders[4] = [1e-2, 5e-3, 2.5e-3]
+    seen = _recording_serial_solves(ev)
+    diff, g, _ = _sweep_against_pointwise(ev, xs, ladders)
+    assert np.max(diff / g) <= 1e-10
+    seen = set(seen)
+    assert complex(xs[3], 2.5e-3) in seen
+    assert not {complex(xs[3], 1e-2), complex(xs[3], 5e-3)} & seen
+
+
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_calls_per_point(case):
     # Each solve is seeded by extrapolating its rung across the last four
@@ -407,26 +487,26 @@ def test_edge_refinement_samples_three_rungs(monkeypatch):
     # column, so refinement solves only those.  Neighbouring columns then
     # share two offsets at most, and each rung's history follows its eps:
     # keyed by position in the ladder, the predictor would extrapolate
-    # values from other offsets and cost 4.5 kernel calls per point here
+    # values from other offsets and cost 4.5 kernel points per point here
     # instead of 2.08.  A rung that has just entered the three bottom ones
     # is seeded from the columns it has (2.30 if it waited for four).
     ev = FreeSumResolvent(TWO, TWO)
-    refine, vd = stieltjes._refine_edge, ev.op1.vd_scalar
+    refine = stieltjes._refine_edge
     columns, calls = [], [0]
-
-    def counted(w):
-        calls[0] += 1
-        return vd(w)
+    refining_now = [False]
 
     def refining(*args):
-        ev.op1.vd_scalar = counted
+        # kernel points are counted while edge refinement runs only
+        _counting(ev.op1, calls, 0)
+        refining_now[0] = True
         try:
             return refine(*args)
         finally:
-            ev.op1.vd_scalar = vd
+            refining_now[0] = False
+            del ev.op1.vd_scalar, ev.op1.value_and_derivative
 
     def recording(xs, ladders):
-        if ev.op1.vd_scalar is counted:
+        if refining_now[0]:
             columns.extend(zip(xs, ladders))
         return FreeSumResolvent.sample_columns(ev, xs, ladders)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from freeconv.arithmetic import HTransform
 from freeconv.errors import (
     BranchError,
     DomainError,
@@ -459,6 +460,14 @@ def kernel_cases(draw):
     return mu, zs
 
 
+def _term_scales(mu, z, g, gp):
+    """|G| and |G'| plus the magnitudes of the atoms' terms: the atom sums
+    may round differently (Python loop against a numpy product), so
+    "relative" is against the size of the summed terms."""
+    return (abs(g) + sum(w / abs(z - a) for a, w in mu.atoms),
+            abs(gp) + sum(w / abs(z - a) ** 2 for a, w in mu.atoms))
+
+
 @given(kernel_cases())
 def test_scalar_kernel_matches_batched(case):
     mu, zs = case
@@ -467,12 +476,23 @@ def test_scalar_kernel_matches_batched(case):
     for z, g_ref, gp_ref in zip(zs, g_batch, gp_batch):
         g, gp = ev.vd_scalar(z)
         assert type(g) is complex and type(gp) is complex
-        # The atom sums may round differently (Python loop against numpy
-        # reduction), so "relative" is against the size of the summed terms.
-        g_scale = abs(g_ref) + sum(w / abs(z - a) for a, w in mu.atoms)
-        gp_scale = abs(gp_ref) + sum(w / abs(z - a) ** 2 for a, w in mu.atoms)
+        g_scale, gp_scale = _term_scales(mu, z, g_ref, gp_ref)
         assert abs(g - g_ref) <= 1e-13 * g_scale
         assert abs(gp - gp_ref) <= 1e-13 * gp_scale
+
+
+@settings(max_examples=30)
+@given(kernel_cases())
+def test_h_transform_array_matches_scalar(case):
+    # h = lambda G and h' = G + lambda G', on one point or on an array
+    mu, zs = case
+    ev = HTransform(mu)
+    h_batch, hp_batch = ev.value_and_derivative(np.array(zs))
+    for z, h_ref, hp_ref in zip(zs, h_batch, hp_batch):
+        h, hp = ev.vd_scalar(z)
+        g_scale, gp_scale = _term_scales(mu, z, *ev.resolvent.vd_scalar(z))
+        assert abs(h - h_ref) <= 1e-13 * abs(z) * g_scale
+        assert abs(hp - hp_ref) <= 1e-13 * (g_scale + abs(z) * gp_scale)
 
 
 # -- the cell treecode against a 40-digit oracle ------------------------------
@@ -587,6 +607,49 @@ def test_kernel_derivative_keeps_its_digits_next_to_the_axis(law, x):
     g_ref, gp_ref = cauchy_reference(mu, z)[:2]
     assert abs(g - g_ref) <= 1e-12 * abs(g_ref)
     assert abs(gp - gp_ref) <= 1e-9 * abs(gp_ref)
+
+
+def _sparse_density(seed, n):
+    """About 30 % of n uniform nodes on [0, 1] nonzero, with random values:
+    a zero node next to a nonzero one ends a steep cell."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, n)
+    dens = np.where(rng.random(n) < 0.3, rng.random(n), 0.0)
+    return SpectralMeasure(segments=(
+        Segment(grid, dens / np.trapezoid(dens, grid)),))
+
+
+@st.composite
+def steep_cell_cases(draw):
+    """A sparse density and points 1e-12 to 1e-6 above the zero nodes that
+    end its steep cells."""
+    mu = _sparse_density(draw(st.integers(0, 2 ** 32 - 1)),
+                         draw(st.integers(50, 400)))
+    grid, dens = mu.segments[0].grid, mu.segments[0].density
+    feet = np.flatnonzero((dens[1:-1] == 0)
+                          & ((dens[:-2] > 0) | (dens[2:] > 0))) + 1
+    nodes = draw(st.lists(st.sampled_from(feet.tolist() or [1]),
+                          min_size=1, max_size=4))
+    return mu, [complex(grid[j], 10.0 ** draw(st.floats(-12.0, -6.0)))
+                for j in nodes]
+
+
+@settings(max_examples=30)
+@given(steep_cell_cases())
+@example((_sparse_density(0, 100),
+          [complex(np.linspace(0.0, 1.0, 100)[33], 1e-12)]))
+def test_kernel_keeps_its_digits_on_steep_cells_at_a_node(case):
+    # Next to Re z the near sum takes rho(z) from the nearer stored end of
+    # the cell.  Built from the midpoint, rho(z) = rc + s (z - m) rounds by
+    # about eps |s h|, which a steep cell ending at z multiplies by its
+    # large log: 3.2e-14 of the terms in the example, over G_TOL.
+    mu, zs = case
+    ev = MeasureResolvent(mu)
+    for z in zs:
+        g, gp = ev.vd_scalar(z)
+        g_ref, gp_ref, g_abs, gp_abs = cauchy_reference(mu, z)
+        assert abs(g - g_ref) <= G_TOL * g_abs
+        assert abs(gp - gp_ref) <= GP_TOL * gp_abs
 
 
 def _one_bump(grid, values):
