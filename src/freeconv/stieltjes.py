@@ -108,6 +108,9 @@ _RHO = (1 + np.sqrt(1 - _FAR_THETA ** 2)) / _FAR_THETA
 _NODES = int(np.ceil(np.log(1e-15 * np.sqrt(1 - _FAR_THETA ** 2)
                             * (1 - 1 / _RHO) / 4) / (-2 * np.log(_RHO))))
 _MIN_BLOCK = 16
+# Entries of each row block of points x atoms or points x far nodes, and
+# of each group of near slices, in ``MeasureResolvent.value_and_derivative``.
+_ROW_ENTRIES = 1 << 13
 # For the modified moments of a block (see _recurrences): the recurrence
 # coefficients b_k of the monic Legendre polynomials p_k = P_k / lead_k,
 # and 3 / ((k - 1) k (k + 1) (k + 2) lead_k) for k >= 2.
@@ -185,6 +188,13 @@ def _recurrences(t0, t1, r0, r1, bounds):
     return cen, rad, np.where(ok, alpha, 0.0), np.where(ok, beta, 0.0), bad
 
 
+def _row_dots(a, b):
+    """sum_k a[p, k] b[p, k] for each row p.  A stack of row-times-column
+    products runs the BLAS dot that ``np.dot`` runs on one row, so each sum
+    has that call's bits; einsum and a matrix-vector product do not."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 class _CellTree:
     """One-level treecode for the cells of a piecewise-linear density.
 
@@ -195,8 +205,9 @@ class _CellTree:
     than its mass, is split in two until its moments pin the rule down.
     At z, the blocks near z span one contiguous slice of cells, which is
     summed exactly; every block outside the slice is far and adds
-    sum_j w_j/(z - t_j) over its rule.  The tree holds arrays only, never
-    the resolvent that owns it.
+    sum_j w_j/(z - t_j) over its rule.  ``__call__`` sums one point and
+    ``batch`` an array of points, with the same bits.  The tree holds
+    arrays only, never the resolvent that owns it.
     """
 
     def __init__(self, segments):
@@ -228,6 +239,7 @@ class _CellTree:
         y, vec = np.linalg.eigh(jac)  # reads the lower triangle only
         y = np.clip(y, -1.0, 1.0)  # rounding can push a node of a tiny block out
         self.starts, self.stops = starts.tolist(), stops.tolist()
+        self.bounds = bounds
         self.cen = cen.astype(complex)
         self.reach = rad / _FAR_THETA
         # Held as complex (imaginary part +0), the arrays spare numpy a
@@ -310,6 +322,110 @@ class _CellTree:
         return (g + complex(np.dot(self.weights, inv)),
                 gp - complex(np.dot(self.weights * inv, inv)))
 
+    def batch(self, z):
+        """(G, G') of the cells at each point of the 1-d array ``z``, bit
+        for bit what ``__call__`` gives point by point.
+
+        The far sums go in row blocks (``_far``).  The points are then
+        grouped by the width of their near slice, so that each group's
+        near sum is one (points x cells) array (``_near``).
+        """
+        n = z.size
+        far_g, far_gp = np.empty((2, n), dtype=complex)
+        jlo, jhi = np.empty((2, n), dtype=np.intp)
+        rows = max(1, _ROW_ENTRIES // self.nodes.size)
+        for i in range(0, n, rows):
+            part = slice(i, i + rows)
+            far_g[part], far_gp[part], jlo[part], jhi[part] = self._far(
+                z[part])
+        lo = self.bounds[jlo]
+        width = self.bounds[jhi] - lo
+        g, gp = np.zeros((2, n), dtype=complex)
+        bad = np.zeros(n, dtype=bool)
+        # a point with no near block has width 0 and a near sum of 0
+        for cells in np.unique(width[width > 0]).tolist():
+            group = (width == cells).nonzero()[0]
+            step = max(1, _ROW_ENTRIES // cells)
+            for k in range(0, group.size, step):
+                p = group[k:k + step]
+                g[p], gp[p], bad[p] = self._near(z[p], lo[p], jlo[p], jhi[p],
+                                                 cells)
+        far = width != self.mid.size  # else __call__ adds no far sum
+        g[far] += far_g[far]
+        gp[far] -= far_gp[far]
+        g[bad] = gp[bad] = complex("nan")
+        return g, gp
+
+    def _far(self, z):
+        """The far sums at the points ``z`` and the block range [jlo, jhi)
+        of each point's near blocks, empty where none is near.  As in
+        ``__call__``, each point's near blocks add 1/inf = 0."""
+        blocks = self.cen.size
+        near = np.abs(z[:, None] - self.cen) < self.reach
+        jlo = near.argmax(axis=1)
+        jhi = np.where(near.any(axis=1),
+                       blocks - near[:, ::-1].argmax(axis=1), jlo)
+        span = np.arange(blocks)
+        d = z[:, None] - self.nodes
+        d.reshape(z.size, blocks, _NODES)[
+            (span >= jlo[:, None]) & (span < jhi[:, None])] = np.inf
+        inv = np.reciprocal(d, out=d)
+        g = np.matmul(self.weights, inv[:, :, None])[:, 0]
+        return g, _row_dots(self.weights * inv, inv), jlo, jhi
+
+    def _near(self, z, lo, jlo, jhi, cells):
+        """The near sums (G, G') at the points ``z``, whose near slices
+        start at cells ``lo`` and all span ``cells`` cells, and a mask of
+        the points where ``__call__`` gives NaN.  Array by array this is
+        the arithmetic of ``__call__``; the fix-ups of the cells next to
+        Re z and the boundary terms of G' go point by point, in its Python
+        complex arithmetic, which numpy's division and log do not match.
+        """
+        idx = lo[:, None] + np.arange(cells)
+        w = self.mid[idx]
+        np.subtract(z[:, None], w, out=w)
+        s = self.slope[idx]
+        q = self.half[idx]
+        q /= w
+        rho = s * w
+        rho += self.rc[idx]
+        # the cells around the first cell that starts at or past Re z
+        col = (self.t0.searchsorted(z.real) - lo)[:, None] + (-2, -1, 0)
+        row, off = ((col >= 0) & (col < cells)).nonzero()
+        col = col[row, off]
+        fix = np.abs(q[row, col]) > 0.5
+        row, col = row[fix], col[fix]
+        at = np.arctanh(q, out=q)
+        zs = z.tolist()
+        bad = np.zeros(z.size, dtype=bool)
+        for r, c, i in zip(row.tolist(), col.tolist(),
+                           (lo[row] + col).tolist()):
+            d0, d1 = zs[r] - float(self.t0[i]), zs[r] - float(self.t1[i])
+            try:
+                at[r, c] = 0.5 * cmath.log(d0 / d1)
+            except (ZeroDivisionError, ValueError):
+                bad[r] = True
+                continue
+            rho[r, c] = (self.r0[i] + s[r, c] * d0 if abs(d0) < abs(d1)
+                         else self.r1[i] + s[r, c] * d1)
+        heads, tails, jumps = self.heads, self.tails, self.jumps
+        g, gp = [], []
+        for r, (v, dg, dgp, j0, j1, a) in enumerate(zip(
+                zs, _row_dots(rho, at).tolist(), _row_dots(s, at).tolist(),
+                jlo.tolist(), jhi.tolist(), lo.tolist())):
+            (ta, ra), (tb, rb) = heads[j0], tails[j1 - 1]
+            g.append(2 * dg - (jumps[a + cells] - jumps[a]))
+            try:
+                dgp = 2 * dgp + ra / (v - ta) - rb / (v - tb)
+                for k in self.splits:
+                    if j0 < k < j1:
+                        (ta, ra), (tb, rb) = heads[k], tails[k - 1]
+                        dgp += ra / (v - ta) - rb / (v - tb)
+            except ZeroDivisionError:
+                bad[r] = True
+            gp.append(dgp)
+        return g, gp, bad
+
 
 class MeasureResolvent(ResolventEvaluator):
     """Exact transform of a stored measure.
@@ -318,9 +434,10 @@ class MeasureResolvent(ResolventEvaluator):
     1/(z - t) to a closed-form log term; the cells are summed by a
     one-level treecode (``_CellTree``), built once here: blocks far from z
     add the sum of their Gauss rule, and the cells of the near blocks are
-    summed exactly.  ``vd_scalar`` sums the atoms of one point in a loop;
-    ``value_and_derivative`` sums those of many points as one array
-    expression.  Both add the cells point by point through the same tree.
+    summed exactly.  ``vd_scalar`` sums the atoms of one point in a loop
+    and its cells through ``_CellTree.__call__``; ``value_and_derivative``
+    sums the atoms of many points as one array expression and their cells
+    through ``_CellTree.batch``, which gives the bits of ``__call__``.
     """
 
     def __init__(self, mu: SpectralMeasure):
@@ -361,8 +478,8 @@ class MeasureResolvent(ResolventEvaluator):
     def value_and_derivative(self, z):
         """(G, G') at each point of ``z``; a scalar ``z`` gives Python
         complex numbers.  The atoms add one (points x atoms) reciprocal and
-        two contractions, in row blocks of at most 2^13 entries; an exact
-        hit on an atom gives NaN, as in ``vd_scalar``.
+        two contractions, in row blocks of at most ``_ROW_ENTRIES``
+        entries; an exact hit on an atom gives NaN, as in ``vd_scalar``.
         """
         z_arr = np.asarray(z, dtype=complex)
         if z_arr.ndim == 0:
@@ -371,7 +488,7 @@ class MeasureResolvent(ResolventEvaluator):
         g = np.zeros(zf.shape, dtype=complex)
         gp = np.zeros(zf.shape, dtype=complex)
         if self._atoms:
-            rows = max(1, (1 << 13) // self._atom_x.size)
+            rows = max(1, _ROW_ENTRIES // self._atom_x.size)
             with np.errstate(divide="ignore", invalid="ignore"):
                 for i in range(0, zf.size, rows):
                     inv = 1.0 / (zf[i:i + rows, None] - self._atom_x)
@@ -383,8 +500,7 @@ class MeasureResolvent(ResolventEvaluator):
             hit = ~np.isfinite(g)
             g[hit] = gp[hit] = complex("nan")
         if self._cells is not None:
-            cells = [self._cells(v) for v in zf.tolist()]
-            cg, cgp = np.array(cells, dtype=complex).reshape(-1, 2).T
+            cg, cgp = self._cells.batch(zf)
             g += cg
             gp += cgp
         return g.reshape(z_arr.shape), gp.reshape(z_arr.shape)

@@ -564,6 +564,14 @@ def oracle_cases(draw):
 G_TOL, GP_TOL = 2.4e-14, 1.6e-13
 
 
+def _both_paths(ev, zs):
+    """Each point of ``zs`` with its (G, G') by ``vd_scalar`` and by one
+    ``value_and_derivative`` call on all the points."""
+    g, gp = ev.value_and_derivative(np.array(zs, dtype=complex))
+    for z, g_arr, gp_arr in zip(zs, g.tolist(), gp.tolist()):
+        yield z, (ev.vd_scalar(z), (g_arr, gp_arr))
+
+
 def _gapped_semicircle_uniform():
     # semicircle(1) on [-2, 2] and uniform on [2.001, 4.001], half the mass
     # each: the near sum at 2.0015 spans the end of one segment and the
@@ -580,12 +588,11 @@ def _gapped_semicircle_uniform():
 @example((_gapped_semicircle_uniform(), [2.0005 + 1e-9j, 2.0015 + 1e-4j]))
 def test_kernel_matches_a_40_digit_oracle(case):
     mu, zs = case
-    ev = MeasureResolvent(mu)
-    for z in zs:
-        g, gp = ev.vd_scalar(z)
+    for z, paths in _both_paths(MeasureResolvent(mu), zs):
         g_ref, gp_ref, g_abs, gp_abs = cauchy_reference(mu, z)
-        assert abs(g - g_ref) <= G_TOL * g_abs
-        assert abs(gp - gp_ref) <= GP_TOL * gp_abs
+        for g, gp in paths:
+            assert abs(g - g_ref) <= G_TOL * g_abs
+            assert abs(gp - gp_ref) <= GP_TOL * gp_abs
 
 
 @pytest.mark.parametrize("law, x", [
@@ -603,10 +610,11 @@ def test_kernel_derivative_keeps_its_digits_next_to_the_axis(law, x):
     # eps |m|, a few 1e-9 of z - t: G must take them from the grid.
     mu = law()
     z = complex(x, 1e-7)
-    g, gp = MeasureResolvent(mu).vd_scalar(z)
     g_ref, gp_ref = cauchy_reference(mu, z)[:2]
-    assert abs(g - g_ref) <= 1e-12 * abs(g_ref)
-    assert abs(gp - gp_ref) <= 1e-9 * abs(gp_ref)
+    (_, paths), = _both_paths(MeasureResolvent(mu), [z])
+    for g, gp in paths:
+        assert abs(g - g_ref) <= 1e-12 * abs(g_ref)
+        assert abs(gp - gp_ref) <= 1e-9 * abs(gp_ref)
 
 
 def _sparse_density(seed, n):
@@ -644,12 +652,11 @@ def test_kernel_keeps_its_digits_on_steep_cells_at_a_node(case):
     # about eps |s h|, which a steep cell ending at z multiplies by its
     # large log: 3.2e-14 of the terms in the example, over G_TOL.
     mu, zs = case
-    ev = MeasureResolvent(mu)
-    for z in zs:
-        g, gp = ev.vd_scalar(z)
+    for z, paths in _both_paths(MeasureResolvent(mu), zs):
         g_ref, gp_ref, g_abs, gp_abs = cauchy_reference(mu, z)
-        assert abs(g - g_ref) <= G_TOL * g_abs
-        assert abs(gp - gp_ref) <= GP_TOL * gp_abs
+        for g, gp in paths:
+            assert abs(g - g_ref) <= G_TOL * g_abs
+            assert abs(gp - gp_ref) <= GP_TOL * gp_abs
 
 
 def _one_bump(grid, values):
@@ -712,12 +719,63 @@ def test_kernel_holds_its_bound_at_the_worst_far_points(case):
           "one-hat": RULE_CASES["one-hat"]}[case]()
     ev = MeasureResolvent(mu)
     tree = ev._cells
-    for c, reach in zip(tree.cen.real, tree.reach):
-        for z in (c - reach + 1e-12j, c + reach + 1e-12j, c + 1j * reach):
-            g, gp = ev.vd_scalar(z)
-            g_ref, gp_ref, g_abs, gp_abs = cauchy_reference(mu, z)
+    zs = [z for c, reach in zip(tree.cen.real, tree.reach)
+          for z in (c - reach + 1e-12j, c + reach + 1e-12j, c + 1j * reach)]
+    for z, paths in _both_paths(ev, zs):
+        g_ref, gp_ref, g_abs, gp_abs = cauchy_reference(mu, z)
+        for g, gp in paths:
             assert abs(g - g_ref) <= G_TOL * g_abs
             assert abs(gp - gp_ref) <= GP_TOL * gp_abs
+
+
+def _near_cells(tree, z):
+    """The cells [lo, hi) of the near slice at z, as ``_CellTree`` finds
+    it, and whether it spans a segment split."""
+    near = (np.abs(z - tree.cen) < tree.reach).nonzero()[0]
+    if not near.size:
+        return 0, 0, False
+    jlo, jhi = int(near[0]), int(near[-1]) + 1
+    return (tree.starts[jlo], tree.stops[jhi - 1],
+            any(jlo < k < jhi for k in tree.splits))
+
+
+@pytest.mark.parametrize("law", [
+    lambda: make_law(LawSpec.semicircle(1.0), 2000),
+    lambda: make_law(LawSpec.marchenko_pastur(0.5), 500),
+    lambda: make_law(LawSpec.uniform(-1.0, 1.0), 20),
+    lambda: _sparse_density(3, 400),
+    _gapped_semicircle_uniform,
+], ids=["semicircle-2000", "mp-half-500", "uniform-20", "sparse-400",
+        "segment-boundary"])
+def test_array_kernel_gives_the_scalar_bits_on_cells(law):
+    """Without atoms, ``value_and_derivative`` is ``vd_scalar`` bit for
+    bit, on one call that mixes near slices of different widths, points
+    with no near block, near slices across a segment split and real
+    points on grid nodes, which give NaN on both paths."""
+    mu = law()
+    ev = MeasureResolvent(mu)
+    rng = np.random.default_rng(7)
+    grid = np.concatenate([s.grid for s in mu.segments])
+    lo, hi = mu.support()
+    x = np.r_[rng.uniform(lo - 0.5, hi + 0.5, 150),
+              rng.choice(grid, 150) + rng.normal(0.0, 1e-6, 150)]
+    zs = (x + 1j * 10.0 ** rng.uniform(-12.0, 0.5, x.size)).tolist()
+    # high above the support, and next to the split of the gapped law
+    zs += [complex(0.5 * (lo + hi), 10.0 * (hi - lo)),
+           2.0005 + 1e-9j, 2.0015 + 1e-4j]
+    nodes = [complex(t) for t in rng.choice(grid, 5)]
+    slices = [_near_cells(ev._cells, z) for z in zs]
+    assert len({b - a for a, b, _ in slices} - {0}) > 1
+    assert (0, 0, False) in slices
+    assert any(split for *_, split in slices) == (len(mu.segments) > 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # on the nodes
+        g, gp = ev.value_and_derivative(np.array(zs + nodes))
+        for z, g_arr, gp_arr in zip(zs + nodes, g.tolist(), gp.tolist()):
+            if z in nodes:
+                assert all(map(cmath.isnan,
+                               (g_arr, gp_arr, *ev.vd_scalar(z))))
+            else:
+                assert (g_arr, gp_arr) == ev.vd_scalar(z)
 
 
 @given(st.sampled_from(CONTINUOUS), st.floats(-3.0, 3.0),
