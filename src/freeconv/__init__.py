@@ -14,7 +14,6 @@ from .arithmetic import (
     invert_h,
     pastur_add_gaussian,
     r_transform,
-    verify_generalized_addition_gaussian,
 )
 from .eigen import hermitian_eigenvalues
 from .errors import (
@@ -52,10 +51,8 @@ from .report import CriterionRecord, ReportDocument
 from .rmt import (
     EmpiricalSpectrum,
     EnsembleSpec,
-    connected_moment_check,
     empirical_measure,
     haar_unitary,
-    mc_external_field,
     mc_free_add_experiment,
     mc_free_mul_experiment,
     sample_ensemble,

@@ -29,14 +29,12 @@ does not converge there.
 from __future__ import annotations
 
 import cmath
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InversionError, PipelineError, ValidationError
 from .measures import SpectralMeasure, moment
-from .report import CriterionRecord, ReportDocument
 from .stieltjes import (
     ContourSpec,
     MeasureResolvent,
@@ -459,10 +457,11 @@ class _PairResolvent(_SweepResolvent):
     that broadcasts, the seed ``_seed(z)``, ``_g_of`` and ``_gprime_of``.
     """
 
-    def __init__(self, op1, op2, same):
-        self.op1 = op1
-        self.op2 = op2
-        self._same = same
+    def __init__(self, operand, mu1, mu2):
+        # a self-convolution builds one operand, ``op2 is op1``
+        self._same = _same_measure(mu1, mu2)
+        self.op1 = operand(mu1)
+        self.op2 = self.op1 if self._same else operand(mu2)
 
     def _map(self, z, array):
         t, same = self._t, self._same
@@ -513,8 +512,7 @@ class FreeSumResolvent(_PairResolvent):
     """
 
     def __init__(self, mu1: SpectralMeasure, mu2: SpectralMeasure):
-        super().__init__(MeasureResolvent(mu1), MeasureResolvent(mu2),
-                         _same_measure(mu1, mu2))
+        super().__init__(MeasureResolvent, mu1, mu2)
         lo1, hi1 = mu1.support()
         lo2, hi2 = mu2.support()
         self.support = (lo1 + lo2, hi1 + hi2)
@@ -612,8 +610,7 @@ class FreeProductResolvent(_PairResolvent):
                     "each factor must put mass away from zero (a point mass "
                     "at 0 times any law is that point mass)"
                 )
-        super().__init__(HTransform(mu1), HTransform(mu2),
-                         _same_measure(mu1, mu2))
+        super().__init__(HTransform, mu1, mu2)
         lo1, hi1 = mu1.support()
         lo2, hi2 = mu2.support()
         self.support = (lo1 * lo2, hi1 * hi2)
@@ -720,40 +717,3 @@ def external_field_lambda_gaussian(sigma: float, field: ExternalFieldSpec,
     if sigma < 0:
         raise ValidationError("sigma must be nonnegative")
     return sigma * sigma * a + principal_value_transform(field.measure, a)
-
-
-def verify_generalized_addition_gaussian(sigma1: float, sigma2: float,
-                                         field: ExternalFieldSpec,
-                                         probes) -> ReportDocument:
-    """Check additivity of lambda(a) - pv(a) for two Gaussians in a common
-    external field: lambda_1 + lambda_2 must equal lambda_sum + pv."""
-    t0 = time.perf_counter()
-    probes = np.asarray(probes, dtype=float)
-    sigma_sum = float(np.hypot(sigma1, sigma2))
-    residuals = []
-    for a in probes:
-        l1 = external_field_lambda_gaussian(sigma1, field, a)
-        l2 = external_field_lambda_gaussian(sigma2, field, a)
-        l12 = external_field_lambda_gaussian(sigma_sum, field, a)
-        pv = principal_value_transform(field.measure, a)
-        residuals.append(l1 + l2 - l12 - pv)
-    worst = float(np.max(np.abs(residuals))) if len(residuals) else 0.0
-    crit = CriterionRecord(
-        name="external_field_additivity",
-        value=worst,
-        tolerance=1e-12,
-        comparator="<=",
-    )
-    return ReportDocument(
-        experiment_id="generalized_addition_gaussian",
-        inputs={
-            "sigma1": sigma1,
-            "sigma2": sigma2,
-            "probes": probes.tolist(),
-        },
-        metrics={"max_residual": worst,
-                 "residuals": [float(r) for r in residuals]},
-        criteria=(crit,),
-        wall_time_s=time.perf_counter() - t0,
-        seed=None,
-    )

@@ -21,7 +21,6 @@ radius-2*sigma semicircle.  The sample-covariance ensemble of ratio c is
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ from .measures import (
     SpectralMeasure,
     quantiles,
 )
-from .report import CriterionRecord, ReportDocument
 
 # purpose identifiers for derived random streams
 P_ENTRIES_A = 0
@@ -179,9 +177,9 @@ def _operand(spec: EnsembleSpec, trial: int, slot: int,
     The result is Hermitian up to rounding.
     """
     if spec.kind == "fixed_spectrum":
-        m = np.diag(quantiles(spec.measure, spec.dimension))
-    else:
-        m = sample_ensemble(spec, trial, slot)
+        t = quantiles(spec.measure, spec.dimension)
+        return np.diag(t) if u is None else (u * t) @ u.conj().T
+    m = sample_ensemble(spec, trial, slot)
     return m if u is None else u @ m @ u.conj().T
 
 
@@ -337,73 +335,3 @@ def empirical_measure(es: EmpiricalSpectrum, bins: int) -> SpectralMeasure:
     seg = Segment(centers, dens * (target / raw))
     return SpectralMeasure(atoms=atoms, segments=(seg,),
                            renorm=target / raw)
-
-
-# -- verification experiments ----------------------------------------------------
-
-
-def mc_external_field(sigma: float, field, dimension: int, trials: int,
-                      base_seed: int) -> ReportDocument:
-    """Estimate the coupled diagonal averages <M_jj> and compare them with
-    the completed-square prediction sigma^2 * a_j."""
-    if dimension < 8:
-        raise ValidationError("dimension must be at least 8")
-    t0 = time.perf_counter()
-    spec = EnsembleSpec.shifted_gue(sigma, field, dimension, base_seed)
-    acc = np.zeros(dimension)
-    for t in range(trials):
-        acc += np.real(np.diagonal(sample_ensemble(spec, t)))
-    estimates = acc / trials
-    expected = sigma ** 2 * field.eigenvalues(dimension)
-    stderr = sigma / np.sqrt(dimension * trials)
-    deviations = np.abs(estimates - expected)
-    frac_within = float(np.mean(deviations <= 3.0 * stderr))
-    crit = CriterionRecord("fraction_within_3_stderr", frac_within, 0.95,
-                           comparator=">=")
-    return ReportDocument(
-        experiment_id="external_field_diagonal_averages",
-        inputs={"sigma": sigma, "dimension": dimension, "trials": trials},
-        metrics={
-            "max_deviation": float(np.max(deviations)),
-            "stderr": float(stderr),
-            "fraction_within_3_stderr": frac_within,
-        },
-        criteria=(crit,),
-        wall_time_s=time.perf_counter() - t0,
-        seed=base_seed,
-    )
-
-
-def connected_moment_check(sigma: float, dimension: int, trials: int,
-                           base_seed: int) -> ReportDocument:
-    """Ratio Var(M_11) * N^2 / <tr M^2>, which the planar connected-moment
-    relation fixes at 1 for the invariant Gaussian at every N."""
-    if trials < 100:
-        raise ValidationError("need at least 100 trials")
-    t0 = time.perf_counter()
-    spec = EnsembleSpec.gue(sigma, dimension, base_seed)
-    m11 = np.empty(trials)
-    tr2 = np.empty(trials)
-    for t in range(trials):
-        m = sample_ensemble(spec, t)
-        m11[t] = m[0, 0].real
-        tr2[t] = float(np.sum(np.abs(m) ** 2))
-    var11 = float(np.var(m11, ddof=1))
-    mean_tr2 = float(np.mean(tr2))
-    ratio = var11 * dimension ** 2 / mean_tr2
-    rel_std = np.sqrt(2.0 / (trials - 1))
-    crit = CriterionRecord("connected_moment_ratio", ratio, (0.85, 1.15),
-                           comparator="in")
-    return ReportDocument(
-        experiment_id="connected_moment_ratio",
-        inputs={"sigma": sigma, "dimension": dimension, "trials": trials},
-        metrics={
-            "ratio": ratio,
-            "ratio_std": ratio * rel_std,
-            "var_m11": var11,
-            "mean_tr_m2": mean_tr2,
-        },
-        criteria=(crit,),
-        wall_time_s=time.perf_counter() - t0,
-        seed=base_seed,
-    )

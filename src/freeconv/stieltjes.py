@@ -292,19 +292,25 @@ class _CellTree:
             h = self.half[lo:hi]
             s = self.slope[lo:hi]
             q = h / w
-            at = np.arctanh(q)
-            # the cells around the first cell that starts at or past Re z
+            # the cells around the first cell that starts at or past Re z;
+            # their q goes to 0, as the fix-up overwrites their atanh and
+            # q = +-1 (a real z on a grid node) would warn
             nxt = int(self.t0.searchsorted(z.real))
+            fix = []
+            for i in range(max(lo, nxt - 2), min(hi, nxt + 1)):
+                if abs(q[i - lo]) > 0.5:
+                    q[i - lo] = 0.0
+                    fix.append(i)
+            at = np.arctanh(q)
             (ta, ra), (tb, rb) = self.heads[jlo], self.tails[jhi - 1]
             rho = self.rc[lo:hi] + s * w
             try:
-                for i in range(max(lo, nxt - 2), min(hi, nxt + 1)):
-                    if abs(q[i - lo]) > 0.5:
-                        d0, d1 = z - float(self.t0[i]), z - float(self.t1[i])
-                        at[i - lo] = 0.5 * cmath.log(d0 / d1)
-                        rho[i - lo] = (self.r0[i] + s[i - lo] * d0
-                                       if abs(d0) < abs(d1)
-                                       else self.r1[i] + s[i - lo] * d1)
+                for i in fix:
+                    d0, d1 = z - float(self.t0[i]), z - float(self.t1[i])
+                    at[i - lo] = 0.5 * cmath.log(d0 / d1)
+                    rho[i - lo] = (self.r0[i] + s[i - lo] * d0
+                                   if abs(d0) < abs(d1)
+                                   else self.r1[i] + s[i - lo] * d1)
                 g = (2 * complex(np.dot(rho, at))
                      - (self.jumps[hi] - self.jumps[lo]))
                 gp = 2 * complex(np.dot(s, at)) + ra / (z - ta) - rb / (z - tb)
@@ -395,6 +401,7 @@ class _CellTree:
         col = col[row, off]
         fix = np.abs(q[row, col]) > 0.5
         row, col = row[fix], col[fix]
+        q[row, col] = 0.0  # overwritten below; q = +-1 would warn
         at = np.arctanh(q, out=q)
         zs = z.tolist()
         bad = np.zeros(z.size, dtype=bool)
@@ -768,32 +775,11 @@ def _detect_atoms(ev, xs, lad, cols):
         while j + 1 < n and flags[j + 1]:
             j += 1
         peak = k + int(np.argmax(m0[k:j + 1]))
-        a0 = _parabola_pole_position(xs, cols, lad, peak, spacing[peak])
-        fit, flatness = _refine_atom(ev, a0, lad[0], spacing[peak])
+        fit, flatness = _refine_atom(ev, xs[peak], lad[0], spacing[peak])
         if fit[1] > ATOM_MASS_THRESHOLD and flatness > ATOM_FLATNESS:
             atoms.append(fit)
         k = j + 1
     return atoms
-
-
-def _parabola_pole_position(xs, cols, lad, peak, spacing):
-    """Vertex of the parabola 1/|G|^2 across the peak: the pole position."""
-    idx = _detection_indices(lad, spacing)
-    j = idx[-1]
-    ks = [max(0, peak - 1), peak, min(len(xs) - 1, peak + 1)]
-    if ks[0] == ks[1] or ks[1] == ks[2]:
-        return xs[peak]
-    x = np.array([xs[k] for k in ks])
-    q = np.array([1.0 / max(abs(cols[k][j]) ** 2, 1e-300) for k in ks])
-    denom = (x[0] - x[1]) * (x[0] - x[2]) * (x[1] - x[2])
-    a_coef = (x[2] * (q[1] - q[0]) + x[1] * (q[0] - q[2])
-              + x[0] * (q[2] - q[1])) / denom
-    b_coef = (x[2] ** 2 * (q[0] - q[1]) + x[1] ** 2 * (q[2] - q[0])
-              + x[0] ** 2 * (q[1] - q[2])) / denom
-    if a_coef <= 0:
-        return xs[peak]
-    vertex = -b_coef / (2 * a_coef)
-    return float(np.clip(vertex, x[0], x[2]))
 
 
 def _subtract_poles(xs, lad, cols, atoms):

@@ -80,16 +80,18 @@ def test_reports_are_self_contained():
 
 def test_external_field_check_keeps_a_nan_residual(monkeypatch):
     # max(0.0, nan) is 0.0: a running Python max would pass a NaN residual
-    from types import SimpleNamespace
-
-    from freeconv.arithmetic import ExternalFieldSpec
+    from freeconv.arithmetic import (
+        ExternalFieldSpec,
+        external_field_lambda_gaussian,
+    )
     from freeconv.measures import dirac
 
-    residuals = iter([float("nan"), 1e-15])
+    # the first case's probe gives a NaN lambda, the second case's does not
     monkeypatch.setattr(
-        acceptance, "verify_generalized_addition_gaussian",
-        lambda *case: SimpleNamespace(
-            metrics={"max_residual": next(residuals)}))
+        acceptance, "external_field_lambda_gaussian",
+        lambda sigma, field, a: (float("nan") if a == 2.0 else
+                                 external_field_lambda_gaussian(sigma, field,
+                                                                a)))
     field = ExternalFieldSpec(dirac(0.0))
     metrics = acceptance.external_field_check(
         [(1.0, 1.0, field, [2.0]), (1.0, 2.0, field, [3.0])], 1.0, field,

@@ -354,3 +354,22 @@ def test_verify_reports_the_shared_check_values(tmp_path, mode):
             assert c["tolerance"] == 2 * VERIFY_TOLERANCES[c["name"]]
     if mode in ("add", "mul", "pastur"):
         assert (tmp_path / f"{mode}_density.csv").exists()
+
+
+def test_verify_external_field_rejects_a_small_dimension(tmp_path):
+    cfg, _ = VERIFY_CASES["external_field"]
+    path = write_config(tmp_path, "v.json", {"mode": "external_field", **cfg,
+                                             "dimension": 4})
+    assert main(["verify", "--config", str(path),
+                 "--out", str(tmp_path)]) == 1
+
+
+def test_verify_external_field_without_probes_has_zero_residual(tmp_path):
+    cfg, _ = VERIFY_CASES["external_field"]
+    path = write_config(tmp_path, "v.json", {"mode": "external_field", **cfg,
+                                             "probes": 0})
+    assert main(["verify", "--config", str(path),
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["metrics"]["max_analytic_residual"] == 0.0
+    assert report["verdict"] == "pass"

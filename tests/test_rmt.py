@@ -13,16 +13,15 @@ from freeconv.rmt import (
     EmpiricalSpectrum,
     EnsembleSpec,
     P_MIX,
-    connected_moment_check,
     empirical_measure,
     haar_unitary,
-    mc_external_field,
     mc_free_add_experiment,
     mc_free_mul_experiment,
     sample_ensemble,
     stream,
 )
 import freeconv.rmt as rmt
+from freeconv.acceptance import _connected_moments, _diagonal_deviations
 from freeconv.arithmetic import ExternalFieldSpec, pastur_add_gaussian
 from freeconv.eigen import hermitian_eigenvalues
 from freeconv.stieltjes import default_contour
@@ -219,44 +218,44 @@ def test_spectrum_csv_round_trip(tmp_path):
     assert np.array_equal(back.eigenvalues, es.eigenvalues)
 
 
+def _fraction_within_3_stderr(sigma, field, dimension, trials, seed):
+    dev, stderr = _diagonal_deviations(sigma, field, dimension, trials, seed)
+    return np.mean(dev <= 3.0 * stderr)
+
+
 def test_external_field_zero_field_centered():
-    report = mc_external_field(1.0, ExternalFieldSpec(dirac(0.0)), 64, 200,
-                               SEED)
-    assert report.metrics["max_deviation"] <= 4 * report.metrics["stderr"]
+    dev, stderr = _diagonal_deviations(1.0, ExternalFieldSpec(dirac(0.0)), 64,
+                                       200, SEED)
+    assert np.max(dev) <= 4 * stderr
 
 
 def test_external_field_two_atom_within_errors():
     field = ExternalFieldSpec(make_law(LawSpec.two_atom(0.5, -1.0, 1.0)))
-    report = mc_external_field(1.0, field, 128, 400, SEED)
-    assert report.passed
-    assert report.metrics["fraction_within_3_stderr"] >= 0.95
+    assert _fraction_within_3_stderr(1.0, field, 128, 400, SEED) >= 0.95
 
 
 def test_external_field_sigma_scaling():
     field = ExternalFieldSpec(make_law(LawSpec.two_atom(0.5, -1.0, 1.0)))
-    r1 = mc_external_field(1.0, field, 128, 400, SEED)
-    r2 = mc_external_field(2.0, field, 128, 400, SEED + 1)
-    # diagonal averages scale as sigma^2: the max deviation from the
-    # prediction stays at noise level for both
-    assert r1.passed and r2.passed
+    # diagonal averages scale as sigma^2: the deviations from the
+    # prediction stay at noise level for both
+    assert _fraction_within_3_stderr(1.0, field, 128, 400, SEED) >= 0.95
+    assert _fraction_within_3_stderr(2.0, field, 128, 400, SEED + 1) >= 0.95
 
 
 def test_connected_moment_ratio_near_one():
     # ratio std at 200 trials is ~0.10, so the window is a 1.5-sigma test;
     # the seed is pinned on an in-window draw to keep the suite deterministic
-    report = connected_moment_check(1.0, 128, 200, 11)
-    assert 0.85 <= report.metrics["ratio"] <= 1.15
-    report2 = connected_moment_check(2.0, 128, 200, 11)
-    assert 0.85 <= report2.metrics["ratio"] <= 1.15
+    ratio = _connected_moments(1.0, 128, 200, 11)["ratio"]
+    assert 0.85 <= ratio <= 1.15
+    ratio2 = _connected_moments(2.0, 128, 200, 11)["ratio"]
+    assert 0.85 <= ratio2 <= 1.15
     # the scale cancels from the ratio
-    assert report2.metrics["ratio"] == pytest.approx(
-        report.metrics["ratio"], rel=1e-10
-    )
+    assert ratio2 == pytest.approx(ratio, rel=1e-10)
 
 
 def test_connected_moment_ratio_n_independent():
-    a = connected_moment_check(1.0, 128, 200, 11).metrics["ratio"]
-    b = connected_moment_check(1.0, 256, 200, 11).metrics["ratio"]
+    a = _connected_moments(1.0, 128, 200, 11)["ratio"]
+    b = _connected_moments(1.0, 256, 200, 11)["ratio"]
     assert abs(a - b) <= 0.3 * np.sqrt(2.0 / 199)
 
 
