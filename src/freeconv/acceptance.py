@@ -1,12 +1,13 @@
 """The acceptance suite: nine named checks, each returning a ReportDocument.
 
 These are the package's exit criteria.  The numerical modules return
-numbers; every tolerance and every report is built here.  ``run_all`` is
-what the CLI selftest executes and what the test suite asserts on.  The
-checks ``freeconv verify`` runs live here too: ``oracle_moment_error``,
-``pastur_l1`` and ``external_field_check`` serve criteria 9, 3 and 6 and
-the verify modes alike, and ``verify_report`` holds verify's default
-tolerances.
+numbers; every tolerance and every report is built here, and each check
+runs at its one pinned tolerance.  ``run_all`` is what the CLI selftest
+executes; the test suite runs it on stub criteria, and each criterion on
+its own.  The checks ``freeconv verify`` runs live here too:
+``oracle_moment_error``, ``pastur_l1``, ``external_field_probes`` and
+``external_field_check`` serve criteria 9, 3 and 6 and the verify modes
+alike, and ``verify_report`` holds verify's default tolerances.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import time
 import numpy as np
 
 from .arithmetic import (
-    ExternalFieldSpec,
     external_field_lambda_gaussian,
     free_add,
     free_multiply,
@@ -31,6 +31,7 @@ from .measures import (
     dirac,
     make_law,
     moment,
+    quantiles,
     support_interval,
     wasserstein1,
     wasserstein1_empirical,
@@ -98,8 +99,8 @@ _PAIR_OPERATIONS = {
     "mul": (free_multiply, free_multiply_series, mc_free_mul_experiment),
 }
 
-# Default tolerance of each ``freeconv verify`` metric.  The Monte Carlo
-# fraction is a floor that neither overrides nor the tolerance scale move.
+# Default tolerance of each ``freeconv verify`` metric, also criteria 3's
+# and 6's bound.  Overrides do not move the Monte Carlo fraction's floor.
 VERIFY_TOLERANCES = {
     "moment_rel_error": 1e-2,
     "w1_vs_monte_carlo": 0.05,
@@ -150,7 +151,7 @@ def _additivity_residuals(sigma1, sigma2, field, probes):
         external_field_lambda_gaussian(sigma1, field, a)
         + external_field_lambda_gaussian(sigma2, field, a)
         - external_field_lambda_gaussian(sigma_sum, field, a)
-        - principal_value_transform(field.measure, a)
+        - principal_value_transform(field, a)
         for a in np.asarray(probes, dtype=float)])
 
 
@@ -165,7 +166,7 @@ def _diagonal_deviations(sigma, field, dimension, trials, seed):
     acc = np.zeros(dimension)
     for t in range(trials):
         acc += np.real(np.diagonal(sample_ensemble(spec, t)))
-    expected = sigma ** 2 * field.eigenvalues(dimension)
+    expected = sigma ** 2 * quantiles(field, dimension)
     return (np.abs(acc / trials - expected),
             sigma / np.sqrt(dimension * trials))
 
@@ -189,6 +190,13 @@ def _connected_moments(sigma, dimension, trials, seed):
             "var_m11": var11, "mean_tr_m2": mean_tr2}
 
 
+def external_field_probes(field, n, rng):
+    """``n`` probe points a drawn from ``rng``, uniform on
+    [hi + 0.5, hi + 3.0] right of the field's support [lo, hi]."""
+    hi = field.support()[1]
+    return rng.uniform(hi + 0.5, hi + 3.0, n)
+
+
 def external_field_check(cases, mc_sigma, mc_field, dimension, trials, seed):
     """The worst external-field additivity residual over ``cases``, each a
     (sigma1, sigma2, field, probes) tuple, and the fraction of sampled
@@ -206,11 +214,10 @@ def external_field_check(cases, mc_sigma, mc_field, dimension, trials, seed):
                 float(np.mean(dev <= 3.0 * stderr))}
 
 
-def verify_report(mode, inputs, metrics, t0, seed, tolerances=None,
-                  tolerance_scale=1.0):
+def verify_report(mode, inputs, metrics, t0, seed, tolerances=None):
     """The ``freeconv verify`` report: each metric against its tolerance
-    in ``tolerances``, else in ``VERIFY_TOLERANCES``, times
-    ``tolerance_scale``; the Monte Carlo fraction against its floor."""
+    in ``tolerances``, else in ``VERIFY_TOLERANCES``; the Monte Carlo
+    fraction against its floor."""
     tolerances = tolerances or {}
     crits = []
     for name, value in metrics.items():
@@ -219,11 +226,11 @@ def verify_report(mode, inputs, metrics, t0, seed, tolerances=None,
                                          comparator=">="))
         else:
             tol = tolerances.get(name, VERIFY_TOLERANCES[name])
-            crits.append(CriterionRecord(name, value, tol * tolerance_scale))
+            crits.append(CriterionRecord(name, value, tol))
     return _report(f"verify_{mode}", inputs, metrics, crits, t0, seed)
 
 
-def criterion_1_semicircle_stability(tolerance_scale=1.0):
+def criterion_1_semicircle_stability():
     """Self-convolution of the unit semicircle against the closed form."""
     t0 = time.perf_counter()
     semi = make_law(LawSpec.semicircle(1.0), 2000)
@@ -234,8 +241,8 @@ def criterion_1_semicircle_stability(tolerance_scale=1.0):
     l1 = density_l1_distance(target, out)
     w1 = wasserstein1(target, out)
     crits = [
-        CriterionRecord("l1_density_error", l1, 2e-2 * tolerance_scale),
-        CriterionRecord("wasserstein1", w1, 5e-3 * tolerance_scale),
+        CriterionRecord("l1_density_error", l1, 2e-2),
+        CriterionRecord("wasserstein1", w1, 5e-3),
         CriterionRecord("runtime_s", runtime, 10.0),
     ]
     return _report(
@@ -246,7 +253,7 @@ def criterion_1_semicircle_stability(tolerance_scale=1.0):
     )
 
 
-def criterion_2_bernoulli_arcsine(tolerance_scale=1.0):
+def criterion_2_bernoulli_arcsine():
     """Symmetric two-point law added to itself gives the arcsine law."""
     t0 = time.perf_counter()
     two = make_law(LawSpec.two_atom(0.5, -1.0, 1.0))
@@ -257,15 +264,12 @@ def criterion_2_bernoulli_arcsine(tolerance_scale=1.0):
         got = moment(out, n)
         rel = abs(got - expect) / expect
         metrics[f"m{n}"] = got
-        crits.append(CriterionRecord(f"m{n}_relative_error", rel,
-                                     1e-2 * tolerance_scale))
+        crits.append(CriterionRecord(f"m{n}_relative_error", rel, 1e-2))
     lo, hi = support_interval(out, 1e-3)
     metrics["support_lo"] = lo
     metrics["support_hi"] = hi
-    crits.append(CriterionRecord("support_lo_error", abs(lo + 2.0),
-                                 0.02 * tolerance_scale))
-    crits.append(CriterionRecord("support_hi_error", abs(hi - 2.0),
-                                 0.02 * tolerance_scale))
+    crits.append(CriterionRecord("support_lo_error", abs(lo + 2.0), 0.02))
+    crits.append(CriterionRecord("support_hi_error", abs(hi - 2.0), 0.02))
     return _report(
         "bernoulli_to_arcsine",
         {"law": "two_atom(1/2, -1, 1) twice"},
@@ -273,7 +277,7 @@ def criterion_2_bernoulli_arcsine(tolerance_scale=1.0):
     )
 
 
-def criterion_3_pastur_consistency(seed=DEFAULT_SEED, tolerance_scale=1.0):
+def criterion_3_pastur_consistency(seed=DEFAULT_SEED):
     """Deterministic-plus-Gaussian solver against the generic addition
     pipeline and against Monte Carlo sampling."""
     t0 = time.perf_counter()
@@ -288,8 +292,9 @@ def criterion_3_pastur_consistency(seed=DEFAULT_SEED, tolerance_scale=1.0):
     w1 = wasserstein1_empirical(es.pooled(), a)
     runtime = time.perf_counter() - t0
     crits = [
-        CriterionRecord("l1_vs_free_add", l1, 1e-2 * tolerance_scale),
-        CriterionRecord("w1_vs_monte_carlo", w1, 0.03 * tolerance_scale),
+        CriterionRecord("l1_vs_free_add", l1,
+                        VERIFY_TOLERANCES["l1_vs_free_add"]),
+        CriterionRecord("w1_vs_monte_carlo", w1, 0.03),
         CriterionRecord("runtime_s", runtime, 120.0),
     ]
     return _report(
@@ -301,7 +306,7 @@ def criterion_3_pastur_consistency(seed=DEFAULT_SEED, tolerance_scale=1.0):
     )
 
 
-def criterion_4_multiplication_law(seed=DEFAULT_SEED, tolerance_scale=1.0):
+def criterion_4_multiplication_law(seed=DEFAULT_SEED):
     """Free multiplicative convolution of two unit-ratio sample-covariance
     laws: Fuss-Catalan moments and the matching matrix experiment."""
     t0 = time.perf_counter()
@@ -313,8 +318,7 @@ def criterion_4_multiplication_law(seed=DEFAULT_SEED, tolerance_scale=1.0):
         got = moment(out, n)
         rel = abs(got - expect) / expect
         metrics[f"m{n}"] = got
-        crits.append(CriterionRecord(f"m{n}_relative_error", rel,
-                                     1e-2 * tolerance_scale))
+        crits.append(CriterionRecord(f"m{n}_relative_error", rel, 1e-2))
     n_dim, trials = 512, 20
     es = mc_free_mul_experiment(
         EnsembleSpec.wishart(1.0, n_dim, seed),
@@ -325,8 +329,7 @@ def criterion_4_multiplication_law(seed=DEFAULT_SEED, tolerance_scale=1.0):
         got = es.pooled_moment(n)
         rel = abs(got - expect) / expect
         metrics[f"mc_m{n}"] = got
-        crits.append(CriterionRecord(f"mc_m{n}_relative_error", rel,
-                                     0.05 * tolerance_scale))
+        crits.append(CriterionRecord(f"mc_m{n}_relative_error", rel, 0.05))
     return _report(
         "multiplication_law",
         {"law": "marchenko_pastur(1) times itself", "dimension": n_dim,
@@ -335,8 +338,7 @@ def criterion_4_multiplication_law(seed=DEFAULT_SEED, tolerance_scale=1.0):
     )
 
 
-def criterion_5_s_transform_equivalence(seed=DEFAULT_SEED,
-                                        tolerance_scale=1.0):
+def criterion_5_s_transform_equivalence(seed=DEFAULT_SEED):
     """The inverse-h composition and S-series multiplicativity give the
     same product moments, coefficient by coefficient."""
     t0 = time.perf_counter()
@@ -356,8 +358,7 @@ def criterion_5_s_transform_equivalence(seed=DEFAULT_SEED,
         via_s = free_multiply_series(m1, m2)
         via_h = free_multiply_series_h_route(m1, m2)
         worst = max(worst, float(np.max(np.abs(via_s.m - via_h.m))))
-    crit = CriterionRecord("max_coefficient_difference", worst,
-                           1e-10 * tolerance_scale)
+    crit = CriterionRecord("max_coefficient_difference", worst, 1e-10)
     return _report(
         "s_transform_equivalence",
         {"vectors": 20, "order": 10},
@@ -366,27 +367,23 @@ def criterion_5_s_transform_equivalence(seed=DEFAULT_SEED,
     )
 
 
-def criterion_6_generalized_addition(seed=DEFAULT_SEED, tolerance_scale=1.0):
+def criterion_6_generalized_addition(seed=DEFAULT_SEED):
     """Additivity of the inverse resolvents in a fixed external field for
     the Gaussian family, analytically and by Monte Carlo."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     two = make_law(LawSpec.two_atom(0.5, -1.0, 1.0))
-    fields = [ExternalFieldSpec(two), ExternalFieldSpec(dirac(0.0)),
-              ExternalFieldSpec(make_law(LawSpec.two_atom(0.25, -2.0, 0.5)))]
+    fields = [two, dirac(0.0), make_law(LawSpec.two_atom(0.25, -2.0, 0.5))]
     cases = []
     for k in range(5):
         s1, s2 = rng.uniform(0.5, 3.0, size=2)
         field = fields[k % len(fields)]
-        lo, hi = field.measure.support()
-        cases.append((s1, s2, field,
-                      rng.uniform(hi + 0.5, hi + 3.0, size=50)))
-    metrics = external_field_check(cases, 1.0, ExternalFieldSpec(two), 128,
-                                   400, seed)
+        cases.append((s1, s2, field, external_field_probes(field, 50, rng)))
+    metrics = external_field_check(cases, 1.0, two, 128, 400, seed)
     crits = [
         CriterionRecord("max_analytic_residual",
                         metrics["max_analytic_residual"],
-                        1e-12 * tolerance_scale),
+                        VERIFY_TOLERANCES["max_analytic_residual"]),
         CriterionRecord("mc_fraction_within_3_stderr",
                         metrics["mc_fraction_within_3_stderr"],
                         MC_FRACTION_FLOOR, comparator=">="),
@@ -399,15 +396,13 @@ def criterion_6_generalized_addition(seed=DEFAULT_SEED, tolerance_scale=1.0):
     )
 
 
-def criterion_7_connected_moments(seed=DEFAULT_SEED, tolerance_scale=1.0):
+def criterion_7_connected_moments(seed=DEFAULT_SEED):
     """Planar connected-moment relation at order two for the invariant
     Gaussian: Var(M_11) N^2 / <tr M^2> = 1."""
     t0 = time.perf_counter()
     metrics = _connected_moments(1.0, 256, 200, seed)
-    lo = 1.0 - 0.15 * tolerance_scale
-    hi = 1.0 + 0.15 * tolerance_scale
-    crit = CriterionRecord("connected_moment_ratio",
-                           metrics["ratio"], (lo, hi), comparator="in")
+    crit = CriterionRecord("connected_moment_ratio", metrics["ratio"],
+                           (1.0 - 0.15, 1.0 + 0.15), comparator="in")
     return _report(
         "connected_moments",
         {"dimension": 256, "trials": 200},
@@ -416,7 +411,7 @@ def criterion_7_connected_moments(seed=DEFAULT_SEED, tolerance_scale=1.0):
     )
 
 
-def criterion_8_transform_round_trips(seed=DEFAULT_SEED, tolerance_scale=1.0):
+def criterion_8_transform_round_trips(seed=DEFAULT_SEED):
     """Density recovery undoes the transform on every catalog law, and the
     functional inversion meets its residual contract everywhere."""
     t0 = time.perf_counter()
@@ -442,8 +437,7 @@ def criterion_8_transform_round_trips(seed=DEFAULT_SEED, tolerance_scale=1.0):
                                 default_contour(lo, hi, 1500))
         l1 = density_l1_distance(mu, back, atom_position_tol=1e-3)
         metrics[f"l1_{name}"] = l1
-        crits.append(CriterionRecord(f"round_trip_{name}", l1,
-                                     1e-2 * tolerance_scale))
+        crits.append(CriterionRecord(f"round_trip_{name}", l1, 1e-2))
         ev = MeasureResolvent(mu)
         for _ in range(6):
             z = complex(rng.uniform(lo - 1, hi + 1), rng.uniform(0.5, 3.0))
@@ -452,8 +446,7 @@ def criterion_8_transform_round_trips(seed=DEFAULT_SEED, tolerance_scale=1.0):
             worst_residual = max(worst_residual,
                                  abs(ev(lam) - w) / max(1.0, abs(w)))
     metrics["worst_inversion_residual"] = worst_residual
-    crits.append(CriterionRecord("inversion_residual", worst_residual,
-                                 1e-12 * tolerance_scale))
+    crits.append(CriterionRecord("inversion_residual", worst_residual, 1e-12))
     return _report(
         "transform_round_trips",
         {"laws": [name for name, _ in catalog]},
@@ -461,7 +454,7 @@ def criterion_8_transform_round_trips(seed=DEFAULT_SEED, tolerance_scale=1.0):
     )
 
 
-def criterion_9_oracle_equivalence(tolerance_scale=1.0):
+def criterion_9_oracle_equivalence():
     """Pipeline moments match the series route for every catalog pair
     under addition and every admissible pair under multiplication."""
     t0 = time.perf_counter()
@@ -489,7 +482,7 @@ def criterion_9_oracle_equivalence(tolerance_scale=1.0):
                 _, rel = oracle_moment_error(operation, mu1, mu2, order)
                 tag = f"{operation}_{name1}_{name2}"
                 metrics[tag] = rel
-                tol = (1e-2 if sing1 or sing2 else 1e-3) * tolerance_scale
+                tol = 1e-2 if sing1 or sing2 else 1e-3
                 crits.append(CriterionRecord(tag, rel, tol))
     return _report(
         "oracle_equivalence",
@@ -500,27 +493,25 @@ def criterion_9_oracle_equivalence(tolerance_scale=1.0):
     )
 
 
+# (number, criterion, whether it takes the suite's seed)
 ALL_CRITERIA = (
-    ("1", criterion_1_semicircle_stability),
-    ("2", criterion_2_bernoulli_arcsine),
-    ("3", criterion_3_pastur_consistency),
-    ("4", criterion_4_multiplication_law),
-    ("5", criterion_5_s_transform_equivalence),
-    ("6", criterion_6_generalized_addition),
-    ("7", criterion_7_connected_moments),
-    ("8", criterion_8_transform_round_trips),
-    ("9", criterion_9_oracle_equivalence),
+    ("1", criterion_1_semicircle_stability, False),
+    ("2", criterion_2_bernoulli_arcsine, False),
+    ("3", criterion_3_pastur_consistency, True),
+    ("4", criterion_4_multiplication_law, True),
+    ("5", criterion_5_s_transform_equivalence, True),
+    ("6", criterion_6_generalized_addition, True),
+    ("7", criterion_7_connected_moments, True),
+    ("8", criterion_8_transform_round_trips, True),
+    ("9", criterion_9_oracle_equivalence, False),
 )
 
 
-def run_all(seed=DEFAULT_SEED, tolerance_scale=1.0, log=print):
+def run_all(seed=DEFAULT_SEED, log=print):
     """Run the full acceptance suite; returns the list of reports."""
     reports = []
-    for number, fn in ALL_CRITERIA:
-        kwargs = {"tolerance_scale": tolerance_scale}
-        if "seed" in fn.__code__.co_varnames[:fn.__code__.co_argcount]:
-            kwargs["seed"] = seed
-        rep = fn(**kwargs)
+    for number, fn, seeded in ALL_CRITERIA:
+        rep = fn(seed=seed) if seeded else fn()
         reports.append(rep)
         status = "pass" if rep.passed else "FAIL"
         log(f"criterion {number} [{rep.experiment_id}]: {status} "

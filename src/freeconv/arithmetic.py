@@ -29,7 +29,6 @@ does not converge there.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -692,23 +691,12 @@ def free_multiply(mu1: SpectralMeasure, mu2: SpectralMeasure,
 # -- Gaussian external field ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExternalFieldSpec:
-    """Fixed source coupled to the random matrix; described by the limiting
-    spectral measure of its eigenvalues."""
-
-    measure: SpectralMeasure
-
-    def eigenvalues(self, n: int) -> np.ndarray:
-        from .measures import quantiles
-
-        return quantiles(self.measure, n)
-
-
-def external_field_lambda_gaussian(sigma: float, field: ExternalFieldSpec,
+def external_field_lambda_gaussian(sigma: float, field: SpectralMeasure,
                                    a: float) -> float:
     """Inverse-resolvent value lambda(a) for the invariant Gaussian of scale
-    ``sigma`` in the presence of the external field.
+    ``sigma`` in the presence of the external field: the fixed source
+    coupled to the random matrix, given as the spectral measure ``field``
+    of its eigenvalues.
 
     Completing the square in the coupled Gaussian measure shifts each
     diagonal average to sigma^2 * a, so lambda(a) = sigma^2 * a + pv(a)
@@ -716,4 +704,4 @@ def external_field_lambda_gaussian(sigma: float, field: ExternalFieldSpec,
     """
     if sigma < 0:
         raise ValidationError("sigma must be nonnegative")
-    return sigma * sigma * a + principal_value_transform(field.measure, a)
+    return sigma * sigma * a + principal_value_transform(field, a)

@@ -1,15 +1,16 @@
 """Command-line runner: seed-pinned experiments driven by JSON configs.
 
 Subcommands: law, transform, add, mul, sample, verify, selftest.  Exit
-codes: 0 success, 1 invalid config or parameters, 2 a verification
-tolerance failed, 3 a numerical pipeline failure.  ``verify`` and
-``selftest`` run the checks of ``acceptance``; this module only turns
-config keys into their arguments and writes what they return.
+codes: 0 success, 1 invalid arguments, config or parameters, 2 a
+verification tolerance failed, 3 a numerical pipeline failure.
+``verify`` and ``selftest`` run the checks of ``acceptance``; this module
+only turns config keys into their arguments and writes what they return.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -18,24 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import (
+    DEFAULT_SEED,
     external_field_check,
+    external_field_probes,
     monte_carlo_w1,
     oracle_moment_error,
     pastur_l1,
     run_all,
     verify_report,
 )
-from .arithmetic import (
-    ExternalFieldSpec,
-    HTransform,
-    RTransform,
-    free_add,
-    free_multiply,
-)
+from .arithmetic import HTransform, RTransform, free_add, free_multiply
 from .eigen import hermitian_eigenvalues
 from .errors import NumericalError, ValidationError
 from .measures import LawSpec, make_law, write_density_csv
-from .report import ReportDocument
 from .rmt import (
     EmpiricalSpectrum,
     EnsembleSpec,
@@ -51,24 +47,40 @@ from .stieltjes import (
 )
 
 
-def law_from_config(cfg) -> LawSpec:
-    kind = cfg["kind"]
-    params = cfg.get("params", [])
-    if kind == "atom_list":
-        return LawSpec.atom_list([tuple(p) for p in params])
-    ctor = getattr(LawSpec, kind, None)
-    if ctor is None:
-        raise ValidationError(f"unknown law kind {kind!r}")
-    return ctor(*params)
+def _object(cfg, what):
+    """``cfg`` if it is a JSON object, else a ValidationError."""
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{what} must be a JSON object, not {cfg!r}")
+    return cfg
+
+
+def _numbers(values, count, what):
+    """``values`` if a list of ``count`` numbers, else a ValidationError."""
+    if not (isinstance(values, list) and len(values) == count
+            and all(type(v) in (int, float) for v in values)):
+        raise ValidationError(f"{what} takes {count} numbers, not {values!r}")
+    return values
 
 
 def measure_from_config(cfg, grid_points=2000):
-    return make_law(law_from_config(cfg), cfg.get("grid_points", grid_points))
+    kind = _object(cfg, "a law")["kind"]
+    if kind not in LawSpec.KINDS:
+        raise ValidationError(f"unknown law kind {kind!r}")
+    params = cfg.get("params", [])
+    if kind == "atom_list":
+        pairs = params if isinstance(params, list) else [params]
+        spec = LawSpec.atom_list([_numbers(p, 2, "an atom") for p in pairs])
+    else:
+        ctor = getattr(LawSpec, kind)
+        count = len(inspect.signature(ctor).parameters)
+        spec = ctor(*_numbers(params, count, f"law {kind!r}"))
+    return make_law(spec, cfg.get("grid_points", grid_points))
 
 
 def contour_from_config(cfg) -> ContourSpec | None:
     if cfg is None:
         return None
+    _object(cfg, "a contour")
     grid = np.linspace(cfg["lo"], cfg["hi"], cfg.get("points", 2000))
     schedule = np.asarray(cfg.get("epsilon_schedule",
                                   DEFAULT_EPSILON_SCHEDULE), dtype=float)
@@ -76,7 +88,7 @@ def contour_from_config(cfg) -> ContourSpec | None:
 
 
 def ensemble_from_config(cfg, base_seed) -> EnsembleSpec:
-    kind = cfg["kind"]
+    kind = _object(cfg, "an ensemble")["kind"]
     n = cfg["dimension"]
     seed = cfg.get("base_seed", base_seed)
     if kind == "gue":
@@ -87,7 +99,7 @@ def ensemble_from_config(cfg, base_seed) -> EnsembleSpec:
         return EnsembleSpec.fixed_spectrum(measure_from_config(cfg["measure"]),
                                            n, seed)
     if kind == "shifted_gue":
-        field = ExternalFieldSpec(measure_from_config(cfg["field"]))
+        field = measure_from_config(cfg["field"])
         return EnsembleSpec.shifted_gue(cfg.get("sigma", 1.0), field, n, seed)
     raise ValidationError(f"unknown ensemble kind {kind!r}")
 
@@ -99,22 +111,16 @@ def _write_measure(mu, out_dir, stem):
     return csv_path
 
 
-def _write_report(report: ReportDocument, out_dir, stem="report"):
-    path = out_dir / f"{stem}.json"
-    path.write_text(report.to_json() + "\n")
-    return path
-
-
-def cmd_law(cfg, out_dir, seed, tol_scale):
+def cmd_law(cfg, out_dir, seed):
     mu = measure_from_config(cfg["law"])
     _write_measure(mu, out_dir, cfg.get("output", "density"))
     return 0
 
 
-def cmd_transform(cfg, out_dir, seed, tol_scale):
+def cmd_transform(cfg, out_dir, seed):
     mu = measure_from_config(cfg["law"])
     which = cfg["transform"]
-    grid_cfg = cfg["grid"]
+    grid_cfg = _object(cfg["grid"], "grid")
     xs = np.linspace(grid_cfg["lo"], grid_cfg["hi"],
                      grid_cfg.get("points", 200))
     offset = cfg.get("imag_offset", 1e-2)
@@ -140,7 +146,7 @@ def cmd_transform(cfg, out_dir, seed, tol_scale):
     return 0
 
 
-def cmd_add(cfg, out_dir, seed, tol_scale):
+def cmd_add(cfg, out_dir, seed):
     if "pastur_cross_check" in cfg or "pastur_sigma" in cfg:
         raise ValidationError(
             "add no longer takes pastur_cross_check or pastur_sigma; run "
@@ -152,7 +158,7 @@ def cmd_add(cfg, out_dir, seed, tol_scale):
     return 0
 
 
-def cmd_mul(cfg, out_dir, seed, tol_scale):
+def cmd_mul(cfg, out_dir, seed):
     mu1 = measure_from_config(cfg["law1"])
     mu2 = measure_from_config(cfg["law2"])
     out = free_multiply(mu1, mu2, contour_from_config(cfg.get("contour")))
@@ -160,7 +166,7 @@ def cmd_mul(cfg, out_dir, seed, tol_scale):
     return 0
 
 
-def cmd_sample(cfg, out_dir, seed, tol_scale):
+def cmd_sample(cfg, out_dir, seed):
     trials = cfg.get("trials", 20)
     spec1 = ensemble_from_config(cfg["ensemble1"], seed)
     if cfg.get("experiment", "add") == "mul":
@@ -177,7 +183,7 @@ def cmd_sample(cfg, out_dir, seed, tol_scale):
     return 0
 
 
-def cmd_verify(cfg, out_dir, seed, tol_scale):
+def cmd_verify(cfg, out_dir, seed):
     mode = cfg.get("mode", "add")
     t0 = time.perf_counter()
     contour = contour_from_config(cfg.get("contour"))
@@ -196,25 +202,24 @@ def cmd_verify(cfg, out_dir, seed, tol_scale):
         metrics = {"l1_vs_free_add": l1}
         _write_measure(out, out_dir, "pastur_density")
     elif mode == "external_field":
-        field = ExternalFieldSpec(measure_from_config(cfg["field"]))
+        field = measure_from_config(cfg["field"])
         sigma1 = cfg.get("sigma1", 1.0)
-        lo, hi = field.measure.support()
-        rng = np.random.default_rng(seed)
-        probes = rng.uniform(hi + 0.5, hi + 3.0, cfg.get("probes", 50))
+        probes = external_field_probes(field, cfg.get("probes", 50),
+                                       np.random.default_rng(seed))
         metrics = external_field_check(
             [(sigma1, cfg.get("sigma2", 1.0), field, probes)], sigma1, field,
             cfg.get("dimension", 128), cfg.get("trials", 400), seed)
     else:
         raise ValidationError(f"unknown verify mode {mode!r}")
     report = verify_report(mode, {"config": cfg}, metrics, t0, seed,
-                           cfg.get("tolerances"), tol_scale)
-    _write_report(report, out_dir)
+                           cfg.get("tolerances"))
+    (out_dir / "report.json").write_text(report.to_json() + "\n")
     print(f"verify {mode}: {'pass' if report.passed else 'FAIL'}")
     return 0 if report.passed else 2
 
 
-def cmd_selftest(cfg, out_dir, seed, tol_scale):
-    reports = run_all(seed=seed, tolerance_scale=tol_scale)
+def cmd_selftest(cfg, out_dir, seed):
+    reports = run_all(seed=seed)
     combined = {
         "experiment_id": "selftest",
         "reports": [r.as_dict() for r in reports],
@@ -236,8 +241,28 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Bad arguments are invalid input, exit code 1: argparse's own code,
+    2, is the code of a failed tolerance."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
+def _read_config(path):
+    """The JSON object in the file at ``path``, or {} without a path."""
+    if path is None:
+        return {}
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValidationError(f"cannot read config {str(path)!r}: {err}")
+    return _object(json.loads(text), "the config")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="freeconv",
         description="Free-probability spectral arithmetic and verification",
     )
@@ -248,19 +273,13 @@ def main(argv=None) -> int:
                         help="override the config base seed")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory")
-    parser.add_argument("--tolerance-scale", type=float, default=1.0,
-                        help="multiply every verification tolerance")
-    args = parser.parse_args(argv)
-
     try:
-        cfg = {}
-        if args.config is not None:
-            cfg = json.loads(args.config.read_text())
+        args = parser.parse_args(argv)
+        cfg = _read_config(args.config)
         seed = args.seed if args.seed is not None \
-            else cfg.get("base_seed", 11)
+            else cfg.get("base_seed", DEFAULT_SEED)
         args.out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, args.out, seed,
-                                      args.tolerance_scale)
+        return COMMANDS[args.command](cfg, args.out, seed)
     except (ValidationError, KeyError, json.JSONDecodeError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return 1

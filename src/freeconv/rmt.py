@@ -53,7 +53,10 @@ def stream(base_seed: int, purpose: int, trial: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Description of one random-matrix ensemble at fixed dimension."""
+    """Description of one random-matrix ensemble at fixed dimension.
+
+    ``measure`` is the spectrum of a ``fixed_spectrum`` ensemble and the
+    external field of a ``shifted_gue`` one."""
 
     kind: str
     dimension: int
@@ -61,7 +64,6 @@ class EnsembleSpec:
     sigma: float = 1.0
     ratio: float = 1.0
     measure: SpectralMeasure | None = None
-    field: object = None
 
     KINDS = ("gue", "fixed_spectrum", "wishart", "shifted_gue")
 
@@ -90,7 +92,7 @@ class EnsembleSpec:
     @classmethod
     def shifted_gue(cls, sigma, field, dimension, base_seed):
         return cls("shifted_gue", dimension, base_seed, sigma=float(sigma),
-                   field=field)
+                   measure=field)
 
 
 def _gue_matrix(n, sigma, rng):
@@ -138,7 +140,7 @@ def sample_ensemble(spec: EnsembleSpec, trial: int, slot: int = 0) -> np.ndarray
     if spec.kind == "shifted_gue":
         m = _gue_matrix(n, spec.sigma, stream(spec.base_seed, p_entries,
                                               trial))
-        shifts = spec.sigma ** 2 * spec.field.eigenvalues(n)
+        shifts = spec.sigma ** 2 * quantiles(spec.measure, n)
         m[np.diag_indices(n)] += shifts
         return m
     if spec.kind == "fixed_spectrum":

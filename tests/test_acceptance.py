@@ -1,14 +1,18 @@
 """Acceptance criteria, each at its pinned tolerance.
 
 Every test prints a one-line pass/fail verdict for its criterion, and the
-suite as a whole is what `freeconv selftest` replays.
+suite as a whole is what `freeconv selftest` replays.  ``run_all`` and
+``selftest`` themselves run here on stub criteria.
 """
 
+import json
 import math
 
 import pytest
 
 from freeconv import acceptance
+from freeconv.cli import main
+from freeconv.report import CriterionRecord, ReportDocument
 
 
 def _run(number, fn, **kwargs):
@@ -80,10 +84,7 @@ def test_reports_are_self_contained():
 
 def test_external_field_check_keeps_a_nan_residual(monkeypatch):
     # max(0.0, nan) is 0.0: a running Python max would pass a NaN residual
-    from freeconv.arithmetic import (
-        ExternalFieldSpec,
-        external_field_lambda_gaussian,
-    )
+    from freeconv.arithmetic import external_field_lambda_gaussian
     from freeconv.measures import dirac
 
     # the first case's probe gives a NaN lambda, the second case's does not
@@ -92,8 +93,53 @@ def test_external_field_check_keeps_a_nan_residual(monkeypatch):
         lambda sigma, field, a: (float("nan") if a == 2.0 else
                                  external_field_lambda_gaussian(sigma, field,
                                                                 a)))
-    field = ExternalFieldSpec(dirac(0.0))
+    field = dirac(0.0)
     metrics = acceptance.external_field_check(
         [(1.0, 1.0, field, [2.0]), (1.0, 2.0, field, [3.0])], 1.0, field,
         16, 20, 3)
     assert math.isnan(metrics["max_analytic_residual"])
+
+
+def _stub_criteria(calls, second_value):
+    """A seeded criterion that passes and an unseeded one whose value is
+    ``second_value`` against a bound of 1.0; each call is logged."""
+    def seeded(seed):
+        calls.append(("seeded", seed))
+        return ReportDocument("stub_seeded", {}, {},
+                              (CriterionRecord("x", 0.5, 1.0),), seed=seed)
+
+    def unseeded():
+        calls.append(("unseeded",))
+        return ReportDocument("stub_unseeded", {}, {},
+                              (CriterionRecord("y", second_value, 1.0),))
+
+    return (("1", seeded, True), ("2", unseeded, False))
+
+
+def test_run_all_seeds_only_seeded_criteria_and_logs_failures(monkeypatch):
+    calls = []
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", _stub_criteria(calls, 2.0))
+    lines = []
+    reports = acceptance.run_all(seed=7, log=lines.append)
+    assert calls == [("seeded", 7), ("unseeded",)]
+    assert [r.experiment_id for r in reports] == ["stub_seeded",
+                                                  "stub_unseeded"]
+    assert lines[0].startswith("criterion 1 [stub_seeded]: pass")
+    assert lines[1].startswith("criterion 2 [stub_unseeded]: FAIL")
+    assert lines[2:] == ["    y: value 2.0 vs tolerance 1.0"]
+
+
+@pytest.mark.parametrize("second_value, code, verdict",
+                         [(0.5, 0, "pass"), (2.0, 2, "fail")])
+def test_selftest_writes_the_combined_report(monkeypatch, tmp_path,
+                                             second_value, code, verdict):
+    calls = []
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        _stub_criteria(calls, second_value))
+    assert main(["selftest", "--out", str(tmp_path), "--seed", "3"]) == code
+    assert calls == [("seeded", 3), ("unseeded",)]
+    combined = json.loads((tmp_path / "selftest_report.json").read_text())
+    assert combined["verdict"] == verdict
+    assert [r["experiment_id"] for r in combined["reports"]] == \
+        ["stub_seeded", "stub_unseeded"]
+    assert combined["reports"][0]["seed"] == 3

@@ -3,7 +3,6 @@ import pytest
 
 from freeconv.acceptance import _additivity_residuals
 from freeconv.arithmetic import (
-    ExternalFieldSpec,
     FreeProductResolvent,
     FreeSumResolvent,
     PasturResolvent,
@@ -578,37 +577,32 @@ def test_pipeline_point_evaluation(case):
 
 
 def test_external_field_lambda_at_zero_field():
-    field = ExternalFieldSpec(dirac(0.0))
-    got = external_field_lambda_gaussian(1.0, field, 0.5)
+    got = external_field_lambda_gaussian(1.0, dirac(0.0), 0.5)
     assert got == pytest.approx(0.5 + 2.0, abs=1e-12)
 
 
 def test_external_field_lambda_zero_sigma():
-    field = ExternalFieldSpec(TWO)
     from freeconv.stieltjes import principal_value_transform
 
-    got = external_field_lambda_gaussian(0.0, field, 2.0)
+    got = external_field_lambda_gaussian(0.0, TWO, 2.0)
     assert got == pytest.approx(
         principal_value_transform(TWO, 2.0), abs=1e-14
     )
 
 
 def test_external_field_lambda_two_atom():
-    field = ExternalFieldSpec(TWO)
-    got = external_field_lambda_gaussian(1.0, field, 2.0)
+    got = external_field_lambda_gaussian(1.0, TWO, 2.0)
     assert got == pytest.approx(2.0 + 2.0 / 3.0, abs=1e-12)
 
 
 def test_generalized_addition_identity():
-    field = ExternalFieldSpec(dirac(0.0))
-    residuals = _additivity_residuals(1.0, 1.0, field, [0.3, 0.7, 1.5])
+    residuals = _additivity_residuals(1.0, 1.0, dirac(0.0), [0.3, 0.7, 1.5])
     assert np.max(np.abs(residuals)) <= 1e-12
 
 
 def test_generalized_addition_random_configs():
     for _ in range(5):
         s1, s2 = RNG.uniform(0.5, 3.0, size=2)
-        field = ExternalFieldSpec(TWO)
         probes = RNG.uniform(1.5, 4.0, size=50)
-        residuals = _additivity_residuals(s1, s2, field, probes)
+        residuals = _additivity_residuals(s1, s2, TWO, probes)
         assert np.max(np.abs(residuals)) <= 1e-12

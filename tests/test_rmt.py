@@ -22,7 +22,7 @@ from freeconv.rmt import (
 )
 import freeconv.rmt as rmt
 from freeconv.acceptance import _connected_moments, _diagonal_deviations
-from freeconv.arithmetic import ExternalFieldSpec, pastur_add_gaussian
+from freeconv.arithmetic import pastur_add_gaussian
 from freeconv.eigen import hermitian_eigenvalues
 from freeconv.stieltjes import default_contour
 
@@ -47,9 +47,9 @@ def test_fixed_spectrum_eigenvalues_are_quantiles():
 
 
 def test_shifted_gue_with_zero_field_matches_gue():
-    field = ExternalFieldSpec(dirac(0.0))
     a = sample_ensemble(EnsembleSpec.gue(1.0, 64, SEED), 3)
-    b = sample_ensemble(EnsembleSpec.shifted_gue(1.0, field, 64, SEED), 3)
+    b = sample_ensemble(EnsembleSpec.shifted_gue(1.0, dirac(0.0), 64, SEED),
+                        3)
     assert np.array_equal(a, b)
 
 
@@ -137,12 +137,11 @@ def test_wishart_product_moments_match_fuss_catalan():
 
 def _budget_specs(n):
     two = make_law(LawSpec.two_atom(0.5, 1.0, 2.0))
-    field = ExternalFieldSpec(two)
     return {
         "gue": EnsembleSpec.gue(1.0, n, SEED),
         "wishart": EnsembleSpec.wishart(1.0, n, SEED + 1),
         "fixed_spectrum": EnsembleSpec.fixed_spectrum(two, n, SEED + 2),
-        "shifted_gue": EnsembleSpec.shifted_gue(1.0, field, n, SEED + 3),
+        "shifted_gue": EnsembleSpec.shifted_gue(1.0, two, n, SEED + 3),
     }
 
 
@@ -224,18 +223,17 @@ def _fraction_within_3_stderr(sigma, field, dimension, trials, seed):
 
 
 def test_external_field_zero_field_centered():
-    dev, stderr = _diagonal_deviations(1.0, ExternalFieldSpec(dirac(0.0)), 64,
-                                       200, SEED)
+    dev, stderr = _diagonal_deviations(1.0, dirac(0.0), 64, 200, SEED)
     assert np.max(dev) <= 4 * stderr
 
 
 def test_external_field_two_atom_within_errors():
-    field = ExternalFieldSpec(make_law(LawSpec.two_atom(0.5, -1.0, 1.0)))
+    field = make_law(LawSpec.two_atom(0.5, -1.0, 1.0))
     assert _fraction_within_3_stderr(1.0, field, 128, 400, SEED) >= 0.95
 
 
 def test_external_field_sigma_scaling():
-    field = ExternalFieldSpec(make_law(LawSpec.two_atom(0.5, -1.0, 1.0)))
+    field = make_law(LawSpec.two_atom(0.5, -1.0, 1.0))
     # diagonal averages scale as sigma^2: the deviations from the
     # prediction stay at noise level for both
     assert _fraction_within_3_stderr(1.0, field, 128, 400, SEED) >= 0.95

@@ -212,6 +212,23 @@ def test_invert_round_trip_random(spec):
         assert abs(ev(lam) - w) <= 1e-12 * max(1.0, abs(w))
 
 
+def test_invert_continues_where_direct_newton_stalls():
+    # Next to the atom at 1, |G(z)| is about 36 and Newton from the
+    # asymptotic seed 1/w stalls at residual 35.5; the continuation path,
+    # which walks |w| up from 0.01, must meet the residual contract.
+    ev = MeasureResolvent(make_law(LawSpec.two_atom(0.5, -1.0, 1.0)))
+    z = complex(1.01, 0.01)
+    w = ev(z)
+    with pytest.raises(InversionError):
+        damped_newton(ev.vd_scalar, 1.0 / w, w, 1e-12 * abs(w))
+    # a given seed is tried alone: no continuation
+    with pytest.raises(InversionError):
+        invert_cauchy(ev, w, seed=1.0 / w)
+    lam = invert_cauchy(ev, w)
+    assert abs(ev(lam) - w) <= 1e-12 * max(1.0, abs(w))
+    assert lam == pytest.approx(z, abs=1e-12)
+
+
 def test_invert_rejects_zero():
     with pytest.raises(ValidationError):
         invert_cauchy(MeasureResolvent(dirac(0.0)), 0.0)
