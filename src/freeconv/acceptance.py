@@ -12,6 +12,7 @@ alike, and ``verify_report`` holds verify's default tolerances.
 
 from __future__ import annotations
 
+import numbers
 import time
 
 import numpy as np
@@ -217,8 +218,21 @@ def external_field_check(cases, mc_sigma, mc_field, dimension, trials, seed):
 def verify_report(mode, inputs, metrics, t0, seed, tolerances=None):
     """The ``freeconv verify`` report: each metric against its tolerance
     in ``tolerances``, else in ``VERIFY_TOLERANCES``; the Monte Carlo
-    fraction against its floor."""
-    tolerances = tolerances or {}
+    fraction against its floor.  A tolerance that is not a number, or
+    names no metric of the mode, is a ValidationError."""
+    tolerances = {} if tolerances is None else tolerances
+    if not isinstance(tolerances, dict):
+        raise ValidationError(
+            f"tolerances must be a JSON object, not {tolerances!r}")
+    known = [name for name in metrics if name in VERIFY_TOLERANCES]
+    for name, tol in tolerances.items():
+        if name not in known:
+            raise ValidationError(
+                f"tolerance {name!r} names no metric of verify mode "
+                f"{mode!r}; its metrics are {known}")
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ValidationError(
+                f"tolerance {name!r} must be a number, not {tol!r}")
     crits = []
     for name, value in metrics.items():
         if name == "mc_fraction_within_3_stderr":

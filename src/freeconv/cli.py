@@ -38,6 +38,7 @@ from .rmt import (
     mc_free_add_experiment,
     mc_free_mul_experiment,
     sample_ensemble,
+    trial_count,
 )
 from .stieltjes import (
     DEFAULT_EPSILON_SCHEDULE,
@@ -167,7 +168,7 @@ def cmd_mul(cfg, out_dir, seed):
 
 
 def cmd_sample(cfg, out_dir, seed):
-    trials = cfg.get("trials", 20)
+    trials = trial_count(cfg.get("trials", 20))
     spec1 = ensemble_from_config(cfg["ensemble1"], seed)
     if cfg.get("experiment", "add") == "mul":
         spec2 = ensemble_from_config(cfg["ensemble2"], seed)

@@ -12,15 +12,31 @@ unitarily invariant (GUE, Wishart); a standalone ``fixed_spectrum`` draw
 from ``sample_ensemble`` is still Haar-rotated.  Spectra come from
 ``eigen.hermitian_eigenvalues`` (LAPACK behind a Hermiticity check).
 
+A sum adds an unrotated fixed spectrum onto the other operand's diagonal.
+Unrotated operands are exactly Hermitian, and so is their sum; only a sum
+with a rotated operand is symmetrized.  A product takes its spectrum from
+a Gram matrix when both operands have a factor (a Wishart draw X, or the
+square root of a nonnegative fixed spectrum, kept as a vector): the
+product with A = C C^dagger and B = F F^dagger has the nonzero spectrum
+of Y^dagger Y for Y = F^dagger U^dagger C, which is formed on Y's smaller
+side.  A right operand with no factor, such as a GUE, gives C^dagger
+(U B U^dagger) C.
+
 Conventions.  The invariant Gaussian ensemble of scale sigma has real
 diagonal entries of variance sigma^2/N and complex off-diagonal entries
 with variance sigma^2/(2N) per component, so its spectrum converges to the
-radius-2*sigma semicircle.  The sample-covariance ensemble of ratio c is
+radius-2*sigma semicircle.  One N x N real normal draw r gives the whole
+matrix: H_ij = (r_ij + i r_ji) sigma/sqrt(2N) for i < j and H_ii = r_ii
+sigma/sqrt(N).  The construction before it drew 2N^2 + N normals, so with
+it the bytes of ``gue`` and ``shifted_gue`` samples, and of the spectra
+sampled from them, changed.  The sample-covariance ensemble of ratio c is
 (1/n) X X^dagger with X of shape (N, n), n = round(N/c).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +67,32 @@ def stream(base_seed: int, purpose: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _integer(value, name, least):
+    """``value`` as an int if it is an integer (not a bool) of at least
+    ``least``, else a ValidationError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValidationError(
+            f"{name} must be an integer of at least {least}, not {value!r}")
+    return int(value)
+
+
+def _positive_real(value, name):
+    """``value`` as a float if it is a finite positive real (not a bool),
+    else a ValidationError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
+        raise ValidationError(
+            f"{name} must be a finite positive number, not {value!r}")
+    return float(value)
+
+
+def trial_count(trials) -> int:
+    """``trials`` as an int if it is a positive integer, else a
+    ValidationError."""
+    return _integer(trials, "trials", 1)
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Description of one random-matrix ensemble at fixed dimension.
@@ -70,16 +112,15 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValidationError(f"unknown ensemble kind {self.kind!r}")
-        if self.dimension < 2:
-            raise ValidationError("dimension must be at least 2")
-        if self.kind in ("gue", "shifted_gue") and self.sigma <= 0:
-            raise ValidationError("sigma must be positive")
-        if self.kind == "wishart" and self.ratio <= 0:
-            raise ValidationError("ratio must be positive")
+        object.__setattr__(self, "dimension",
+                           _integer(self.dimension, "dimension", 2))
+        for name in ("sigma", "ratio"):
+            object.__setattr__(self, name,
+                               _positive_real(getattr(self, name), name))
 
     @classmethod
     def gue(cls, sigma, dimension, base_seed):
-        return cls("gue", dimension, base_seed, sigma=float(sigma))
+        return cls("gue", dimension, base_seed, sigma=sigma)
 
     @classmethod
     def fixed_spectrum(cls, measure, dimension, base_seed):
@@ -87,22 +128,27 @@ class EnsembleSpec:
 
     @classmethod
     def wishart(cls, ratio, dimension, base_seed):
-        return cls("wishart", dimension, base_seed, ratio=float(ratio))
+        return cls("wishart", dimension, base_seed, ratio=ratio)
 
     @classmethod
     def shifted_gue(cls, sigma, field, dimension, base_seed):
-        return cls("shifted_gue", dimension, base_seed, sigma=float(sigma),
+        return cls("shifted_gue", dimension, base_seed, sigma=sigma,
                    measure=field)
 
 
 def _gue_matrix(n, sigma, rng):
-    diag = rng.standard_normal(n) * (sigma / np.sqrt(n))
-    re = rng.standard_normal((n, n))
-    im = rng.standard_normal((n, n))
-    off = (re + 1j * im) * (sigma / np.sqrt(2.0 * n))
-    m = np.triu(off, 1)
-    m += m.conj().T
-    m[np.diag_indices(n)] = diag
+    """The one-draw GUE of the module docstring; the lower triangle is the
+    conjugate of the upper, so the matrix is exactly Hermitian."""
+    r = rng.standard_normal((n, n))
+    diag = np.diagonal(r) * (sigma / np.sqrt(n))
+    r *= sigma / np.sqrt(2.0 * n)
+    lower = np.tri(n, k=-1, dtype=bool)
+    m = np.empty((n, n), dtype=complex)
+    np.copyto(m.real, r)
+    np.copyto(m.real, r.T, where=lower)
+    np.copyto(m.imag, r.T)
+    np.negative(r, out=m.imag, where=lower)
+    np.fill_diagonal(m, diag)
     return m
 
 
@@ -117,15 +163,6 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return q
-
-
-def _wishart_factor(spec, rng):
-    n_cols = int(round(spec.dimension / spec.ratio))
-    if n_cols < 1:
-        raise ValidationError("ratio too large for this dimension")
-    x = (rng.standard_normal((spec.dimension, n_cols))
-         + 1j * rng.standard_normal((spec.dimension, n_cols))) / np.sqrt(2.0)
-    return x / np.sqrt(n_cols)
 
 
 def sample_ensemble(spec: EnsembleSpec, trial: int, slot: int = 0) -> np.ndarray:
@@ -149,7 +186,7 @@ def sample_ensemble(spec: EnsembleSpec, trial: int, slot: int = 0) -> np.ndarray
         m = (u * t) @ u.conj().T
         return 0.5 * (m + m.conj().T)
     if spec.kind == "wishart":
-        x = _wishart_factor(spec, stream(spec.base_seed, p_entries, trial))
+        x = _factor(spec, trial, slot)
         m = x @ x.conj().T
         return 0.5 * (m + m.conj().T)
     raise ValidationError(f"unknown ensemble kind {spec.kind!r}")
@@ -175,31 +212,73 @@ def _operand(spec: EnsembleSpec, trial: int, slot: int,
              u: np.ndarray | None) -> np.ndarray:
     """The trial's draw of one operand, conjugated by u unless u is None.
 
-    A fixed spectrum is not Haar-rotated here: u is its only rotation.
-    The result is Hermitian up to rounding.
+    A fixed spectrum is not Haar-rotated here: u is its only rotation, and
+    unrotated it is the 1-D array of its diagonal.  Without u the result
+    is exactly Hermitian; with u, Hermitian up to rounding.
     """
     if spec.kind == "fixed_spectrum":
         t = quantiles(spec.measure, spec.dimension)
-        return np.diag(t) if u is None else (u * t) @ u.conj().T
+        return t if u is None else (u * t) @ u.conj().T
     m = sample_ensemble(spec, trial, slot)
     return m if u is None else u @ m @ u.conj().T
 
 
-def _psd_factor(spec: EnsembleSpec, trial: int) -> np.ndarray:
-    """A factor C with C C^dagger distributed as the (PSD) ensemble up to
-    unitary conjugation; diagonal for a fixed spectrum."""
+def _factor(spec: EnsembleSpec, trial: int, slot: int) -> np.ndarray | None:
+    """A factor F with F F^dagger distributed as the ensemble up to unitary
+    conjugation: the N x n draw of a Wishart ensemble (the stream
+    ``sample_ensemble`` uses in this slot), or the 1-D array of the
+    diagonal factor of a nonnegative fixed spectrum.  None for an ensemble
+    with no such factor."""
     if spec.kind == "wishart":
-        return _wishart_factor(spec, stream(spec.base_seed, P_ENTRIES_A,
-                                            trial))
+        n_cols = int(round(spec.dimension / spec.ratio))
+        if n_cols < 1:
+            raise ValidationError("ratio too large for this dimension")
+        rng = stream(spec.base_seed,
+                     P_ENTRIES_A if slot == 0 else P_ENTRIES_B, trial)
+        # filled in place: the bits of (re + i im) / sqrt(2) / sqrt(n_cols)
+        # without complex temporaries
+        shape = (spec.dimension, n_cols)
+        x = np.empty(shape, dtype=complex)
+        scale = 1.0 / np.sqrt(2.0)
+        np.multiply(rng.standard_normal(shape), scale, out=x.real)
+        np.multiply(rng.standard_normal(shape), scale, out=x.imag)
+        x *= 1.0 / np.sqrt(n_cols)
+        return x
     if spec.kind == "fixed_spectrum":
         t = quantiles(spec.measure, spec.dimension)
-        if np.any(t < -1e-12):
-            raise ValidationError("factor spectrum must be nonnegative")
-        return np.diag(np.sqrt(np.clip(t, 0.0, None)))
-    raise ValidationError(
-        "left factor must be a positive semidefinite family "
-        "(wishart or nonnegative fixed_spectrum)"
-    )
+        if np.all(t >= -1e-12):
+            return np.sqrt(np.clip(t, 0.0, None))
+    return None
+
+
+def _adjoint_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^dagger b, where a 1-D array stands for the real diagonal matrix of
+    its entries; at most one of a and b is 1-D."""
+    if a.ndim == 1:
+        return a[:, None] * b
+    if b.ndim == 1:
+        return a.conj().T * b
+    return a.conj().T @ b
+
+
+def _gram(y: np.ndarray) -> np.ndarray:
+    """An exactly Hermitian matrix with the nonzero spectrum of Y^dagger Y,
+    on Y's smaller side.
+
+    With Z = A + iB the taller of Y and Y^T, it is Z^dagger Z = A^T A +
+    B^T B + i (A^T B - B^T A) (for Z = Y^T, the conjugate of Y Y^dagger).
+    numpy forms the real part, a matrix times its own transpose, as one
+    symmetric rank-k update of the stacked [A; B]; with the one real
+    product A^T B that is half the work of a complex matrix product.
+    """
+    z = y if y.shape[1] <= y.shape[0] else y.T
+    k = z.shape[0]
+    ab = np.concatenate([z.real, z.imag])
+    g = np.empty((z.shape[1], z.shape[1]), dtype=complex)
+    g.real = ab.T @ ab
+    cross = ab[:k].T @ ab[k:]
+    g.imag = cross - cross.T
+    return g
 
 
 # -- empirical spectra ---------------------------------------------------------
@@ -257,14 +336,30 @@ def mc_free_add_experiment(spec1: EnsembleSpec, spec2: EnsembleSpec,
                            trials: int) -> EmpiricalSpectrum:
     """Spectra of M1 + M2 over independent trials, with the operands put
     in free position by at most one Haar rotation per trial (see
-    ``_mixing_unitary``)."""
+    ``_mixing_unitary``).
+
+    An unrotated fixed spectrum is added onto the other operand's
+    diagonal.  Unrotated operands are exactly Hermitian and so is their
+    sum; only a rotated sum is symmetrized before the eigensolve.
+    """
     if spec1.dimension != spec2.dimension:
         raise ValidationError("operand dimensions differ")
-    out = np.empty((trials, spec1.dimension))
+    trials = trial_count(trials)
+    n = spec1.dimension
+    out = np.empty((trials, n))
     for t in range(trials):
         u = _mixing_unitary(spec1, spec2, t)
-        total = _operand(spec1, t, 0, None) + _operand(spec2, t, 1, u)
-        out[t] = hermitian_eigenvalues(0.5 * (total + total.conj().T))
+        total = _operand(spec1, t, 0, None)
+        other = _operand(spec2, t, 1, u)
+        if total.ndim == 1:
+            total, other = other, total
+        if other.ndim == 1:
+            total[np.diag_indices(n)] += other
+        else:
+            total += other
+        if u is not None:
+            total = 0.5 * (total + total.conj().T)
+        out[t] = hermitian_eigenvalues(total)
     return EmpiricalSpectrum(out)
 
 
@@ -272,21 +367,36 @@ def mc_free_mul_experiment(spec1: EnsembleSpec, spec2: EnsembleSpec,
                            trials: int) -> EmpiricalSpectrum:
     """Spectra of A^(1/2) U B U^dagger A^(1/2) over independent trials.
 
-    Realized as eig(C^dagger (U B U^dagger) C) for a factor A = C C^dagger,
-    which is Hermitian without forming A^(1/2).  U is the identity when
-    either ensemble is unitarily invariant and one Haar draw otherwise
-    (see ``_mixing_unitary``).  Rank differences against N are padded with
-    (or checked as) exact zeros.
+    Realized from the left operand's factor A = C C^dagger, as the module
+    docstring says: from the Gram matrix of F^dagger U^dagger C when
+    B = F F^dagger has a factor too, else from C^dagger (U B U^dagger) C.
+    U is the identity when either ensemble is unitarily invariant and one
+    Haar draw otherwise (see ``_mixing_unitary``).  Rank differences
+    against N are padded with (or checked as) exact zeros.
     """
     if spec1.dimension != spec2.dimension:
         raise ValidationError("operand dimensions differ")
+    trials = trial_count(trials)
     n = spec1.dimension
     out = np.empty((trials, n))
     for t in range(trials):
-        c = _psd_factor(spec1, t)
-        b = _operand(spec2, t, 1, _mixing_unitary(spec1, spec2, t))
-        prod = c.conj().T @ b @ c
-        lam = hermitian_eigenvalues(0.5 * (prod + prod.conj().T))
+        c = _factor(spec1, t, 0)
+        if c is None:
+            raise ValidationError(
+                "left factor must be a positive semidefinite family "
+                "(wishart or nonnegative fixed_spectrum)"
+            )
+        u = _mixing_unitary(spec1, spec2, t)
+        f = _factor(spec2, t, 1)
+        if f is not None:
+            prod = _gram(_adjoint_times(
+                f, c if u is None else _adjoint_times(u, c)))
+        else:
+            # B is Hermitian, so B^dagger C is B C
+            b = _operand(spec2, t, 1, u)
+            prod = _adjoint_times(c, _adjoint_times(b, c))
+            prod = 0.5 * (prod + prod.conj().T)
+        lam = hermitian_eigenvalues(prod)
         m = lam.size
         if m < n:
             lam = np.sort(np.concatenate([lam, np.zeros(n - m)]))

@@ -395,6 +395,29 @@ BAD_INPUTS = {
                                           "params": [1.0, 2.0]}}),
     "atom_is_a_number": (["law"], {"law": {"kind": "atom_list",
                                            "params": [0.5]}}),
+    "dimension_is_a_string": (["sample"], {"ensemble1": {
+        "kind": "gue", "dimension": "a"}}),
+    "dimension_is_fractional": (["sample"], {"ensemble1": {
+        "kind": "gue", "dimension": 16.5}}),
+    "sigma_is_a_bool": (["sample"], {"ensemble1": {
+        "kind": "gue", "dimension": 16, "sigma": True}}),
+    "ratio_is_nan": (["sample"], {"ensemble1": {
+        "kind": "wishart", "dimension": 16, "ratio": float("nan")}}),
+    "add_trials_is_a_bool": (["sample"], {
+        "ensemble1": {"kind": "gue", "dimension": 16},
+        "ensemble2": {"kind": "gue", "dimension": 16}, "trials": True}),
+    "mul_trials_is_fractional": (["sample"], {
+        "experiment": "mul",
+        "ensemble1": {"kind": "wishart", "dimension": 16},
+        "ensemble2": {"kind": "wishart", "dimension": 16}, "trials": 2.5}),
+    "one_ensemble_trials_is_a_string": (["sample"], {
+        "ensemble1": {"kind": "gue", "dimension": 16}, "trials": "3"}),
+    "tolerance_names_no_metric": (["verify"], {
+        "mode": "pastur", **VERIFY_CASES["pastur"][0],
+        "tolerances": {"l1_vs_free_ad": 1e-9}}),
+    "tolerance_is_a_string": (["verify"], {
+        "mode": "pastur", **VERIFY_CASES["pastur"][0],
+        "tolerances": {"l1_vs_free_add": "1e-9"}}),
 }
 
 

@@ -6,12 +6,14 @@ from freeconv.measures import (
     LawSpec,
     dirac,
     make_law,
+    quantiles,
     wasserstein1,
     wasserstein1_empirical,
 )
 from freeconv.rmt import (
     EmpiricalSpectrum,
     EnsembleSpec,
+    P_ENTRIES_A,
     P_MIX,
     empirical_measure,
     haar_unitary,
@@ -46,6 +48,21 @@ def test_fixed_spectrum_eigenvalues_are_quantiles():
     assert np.allclose(lam[64:], 1.0, atol=1e-10)
 
 
+def test_gue_is_the_one_draw_construction():
+    # H_ij = (r_ij + i r_ji) sigma / sqrt(2n) for i < j, H_ii = r_ii
+    # sigma / sqrt(n), from one n x n real normal draw r
+    n, sigma, t = 24, 1.7, 4
+    r = stream(SEED, P_ENTRIES_A, t).standard_normal((n, n))
+    i, j = np.triu_indices(n, 1)
+    expected = np.zeros((n, n), dtype=complex)
+    expected[i, j] = (r[i, j] + 1j * r[j, i]) * (sigma / np.sqrt(2.0 * n))
+    expected[j, i] = expected[i, j].conj()
+    expected[np.diag_indices(n)] = np.diagonal(r) * (sigma / np.sqrt(n))
+    m = sample_ensemble(EnsembleSpec.gue(sigma, n, SEED), t)
+    assert np.array_equal(m, expected)
+    assert np.array_equal(m, m.conj().T)
+
+
 def test_shifted_gue_with_zero_field_matches_gue():
     a = sample_ensemble(EnsembleSpec.gue(1.0, 64, SEED), 3)
     b = sample_ensemble(EnsembleSpec.shifted_gue(1.0, dirac(0.0), 64, SEED),
@@ -73,6 +90,35 @@ def test_ensemble_validation():
         EnsembleSpec.gue(1.0, 1, SEED)
     with pytest.raises(ValidationError):
         EnsembleSpec.wishart(-1.0, 64, SEED)
+
+
+@pytest.mark.parametrize("dimension", ["a", 16.5, True, None])
+def test_ensemble_rejects_a_dimension_that_is_not_an_integer(dimension):
+    with pytest.raises(ValidationError):
+        EnsembleSpec.gue(1.0, dimension, SEED)
+
+
+@pytest.mark.parametrize("value", [True, np.nan, np.inf, "1", 0.0])
+def test_ensemble_rejects_a_scale_that_is_not_a_finite_positive_real(value):
+    with pytest.raises(ValidationError):
+        EnsembleSpec.gue(value, 16, SEED)
+    with pytest.raises(ValidationError):
+        EnsembleSpec.wishart(value, 16, SEED)
+
+
+def test_ensemble_keeps_numpy_scalars_as_python_numbers():
+    spec = EnsembleSpec.gue(np.float64(1.5), np.int64(16), SEED)
+    assert (type(spec.dimension), type(spec.sigma)) == (int, float)
+
+
+@pytest.mark.parametrize("experiment", [mc_free_add_experiment,
+                                        mc_free_mul_experiment])
+@pytest.mark.parametrize("trials", [0, -1, 2.0, True, "2"])
+def test_experiments_reject_a_trial_count_that_is_not_positive(experiment,
+                                                               trials):
+    spec = EnsembleSpec.wishart(1.0, 8, SEED)
+    with pytest.raises(ValidationError):
+        experiment(spec, spec, trials)
 
 
 def test_haar_unitarity_and_determinant():
@@ -179,6 +225,90 @@ def test_fixed_spectrum_plus_gue_matches_pastur():
                                 EnsembleSpec.gue(1.0, 256, SEED), trials=8)
     target = pastur_add_gaussian(two, 1.0, default_contour(-3.0, 3.0, 600))
     assert wasserstein1_empirical(es.pooled(), target) <= 0.01
+
+
+def _dense_product_spectra(spec1, spec2, trials):
+    """eig(C^dagger U B U^dagger C) with C, B and U dense, from the draws
+    the experiment makes."""
+    n = spec1.dimension
+    rows = []
+    for t in range(trials):
+        if spec1.kind == "wishart":
+            rng = stream(spec1.base_seed, P_ENTRIES_A, t)
+            cols = int(round(n / spec1.ratio))
+            c = (rng.standard_normal((n, cols))
+                 + 1j * rng.standard_normal((n, cols))) / np.sqrt(2.0 * cols)
+        else:
+            c = np.diag(np.sqrt(quantiles(spec1.measure, n)))
+        if spec2.kind == "fixed_spectrum":
+            b = np.diag(quantiles(spec2.measure, n))
+        else:
+            b = sample_ensemble(spec2, t, slot=1)
+        if spec2.kind == "fixed_spectrum" == spec1.kind:
+            u = haar_unitary(n, stream(spec1.base_seed, P_MIX, t))
+            b = u @ b @ u.conj().T
+        prod = c.conj().T @ b @ c
+        lam = np.linalg.eigvalsh(0.5 * (prod + prod.conj().T))
+        rows.append(np.sort(np.concatenate([lam, np.zeros(n - lam.size)])))
+    return np.asarray(rows)
+
+
+@pytest.mark.parametrize("left,right", [
+    ("wishart", "wishart"),
+    ("wishart", "wishart_wide"),
+    ("fixed", "wishart"),
+    ("fixed", "wishart_wide"),
+    ("wishart", "fixed"),
+    ("fixed", "fixed"),
+    ("wishart", "gue"),
+    ("fixed", "gue"),
+])
+def test_gram_route_matches_the_dense_product(left, right):
+    # ratio 1.5 gives a 40 x 27 factor, so its Gram side is the smaller one
+    n = 40
+    two = make_law(LawSpec.two_atom(0.5, 0.5, 2.0))
+    specs = {
+        "wishart": EnsembleSpec.wishart(1.0, n, SEED),
+        "wishart_wide": EnsembleSpec.wishart(1.5, n, SEED + 1),
+        "fixed": EnsembleSpec.fixed_spectrum(two, n, SEED + 2),
+        "gue": EnsembleSpec.gue(1.0, n, SEED + 3),
+    }
+    es = mc_free_mul_experiment(specs[left], specs[right], trials=3)
+    expected = _dense_product_spectra(specs[left], specs[right], 3)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(es.eigenvalues - expected)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("shape", [(9, 6), (6, 9)])
+def test_gram_is_exactly_hermitian_on_the_smaller_side(shape):
+    rng = np.random.default_rng(SEED)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = rmt._gram(y)
+    assert g.shape == (6, 6)
+    assert np.array_equal(g, g.conj().T)
+    dense = np.linalg.eigvalsh(y.conj().T @ y)[-6:]
+    assert np.max(np.abs(np.linalg.eigvalsh(g) - dense)) <= 1e-12 * dense[-1]
+
+
+@pytest.mark.parametrize("left,right", [("fixed", "gue"), ("gue", "fixed"),
+                                        ("gue", "gue")])
+def test_unrotated_sum_is_not_symmetrized(left, right):
+    # a sum of exactly Hermitian matrices is exactly Hermitian, so the
+    # symmetrized matrix has the same bits and the same eigenvalues
+    n = 48
+    two = make_law(LawSpec.two_atom(0.5, -1.0, 1.0))
+    specs = {"fixed": EnsembleSpec.fixed_spectrum(two, n, SEED),
+             "gue": EnsembleSpec.gue(1.0, n, SEED + 1)}
+    es = mc_free_add_experiment(specs[left], specs[right], trials=3)
+    for t in range(3):
+        m = np.zeros((n, n), dtype=complex)
+        for slot, kind in enumerate((left, right)):
+            if kind == "fixed":
+                m[np.diag_indices(n)] += quantiles(two, n)
+            else:
+                m += sample_ensemble(specs[kind], t, slot)
+        expected = hermitian_eigenvalues(0.5 * (m + m.conj().T))
+        assert np.array_equal(es.eigenvalues[t], expected)
 
 
 def test_mul_requires_psd_left_factor():
