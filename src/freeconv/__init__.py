@@ -9,10 +9,7 @@ from .arithmetic import (
     external_field_lambda_gaussian,
     free_add,
     free_multiply,
-    h_function,
-    invert_h,
     pastur_add_gaussian,
-    r_transform,
 )
 from .eigen import hermitian_eigenvalues
 from .errors import (
@@ -30,12 +27,10 @@ from .measures import (
     MomentVector,
     Segment,
     SpectralMeasure,
-    absolute_moment,
     affine_map,
     cdf,
     density_l1_distance,
     dirac,
-    ks_distance,
     make_law,
     moment,
     quantiles,
@@ -50,7 +45,6 @@ from .report import CriterionRecord, ReportDocument
 from .rmt import (
     EmpiricalSpectrum,
     EnsembleSpec,
-    empirical_measure,
     haar_unitary,
     mc_free_add_experiment,
     mc_free_mul_experiment,

@@ -55,7 +55,6 @@ class RTransform:
     """Centered inverse resolvent R(w) = G^{-1}(w) - 1/w of one measure."""
 
     def __init__(self, mu: SpectralMeasure):
-        self.measure = mu
         self.resolvent = MeasureResolvent(mu)
         self.mean = moment(mu, 1)
 
@@ -80,10 +79,9 @@ class RTransform:
 
 
 class HTransform:
-    """h(lambda) = lambda * G(lambda) and its functional inverse."""
+    """h(lambda) = lambda * G(lambda) of one measure."""
 
     def __init__(self, mu: SpectralMeasure):
-        self.measure = mu
         self.resolvent = MeasureResolvent(mu)
         self.mean = moment(mu, 1)
 
@@ -99,15 +97,6 @@ class HTransform:
         """(h, h') at each point of an array."""
         g, gp = self.resolvent.value_and_derivative(lam)
         return lam * g, g + lam * gp
-
-    def inverse(self, h: complex, seed=None) -> complex:
-        if h == 1:
-            raise ValidationError(
-                "h = 1 is the value of h at infinity, not at a finite point"
-            )
-        lam = complex(seed if seed is not None else self.mean / (h - 1.0))
-        return damped_newton(self.vd_scalar, lam, h,
-                             OUTER_TOL * max(1.0, abs(h)))[0]
 
 
 # -- pipeline evaluators -------------------------------------------------------
@@ -634,21 +623,6 @@ class FreeProductResolvent(_PairResolvent):
 
 
 # -- public operations ---------------------------------------------------------
-
-
-def r_transform(mu: SpectralMeasure, w: complex) -> complex:
-    """R(w) = G^{-1}(w) - 1/w; additive under free convolution."""
-    return RTransform(mu)(w)
-
-
-def h_function(mu: SpectralMeasure, lam: complex) -> complex:
-    """h(lambda) = lambda * G(lambda); multiplicative building block."""
-    return HTransform(mu)(lam)
-
-
-def invert_h(mu: SpectralMeasure, h: complex, seed=None) -> complex:
-    """Functional inverse of h_function near its value 1 at infinity."""
-    return HTransform(mu).inverse(h, seed)
 
 
 def free_add(mu1: SpectralMeasure, mu2: SpectralMeasure,

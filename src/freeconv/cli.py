@@ -35,10 +35,12 @@ from .measures import LawSpec, make_law, write_density_csv
 from .rmt import (
     EmpiricalSpectrum,
     EnsembleSpec,
+    _finite_real,
+    _integer,
+    _positive_real,
     mc_free_add_experiment,
     mc_free_mul_experiment,
     sample_ensemble,
-    trial_count,
 )
 from .stieltjes import (
     DEFAULT_EPSILON_SCHEDULE,
@@ -63,7 +65,7 @@ def _numbers(values, count, what):
     return values
 
 
-def measure_from_config(cfg, grid_points=2000):
+def measure_from_config(cfg):
     kind = _object(cfg, "a law")["kind"]
     if kind not in LawSpec.KINDS:
         raise ValidationError(f"unknown law kind {kind!r}")
@@ -75,14 +77,22 @@ def measure_from_config(cfg, grid_points=2000):
         ctor = getattr(LawSpec, kind)
         count = len(inspect.signature(ctor).parameters)
         spec = ctor(*_numbers(params, count, f"law {kind!r}"))
-    return make_law(spec, cfg.get("grid_points", grid_points))
+    return make_law(spec, _integer(cfg.get("grid_points", 2000),
+                                   "grid_points", 1))
+
+
+def _grid(cfg, points, what):
+    """The ``linspace`` of a ``lo``, ``hi``, ``points`` config object."""
+    _object(cfg, what)
+    return np.linspace(_finite_real(cfg["lo"], "lo"),
+                       _finite_real(cfg["hi"], "hi"),
+                       _integer(cfg.get("points", points), "points", 1))
 
 
 def contour_from_config(cfg) -> ContourSpec | None:
     if cfg is None:
         return None
-    _object(cfg, "a contour")
-    grid = np.linspace(cfg["lo"], cfg["hi"], cfg.get("points", 2000))
+    grid = _grid(cfg, 2000, "a contour")
     schedule = np.asarray(cfg.get("epsilon_schedule",
                                   DEFAULT_EPSILON_SCHEDULE), dtype=float)
     return ContourSpec(grid, schedule)
@@ -121,10 +131,8 @@ def cmd_law(cfg, out_dir, seed):
 def cmd_transform(cfg, out_dir, seed):
     mu = measure_from_config(cfg["law"])
     which = cfg["transform"]
-    grid_cfg = _object(cfg["grid"], "grid")
-    xs = np.linspace(grid_cfg["lo"], grid_cfg["hi"],
-                     grid_cfg.get("points", 200))
-    offset = cfg.get("imag_offset", 1e-2)
+    xs = _grid(cfg["grid"], 200, "grid")
+    offset = _finite_real(cfg.get("imag_offset", 1e-2), "imag_offset")
     # one evaluator (and one domain check) serves the whole grid
     if which == "cauchy":
         vals = cauchy_transform(mu, xs + 1j * offset)
@@ -168,7 +176,7 @@ def cmd_mul(cfg, out_dir, seed):
 
 
 def cmd_sample(cfg, out_dir, seed):
-    trials = trial_count(cfg.get("trials", 20))
+    trials = _integer(cfg.get("trials", 20), "trials", 1)
     spec1 = ensemble_from_config(cfg["ensemble1"], seed)
     if cfg.get("experiment", "add") == "mul":
         spec2 = ensemble_from_config(cfg["ensemble2"], seed)
@@ -191,22 +199,25 @@ def cmd_verify(cfg, out_dir, seed):
     if mode in ("add", "mul"):
         mu1 = measure_from_config(cfg["law1"])
         mu2 = measure_from_config(cfg["law2"])
-        out, err = oracle_moment_error(mode, mu1, mu2, cfg.get("order", 8),
-                                       contour)
+        out, err = oracle_moment_error(
+            mode, mu1, mu2, _integer(cfg.get("order", 8), "order", 1),
+            contour)
         w1 = monte_carlo_w1(mode, out, mu1, mu2, cfg.get("dimension", 512),
                             cfg.get("trials", 10), seed)
         metrics = {"moment_rel_error": err, "w1_vs_monte_carlo": w1}
         _write_measure(out, out_dir, f"{mode}_density")
     elif mode == "pastur":
         out, l1 = pastur_l1(measure_from_config(cfg["law"]),
-                            cfg.get("sigma", 1.0), contour)
+                            _positive_real(cfg.get("sigma", 1.0), "sigma"),
+                            contour)
         metrics = {"l1_vs_free_add": l1}
         _write_measure(out, out_dir, "pastur_density")
     elif mode == "external_field":
         field = measure_from_config(cfg["field"])
         sigma1 = cfg.get("sigma1", 1.0)
-        probes = external_field_probes(field, cfg.get("probes", 50),
-                                       np.random.default_rng(seed))
+        probes = external_field_probes(
+            field, _integer(cfg.get("probes", 50), "probes", 0),
+            np.random.default_rng(seed))
         metrics = external_field_check(
             [(sigma1, cfg.get("sigma2", 1.0), field, probes)], sigma1, field,
             cfg.get("dimension", 128), cfg.get("trials", 400), seed)

@@ -111,10 +111,6 @@ class SpectralMeasure:
     def mass(self) -> float:
         return sum(w for _, w in self.atoms) + sum(s.mass for s in self.segments)
 
-    @property
-    def atom_mass(self) -> float:
-        return sum(w for _, w in self.atoms)
-
     def support(self) -> tuple[float, float]:
         """Smallest closed interval carrying the whole measure."""
         points = [x for x, _ in self.atoms]
@@ -311,27 +307,6 @@ def moment(mu: SpectralMeasure, n: int) -> float:
     return float(total)
 
 
-def absolute_moment(mu: SpectralMeasure, n: int) -> float:
-    """Moment of |x|^n; cells straddling zero are split so it stays exact."""
-    total = sum(w * abs(x) ** n for x, w in mu.atoms)
-    for s in mu.segments:
-        grid, dens = s.grid, s.density
-        if grid[0] < 0.0 < grid[-1] and 0.0 not in grid:
-            k = int(np.searchsorted(grid, 0.0))
-            v0 = float(np.interp(0.0, grid, dens))
-            grid = np.concatenate([grid[:k], [0.0], grid[k:]])
-            dens = np.concatenate([dens[:k], [v0], dens[k:]])
-        neg = grid <= 0
-        pos = grid >= 0
-        if np.sum(neg) >= 2:
-            total += (-1) ** n * _segment_power_integral(
-                Segment(grid[neg], dens[neg]), n
-            )
-        if np.sum(pos) >= 2:
-            total += _segment_power_integral(Segment(grid[pos], dens[pos]), n)
-    return float(total)
-
-
 def variance(mu: SpectralMeasure) -> float:
     m1 = moment(mu, 1)
     return moment(mu, 2) - m1 * m1
@@ -493,25 +468,6 @@ def wasserstein1(mu: SpectralMeasure, nu: SpectralMeasure) -> float:
     return total
 
 
-def ks_distance(mu: SpectralMeasure, nu: SpectralMeasure) -> float:
-    """Kolmogorov distance on the union of grids and atom positions.
-
-    Both one-sided limits are probed at every breakpoint so atom-vs-atom
-    comparisons are exact.
-    """
-    pts = _breakpoints(mu, nu)
-    f1 = np.asarray(cdf(mu, pts))
-    f2 = np.asarray(cdf(nu, pts))
-    best = float(np.max(np.abs(f1 - f2))) if pts.size else 0.0
-    w1 = {x: w for x, w in mu.atoms}
-    w2 = {x: w for x, w in nu.atoms}
-    for x in set(w1) | set(w2):
-        left = abs((float(cdf(mu, x)) - w1.get(x, 0.0))
-                   - (float(cdf(nu, x)) - w2.get(x, 0.0)))
-        best = max(best, left)
-    return best
-
-
 def wasserstein1_empirical(values, mu: SpectralMeasure) -> float:
     """Exact integral of |F_empirical - F_mu| for a finite sample."""
     values = np.sort(np.asarray(values, dtype=float))
@@ -604,18 +560,6 @@ class MomentVector:
     @classmethod
     def from_measure(cls, mu: SpectralMeasure, order: int) -> "MomentVector":
         return cls(np.array([moment(mu, n) for n in range(1, order + 1)]))
-
-    def is_psd_within(self, tol: float = 1e-8) -> bool:
-        """Hankel positive-semidefiniteness test for measure moments."""
-        half = self.order // 2
-        full = np.concatenate([[1.0], self.m])
-        h = np.array([[full[i + j] for j in range(half + 1)]
-                      for i in range(half + 1)])
-        try:
-            np.linalg.cholesky(h + 2 * tol * np.eye(half + 1))
-            return True
-        except np.linalg.LinAlgError:
-            return False
 
 
 # -- CSV round trip --------------------------------------------------------

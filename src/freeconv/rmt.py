@@ -43,11 +43,7 @@ import numpy as np
 
 from .eigen import hermitian_eigenvalues
 from .errors import NumericalError, ValidationError
-from .measures import (
-    Segment,
-    SpectralMeasure,
-    quantiles,
-)
+from .measures import SpectralMeasure, quantiles
 
 # purpose identifiers for derived random streams
 P_ENTRIES_A = 0
@@ -77,20 +73,21 @@ def _integer(value, name, least):
     return int(value)
 
 
-def _positive_real(value, name):
-    """``value`` as a float if it is a finite positive real (not a bool),
-    else a ValidationError."""
+def _finite_real(value, name):
+    """``value`` as a float if it is a finite real (not a bool), else a
+    ValidationError."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value > 0)):
-        raise ValidationError(
-            f"{name} must be a finite positive number, not {value!r}")
+            or not math.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite number, not {value!r}")
     return float(value)
 
 
-def trial_count(trials) -> int:
-    """``trials`` as an int if it is a positive integer, else a
-    ValidationError."""
-    return _integer(trials, "trials", 1)
+def _positive_real(value, name):
+    """``value`` as a float if it is a finite positive real (not a bool),
+    else a ValidationError."""
+    if _finite_real(value, name) <= 0:
+        raise ValidationError(f"{name} must be positive, not {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -300,10 +297,6 @@ class EmpiricalSpectrum:
             raise ValidationError("eigenvalue rows must be sorted ascending")
         object.__setattr__(self, "eigenvalues", arr)
 
-    @property
-    def trials(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
     def pooled(self) -> np.ndarray:
         return np.sort(self.eigenvalues.ravel())
 
@@ -344,7 +337,7 @@ def mc_free_add_experiment(spec1: EnsembleSpec, spec2: EnsembleSpec,
     """
     if spec1.dimension != spec2.dimension:
         raise ValidationError("operand dimensions differ")
-    trials = trial_count(trials)
+    trials = _integer(trials, "trials", 1)
     n = spec1.dimension
     out = np.empty((trials, n))
     for t in range(trials):
@@ -376,7 +369,7 @@ def mc_free_mul_experiment(spec1: EnsembleSpec, spec2: EnsembleSpec,
     """
     if spec1.dimension != spec2.dimension:
         raise ValidationError("operand dimensions differ")
-    trials = trial_count(trials)
+    trials = _integer(trials, "trials", 1)
     n = spec1.dimension
     out = np.empty((trials, n))
     for t in range(trials):
@@ -411,39 +404,3 @@ def mc_free_mul_experiment(spec1: EnsembleSpec, spec2: EnsembleSpec,
             lam = np.sort(np.delete(lam, drop))
         out[t] = lam
     return EmpiricalSpectrum(out)
-
-
-def empirical_measure(es: EmpiricalSpectrum, bins: int) -> SpectralMeasure:
-    """Pooled histogram as a piecewise-linear density at bin centers.
-
-    Values repeated across trials (structural eigenvalues such as exact
-    zeros) become atoms instead of being smeared into a bin.
-    """
-    if bins < 8:
-        raise ValidationError("need at least 8 bins")
-    pooled = es.pooled()
-    total = pooled.size
-    scale = max(1.0, float(np.max(np.abs(pooled))))
-    values, counts = np.unique(pooled, return_counts=True)
-    atom_cut = max(2 * es.trials, int(0.001 * total) + 1)
-    atom_mask = counts >= atom_cut
-    atoms = tuple(
-        (float(v), c / total) for v, c in zip(values[atom_mask],
-                                              counts[atom_mask])
-    )
-    rest = pooled[~np.isin(pooled, values[atom_mask])]
-    if rest.size == 0:
-        return SpectralMeasure(atoms=atoms)
-    lo, hi = float(rest.min()), float(rest.max())
-    if hi - lo < 1e-12 * scale:
-        merged = dict(atoms)
-        merged[lo] = merged.get(lo, 0.0) + rest.size / total
-        return SpectralMeasure(atoms=tuple(merged.items()))
-    counts_h, edges = np.histogram(rest, bins=bins, range=(lo, hi))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    dens = counts_h / total / np.diff(edges)
-    raw = np.trapezoid(dens, centers)
-    target = rest.size / total
-    seg = Segment(centers, dens * (target / raw))
-    return SpectralMeasure(atoms=atoms, segments=(seg,),
-                           renorm=target / raw)

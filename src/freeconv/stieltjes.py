@@ -516,9 +516,12 @@ class MeasureResolvent(ResolventEvaluator):
 # -- public transforms --------------------------------------------------------
 
 
-def _off_support_resolvent(mu: SpectralMeasure, z) -> MeasureResolvent:
-    """Evaluator for ``mu`` after checking that no real z lies on the
-    closed support; shared domain rule of the public transforms."""
+def cauchy_transform(mu: SpectralMeasure, z):
+    """G(z) = sum_i w_i/(z - a_i) + int rho(t) dt / (z - t).
+
+    Real z must lie outside the closed support; on the support use
+    principal_value_transform instead.  ``z`` may be an array.
+    """
     ev = MeasureResolvent(mu)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     lo, hi = ev.support
@@ -530,21 +533,7 @@ def _off_support_resolvent(mu: SpectralMeasure, z) -> MeasureResolvent:
                 "z lies on the support; use principal_value_transform for "
                 "boundary values"
             )
-    return ev
-
-
-def cauchy_transform(mu: SpectralMeasure, z):
-    """G(z) = sum_i w_i/(z - a_i) + int rho(t) dt / (z - t).
-
-    Real z must lie outside the closed support; on the support use
-    principal_value_transform instead.  ``z`` may be an array.
-    """
-    return _off_support_resolvent(mu, z)(z)
-
-
-def cauchy_derivative(mu: SpectralMeasure, z):
-    """G'(z) under the same domain rules as cauchy_transform."""
-    return _off_support_resolvent(mu, z).value_and_derivative(z)[1]
+    return ev(z)
 
 
 def principal_value_transform(mu: SpectralMeasure, x: float) -> float:

@@ -7,6 +7,8 @@ are checked against genuinely independent computations.
 
 import numpy as np
 
+from freeconv.measures import Segment, _segment_power_integral
+
 
 def set_partitions(n):
     """All set partitions of {0..n-1} as lists of sorted blocks."""
@@ -141,3 +143,24 @@ def block_moments(t0, t1, r0, r1, c, r, count):
             b = y1 * b + (k + 1) * p0
         mom[k] = np.sum((r1 * a + r0 * b) * dt) / ((k + 1) * (k + 2))
     return mom
+
+
+def absolute_moment(mu, n):
+    """Moment of |x|^n; cells straddling zero are split so it stays exact."""
+    total = sum(w * abs(x) ** n for x, w in mu.atoms)
+    for s in mu.segments:
+        grid, dens = s.grid, s.density
+        if grid[0] < 0.0 < grid[-1] and 0.0 not in grid:
+            k = int(np.searchsorted(grid, 0.0))
+            v0 = float(np.interp(0.0, grid, dens))
+            grid = np.concatenate([grid[:k], [0.0], grid[k:]])
+            dens = np.concatenate([dens[:k], [v0], dens[k:]])
+        neg = grid <= 0
+        pos = grid >= 0
+        if np.sum(neg) >= 2:
+            total += (-1) ** n * _segment_power_integral(
+                Segment(grid[neg], dens[neg]), n
+            )
+        if np.sum(pos) >= 2:
+            total += _segment_power_integral(Segment(grid[pos], dens[pos]), n)
+    return float(total)

@@ -62,6 +62,41 @@ def test_transform_csv(tmp_path):
     assert len(lines) == 34
 
 
+# transform, config and closed form of its values at each grid point x
+TRANSFORM_CASES = {
+    # the semicircle of variance 1 has R(w) = w; probes are w = x - 0.1i
+    "r": ({"law": {"kind": "semicircle", "params": [1.0]},
+           "grid": {"lo": -0.05, "hi": 0.05, "points": 5},
+           "imag_offset": 0.1},
+          lambda x: x - 0.1j, 1e-6),
+    # h(lambda) = lambda G(lambda) = lambda / (lambda - 1) for a unit atom
+    # at 1; probes are lambda = x + 0.05i
+    "h": ({"law": {"kind": "atom_list", "params": [[1.0, 1.0]]},
+           "grid": {"lo": -3.0, "hi": 3.0, "points": 13},
+           "imag_offset": 0.05},
+          lambda x: (x + 0.05j) / (x + 0.05j - 1.0), 1e-12),
+    # the principal value of uniform(-1, 1) is log((1 + x)/(1 - x))/2
+    "pv": ({"law": {"kind": "uniform", "params": [-1.0, 1.0]},
+            "grid": {"lo": -0.85, "hi": 0.85, "points": 35}},
+           lambda x: 0.5 * np.log((1.0 + x) / (1.0 - x)), 1e-12),
+}
+
+
+@pytest.mark.parametrize("which", sorted(TRANSFORM_CASES))
+def test_transform_matches_its_closed_form(tmp_path, which):
+    cfg, exact, tol = TRANSFORM_CASES[which]
+    path = write_config(tmp_path, "t.json", {**cfg, "transform": which})
+    assert main(["transform", "--config", str(path),
+                 "--out", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / f"transform_{which}.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    grid = cfg["grid"]
+    assert np.array_equal(rows[:, 0], np.linspace(grid["lo"], grid["hi"],
+                                                  grid["points"]))
+    got = rows[:, 1] + 1j * rows[:, 2]
+    assert np.max(np.abs(got - exact(rows[:, 0]))) <= tol
+
+
 def test_invalid_config_exits_one(tmp_path):
     cfg = write_config(tmp_path, "bad.json", {
         "law": {"kind": "semicircle", "params": [-1.0]},
@@ -377,6 +412,10 @@ def test_verify_external_field_without_probes_has_zero_residual(tmp_path):
 
 LAW_CONFIG = {"law": {"kind": "semicircle", "params": [1.0],
                       "grid_points": 200}}
+ADD_LAWS = {"law1": {"kind": "semicircle", "params": [1.0],
+                     "grid_points": 200},
+            "law2": {"kind": "semicircle", "params": [1.0],
+                     "grid_points": 200}}
 
 BAD_INPUTS = {
     "unknown_command": (["nope"], LAW_CONFIG),
@@ -418,6 +457,30 @@ BAD_INPUTS = {
     "tolerance_is_a_string": (["verify"], {
         "mode": "pastur", **VERIFY_CASES["pastur"][0],
         "tolerances": {"l1_vs_free_add": "1e-9"}}),
+    "unknown_transform": (["transform"], {
+        **LAW_CONFIG, "transform": "s",
+        "grid": {"lo": -3.0, "hi": 3.0, "points": 10}}),
+    "grid_points_is_a_string": (["law"], {"law": {
+        "kind": "semicircle", "params": [1.0], "grid_points": "x"}}),
+    "contour_lo_is_a_string": (["add"], {
+        **ADD_LAWS, "contour": {"lo": "a", "hi": 3.0, "points": 100}}),
+    "contour_points_is_fractional": (["add"], {
+        **ADD_LAWS, "contour": {"lo": -3.0, "hi": 3.0, "points": 2.5}}),
+    "transform_grid_lo_is_a_string": (["transform"], {
+        **LAW_CONFIG, "transform": "cauchy",
+        "grid": {"lo": "a", "hi": 3.0, "points": 10}}),
+    "imag_offset_is_a_string": (["transform"], {
+        **LAW_CONFIG, "transform": "cauchy",
+        "grid": {"lo": -3.0, "hi": 3.0, "points": 10}, "imag_offset": "a"}),
+    "verify_order_is_a_string": (["verify"], {
+        "mode": "add", **VERIFY_CASES["add"][0], "order": "a"}),
+    "probes_is_negative": (["verify"], {
+        "mode": "external_field", **VERIFY_CASES["external_field"][0],
+        "probes": -1}),
+    "pastur_sigma_is_a_string": (["verify"], {
+        "mode": "pastur", **VERIFY_CASES["pastur"][0], "sigma": "a"}),
+    "pastur_sigma_is_a_bool": (["verify"], {
+        "mode": "pastur", **VERIFY_CASES["pastur"][0], "sigma": True}),
 }
 
 

@@ -7,7 +7,6 @@ from freeconv.measures import (
     dirac,
     make_law,
     quantiles,
-    wasserstein1,
     wasserstein1_empirical,
 )
 from freeconv.rmt import (
@@ -15,7 +14,6 @@ from freeconv.rmt import (
     EnsembleSpec,
     P_ENTRIES_A,
     P_MIX,
-    empirical_measure,
     haar_unitary,
     mc_free_add_experiment,
     mc_free_mul_experiment,
@@ -315,21 +313,6 @@ def test_mul_requires_psd_left_factor():
     g = EnsembleSpec.gue(1.0, 32, SEED)
     with pytest.raises(ValidationError):
         mc_free_mul_experiment(g, g, trials=1)
-
-
-def test_empirical_measure_histogram_and_atom_collapse():
-    es = EmpiricalSpectrum(np.tile(np.full(16, 2.5), (4, 1)))
-    mu = empirical_measure(es, bins=10)
-    assert mu.atoms == ((2.5, 1.0),)
-
-    spec = EnsembleSpec.gue(1.0, 512, SEED)
-    es = mc_free_add_experiment(
-        spec, EnsembleSpec.fixed_spectrum(dirac(0.0), 512, SEED), trials=10
-    )
-    mu = empirical_measure(es, bins=60)
-    assert abs(mu.mass - 1.0) <= 1e-9
-    target = make_law(LawSpec.semicircle(1.0), 2000)
-    assert wasserstein1(mu, target) <= 0.03
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
