@@ -36,7 +36,6 @@ from .measures import (
     quantiles,
     read_density_csv,
     support_interval,
-    variance,
     wasserstein1,
     wasserstein1_empirical,
     write_density_csv,

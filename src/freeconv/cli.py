@@ -58,11 +58,21 @@ def _object(cfg, what):
 
 
 def _numbers(values, count, what):
-    """``values`` if a list of ``count`` numbers, else a ValidationError."""
-    if not (isinstance(values, list) and len(values) == count
+    """``values`` if a list of ``count`` numbers (any number of them for a
+    ``count`` of None), else a ValidationError."""
+    if not (isinstance(values, list) and count in (None, len(values))
             and all(type(v) in (int, float) for v in values)):
-        raise ValidationError(f"{what} takes {count} numbers, not {values!r}")
+        raise ValidationError(
+            f"{what} takes {count or 'a list of'} numbers, not {values!r}")
     return values
+
+
+def _nonnegative_real(value, name):
+    """``value`` as a float if it is a finite real of at least 0 (not a
+    bool), else a ValidationError."""
+    if _finite_real(value, name) < 0:
+        raise ValidationError(f"{name} must be nonnegative, not {value!r}")
+    return float(value)
 
 
 def measure_from_config(cfg):
@@ -93,9 +103,9 @@ def contour_from_config(cfg) -> ContourSpec | None:
     if cfg is None:
         return None
     grid = _grid(cfg, 2000, "a contour")
-    schedule = np.asarray(cfg.get("epsilon_schedule",
-                                  DEFAULT_EPSILON_SCHEDULE), dtype=float)
-    return ContourSpec(grid, schedule)
+    schedule = cfg.get("epsilon_schedule", list(DEFAULT_EPSILON_SCHEDULE))
+    return ContourSpec(grid, np.asarray(
+        _numbers(schedule, None, "epsilon_schedule"), dtype=float))
 
 
 def ensemble_from_config(cfg, base_seed) -> EnsembleSpec:
@@ -214,12 +224,13 @@ def cmd_verify(cfg, out_dir, seed):
         _write_measure(out, out_dir, "pastur_density")
     elif mode == "external_field":
         field = measure_from_config(cfg["field"])
-        sigma1 = cfg.get("sigma1", 1.0)
+        sigma1, sigma2 = (_nonnegative_real(cfg.get(name, 1.0), name)
+                          for name in ("sigma1", "sigma2"))
         probes = external_field_probes(
             field, _integer(cfg.get("probes", 50), "probes", 0),
             np.random.default_rng(seed))
         metrics = external_field_check(
-            [(sigma1, cfg.get("sigma2", 1.0), field, probes)], sigma1, field,
+            [(sigma1, sigma2, field, probes)], sigma1, field,
             cfg.get("dimension", 128), cfg.get("trials", 400), seed)
     else:
         raise ValidationError(f"unknown verify mode {mode!r}")

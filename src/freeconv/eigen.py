@@ -23,19 +23,33 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 HERMITICITY_TOL = 1e-12
+CHECK_BLOCK_ROWS = 64
 MAX_QL_SWEEPS = 50
 
 
 def check_hermitian(m: np.ndarray) -> np.ndarray:
+    """``m`` if it is square, finite and Hermitian to within
+    ``HERMITICITY_TOL`` of its largest entry (at least 1), else a
+    ValidationError.
+
+    The check runs over blocks of ``CHECK_BLOCK_ROWS`` rows, each against
+    the conjugate of the matching column block, so its temporaries are
+    a block in size, not the size of the matrix.
+    """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("matrix must be square")
-    largest = float(np.max(np.abs(m))) if m.size else 0.0
+    starts = range(0, m.shape[0], CHECK_BLOCK_ROWS)
+    largest = float(np.max([np.max(np.abs(m[i:i + CHECK_BLOCK_ROWS]))
+                            for i in starts], initial=0.0))
     if not math.isfinite(largest):
         raise ValidationError("matrix has non-finite entries")
-    scale = max(1.0, largest)
-    if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_TOL * scale:
-        raise ValidationError("matrix is not Hermitian within tolerance")
+    limit = HERMITICITY_TOL * max(1.0, largest)
+    for i in starts:
+        rows = m[i:i + CHECK_BLOCK_ROWS]
+        cols = m[:, i:i + CHECK_BLOCK_ROWS]
+        if float(np.max(np.abs(rows - cols.conj().T))) > limit:
+            raise ValidationError("matrix is not Hermitian within tolerance")
     return m
 
 

@@ -107,10 +107,6 @@ class SpectralMeasure:
 
     # -- basic queries --------------------------------------------------
 
-    @property
-    def mass(self) -> float:
-        return sum(w for _, w in self.atoms) + sum(s.mass for s in self.segments)
-
     def support(self) -> tuple[float, float]:
         """Smallest closed interval carrying the whole measure."""
         points = [x for x, _ in self.atoms]
@@ -305,11 +301,6 @@ def moment(mu: SpectralMeasure, n: int) -> float:
     total = sum(w * x**n for x, w in mu.atoms)
     total += sum(_segment_power_integral(s, n) for s in mu.segments)
     return float(total)
-
-
-def variance(mu: SpectralMeasure) -> float:
-    m1 = moment(mu, 1)
-    return moment(mu, 2) - m1 * m1
 
 
 def affine_map(mu: SpectralMeasure, scale: float, shift: float) -> SpectralMeasure:

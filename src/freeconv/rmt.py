@@ -22,6 +22,22 @@ of Y^dagger Y for Y = F^dagger U^dagger C, which is formed on Y's smaller
 side.  A right operand with no factor, such as a GUE, gives C^dagger
 (U B U^dagger) C.
 
+Reduced forms.  When both operands are unitarily invariant, the first is
+drawn in its reduced form (Dumitriu and Edelman, "Matrix models for beta
+ensembles", J. Math. Phys. 43 (2002)) and the second stays dense.  A
+Wishart draw is X = U B V^dagger with B real upper bidiagonal, of
+diagonal chi_{2(N-i)}/sqrt(2n) and superdiagonal chi_{2(n-1-i)}/sqrt(2n)
+for i = 0, 1, ..., all independent; a GUE draw is H = Q T Q^dagger with
+T real symmetric tridiagonal, of diagonal N(0, sigma^2/N) and
+off-diagonal sigma chi_{2(N-1-i)}/sqrt(2N).  U and Q can be taken Haar
+and independent of B and T.  The other operand M is invariant and
+independent, so it absorbs them, and the experiments are exact in law:
+spec(C^dagger M C) has the law of spec(B^T M B), and spec(H + M) that of
+spec(T + M).  A product then forms F^dagger B in O(N n) time, and a sum
+adds T (for a Wishart, B B^T) onto M's three central diagonals, where
+the sum stays exactly Hermitian.  With it the bytes of the spectra of
+every invariant pair changed.
+
 Conventions.  The invariant Gaussian ensemble of scale sigma has real
 diagonal entries of variance sigma^2/N and complex off-diagonal entries
 with variance sigma^2/(2N) per component, so its spectrum converges to the
@@ -30,7 +46,10 @@ matrix: H_ij = (r_ij + i r_ji) sigma/sqrt(2N) for i < j and H_ii = r_ii
 sigma/sqrt(N).  The construction before it drew 2N^2 + N normals, so with
 it the bytes of ``gue`` and ``shifted_gue`` samples, and of the spectra
 sampled from them, changed.  The sample-covariance ensemble of ratio c is
-(1/n) X X^dagger with X of shape (N, n), n = round(N/c).
+(1/n) X X^dagger with X of shape (N, n), n = round(N/c).  A ``wishart``
+sample forms X X^dagger exactly Hermitian, from a real rank-k update and
+one real product; before, it symmetrized a complex product, so the bytes
+of ``wishart`` samples, and of the sums that hold one, changed.
 """
 
 from __future__ import annotations
@@ -162,31 +181,39 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def _entries(spec: EnsembleSpec, trial: int, slot: int) -> np.random.Generator:
+    """The stream of the entries of the ensemble's draw in this slot."""
+    return stream(spec.base_seed, P_ENTRIES_A if slot == 0 else P_ENTRIES_B,
+                  trial)
+
+
 def sample_ensemble(spec: EnsembleSpec, trial: int, slot: int = 0) -> np.ndarray:
     """Draw the trial-th matrix of the ensemble; deterministic in
     (base_seed, purpose-derived-from-slot, trial)."""
-    p_entries = P_ENTRIES_A if slot == 0 else P_ENTRIES_B
-    p_rotate = P_ROTATE_A if slot == 0 else P_ROTATE_B
     n = spec.dimension
     if spec.kind == "gue":
-        return _gue_matrix(n, spec.sigma, stream(spec.base_seed, p_entries,
-                                                 trial))
+        return _gue_matrix(n, spec.sigma, _entries(spec, trial, slot))
     if spec.kind == "shifted_gue":
-        m = _gue_matrix(n, spec.sigma, stream(spec.base_seed, p_entries,
-                                              trial))
+        m = _gue_matrix(n, spec.sigma, _entries(spec, trial, slot))
         shifts = spec.sigma ** 2 * quantiles(spec.measure, n)
         m[np.diag_indices(n)] += shifts
         return m
     if spec.kind == "fixed_spectrum":
         t = quantiles(spec.measure, n)
-        u = haar_unitary(n, stream(spec.base_seed, p_rotate, trial))
+        u = haar_unitary(n, stream(spec.base_seed,
+                                   P_ROTATE_A if slot == 0 else P_ROTATE_B,
+                                   trial))
         m = (u * t) @ u.conj().T
         return 0.5 * (m + m.conj().T)
     if spec.kind == "wishart":
-        x = _factor(spec, trial, slot)
-        m = x @ x.conj().T
-        return 0.5 * (m + m.conj().T)
+        # X X^dagger is Z^dagger Z for Z = X^dagger
+        return _gram_of(_factor(spec, trial, slot).conj().T)
     raise ValidationError(f"unknown ensemble kind {spec.kind!r}")
+
+
+def _both_invariant(spec1: EnsembleSpec, spec2: EnsembleSpec) -> bool:
+    """Whether the first operand may be drawn in its reduced form."""
+    return spec1.kind in INVARIANT_KINDS and spec2.kind in INVARIANT_KINDS
 
 
 def _mixing_unitary(spec1: EnsembleSpec, spec2: EnsembleSpec,
@@ -220,18 +247,21 @@ def _operand(spec: EnsembleSpec, trial: int, slot: int,
     return m if u is None else u @ m @ u.conj().T
 
 
-def _factor(spec: EnsembleSpec, trial: int, slot: int) -> np.ndarray | None:
+def _factor(spec: EnsembleSpec, trial: int, slot: int,
+            reduced: bool = False):
     """A factor F with F F^dagger distributed as the ensemble up to unitary
     conjugation: the N x n draw of a Wishart ensemble (the stream
-    ``sample_ensemble`` uses in this slot), or the 1-D array of the
-    diagonal factor of a nonnegative fixed spectrum.  None for an ensemble
-    with no such factor."""
+    ``sample_ensemble`` uses in this slot), or, ``reduced``, the pair of its
+    bidiagonal form from the same stream (see ``_bidiagonal``); or the 1-D
+    array of the diagonal factor of a nonnegative fixed spectrum.  None for
+    an ensemble with no such factor."""
     if spec.kind == "wishart":
         n_cols = int(round(spec.dimension / spec.ratio))
         if n_cols < 1:
             raise ValidationError("ratio too large for this dimension")
-        rng = stream(spec.base_seed,
-                     P_ENTRIES_A if slot == 0 else P_ENTRIES_B, trial)
+        rng = _entries(spec, trial, slot)
+        if reduced:
+            return _bidiagonal(spec.dimension, n_cols, rng)
         # filled in place: the bits of (re + i im) / sqrt(2) / sqrt(n_cols)
         # without complex temporaries
         shape = (spec.dimension, n_cols)
@@ -248,9 +278,71 @@ def _factor(spec: EnsembleSpec, trial: int, slot: int) -> np.ndarray | None:
     return None
 
 
-def _adjoint_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _bidiagonal(n: int, n_cols: int, rng: np.random.Generator):
+    """The pair (d, e) of the real upper-bidiagonal B with X = U B V^dagger
+    for the N x n Wishart factor X of the module docstring: d_i =
+    chi_{2(N-i)}/sqrt(2n) for i < min(N, n) and e_i = chi_{2(n-1-i)}/sqrt(2n)
+    for i < min(N, n-1).  B has len(d) rows, and len(d) + 1 columns when e
+    is as long as d; a chi_{2m}/sqrt(2) variate is the square root of a
+    Gamma(m) one."""
+    rows = min(n, n_cols)
+    d = np.sqrt(rng.standard_gamma(np.arange(n, n - rows, -1)) / n_cols)
+    sup = min(n, n_cols - 1)
+    e = np.sqrt(rng.standard_gamma(np.arange(n_cols - 1, n_cols - 1 - sup,
+                                             -1)) / n_cols)
+    return d, e
+
+
+def _tridiagonal(spec: EnsembleSpec, trial: int, slot: int):
+    """The (diagonal, off-diagonal) pair of the real symmetric tridiagonal
+    reduced form of an invariant ensemble, from its entries' stream: T for
+    a GUE, B B^T for a Wishart (see the module docstring).  It has fewer
+    than N rows when a Wishart has rank below N; the rest is zero."""
+    if spec.kind == "gue":
+        n = spec.dimension
+        rng = _entries(spec, trial, slot)
+        scale = spec.sigma / np.sqrt(n)
+        diag = rng.standard_normal(n) * scale
+        off = np.sqrt(rng.standard_gamma(np.arange(n - 1, 0, -1))) * scale
+        return diag, off
+    d, e = _factor(spec, trial, slot, reduced=True)
+    diag = d * d
+    diag[:e.size] += e * e
+    return diag, e[:d.size - 1] * d[1:]
+
+
+def _add_onto(m: np.ndarray, band) -> None:
+    """m += band in place, where band is a 1-D diagonal or a (diagonal,
+    off-diagonal) tridiagonal pair over m's leading rows.  Real entries
+    added to both triangles keep an exactly Hermitian m exactly
+    Hermitian."""
+    diag, off = band if isinstance(band, tuple) else (band, None)
+    i = np.arange(diag.size)
+    m[i, i] += diag
+    if off is not None:
+        j = i[:off.size]
+        m[j, j + 1] += off
+        m[j + 1, j] += off
+
+
+def _is_matrix(x) -> bool:
+    return isinstance(x, np.ndarray) and x.ndim == 2
+
+
+def _adjoint_times(a, b) -> np.ndarray:
     """a^dagger b, where a 1-D array stands for the real diagonal matrix of
-    its entries; at most one of a and b is 1-D."""
+    its entries and a bidiagonal pair (d, e) for the N-row matrix whose
+    leading rows are the B of ``_bidiagonal``, the rest zero; at most one
+    of a and b is not a dense matrix."""
+    if isinstance(a, tuple):
+        d, e = a
+        k = d.size
+        out = np.zeros((k + (e.size == k), b.shape[1]), dtype=complex)
+        out[:k] = d[:, None] * b[:k]
+        out[1:e.size + 1] += e[:, None] * b[:e.size]
+        return out
+    if isinstance(b, tuple):
+        return _adjoint_times(b, a).conj().T
     if a.ndim == 1:
         return a[:, None] * b
     if b.ndim == 1:
@@ -260,15 +352,19 @@ def _adjoint_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _gram(y: np.ndarray) -> np.ndarray:
     """An exactly Hermitian matrix with the nonzero spectrum of Y^dagger Y,
-    on Y's smaller side.
+    on Y's smaller side: ``_gram_of`` the taller of Y and Y^T (for Y^T,
+    the conjugate of Y Y^dagger)."""
+    return _gram_of(y if y.shape[1] <= y.shape[0] else y.T)
 
-    With Z = A + iB the taller of Y and Y^T, it is Z^dagger Z = A^T A +
-    B^T B + i (A^T B - B^T A) (for Z = Y^T, the conjugate of Y Y^dagger).
-    numpy forms the real part, a matrix times its own transpose, as one
-    symmetric rank-k update of the stacked [A; B]; with the one real
-    product A^T B that is half the work of a complex matrix product.
+
+def _gram_of(z: np.ndarray) -> np.ndarray:
+    """Z^dagger Z, exactly Hermitian.
+
+    With Z = A + iB it is A^T A + B^T B + i (A^T B - B^T A).  numpy forms
+    the real part, a matrix times its own transpose, as one symmetric
+    rank-k update of the stacked [A; B]; with the one real product A^T B
+    that is half the work of a complex matrix product.
     """
-    z = y if y.shape[1] <= y.shape[0] else y.T
     k = z.shape[0]
     ab = np.concatenate([z.real, z.imag])
     g = np.empty((z.shape[1], z.shape[1]), dtype=complex)
@@ -332,24 +428,27 @@ def mc_free_add_experiment(spec1: EnsembleSpec, spec2: EnsembleSpec,
     ``_mixing_unitary``).
 
     An unrotated fixed spectrum is added onto the other operand's
-    diagonal.  Unrotated operands are exactly Hermitian and so is their
+    diagonal, and when both ensembles are invariant, M1's tridiagonal
+    reduced form onto M2's three central diagonals (see the module
+    docstring).  Unrotated operands are exactly Hermitian and so is their
     sum; only a rotated sum is symmetrized before the eigensolve.
     """
     if spec1.dimension != spec2.dimension:
         raise ValidationError("operand dimensions differ")
     trials = _integer(trials, "trials", 1)
-    n = spec1.dimension
-    out = np.empty((trials, n))
+    reduced = _both_invariant(spec1, spec2)
+    out = np.empty((trials, spec1.dimension))
     for t in range(trials):
         u = _mixing_unitary(spec1, spec2, t)
-        total = _operand(spec1, t, 0, None)
+        total = (_tridiagonal(spec1, t, 0) if reduced
+                 else _operand(spec1, t, 0, None))
         other = _operand(spec2, t, 1, u)
-        if total.ndim == 1:
+        if not _is_matrix(total):
             total, other = other, total
-        if other.ndim == 1:
-            total[np.diag_indices(n)] += other
-        else:
+        if _is_matrix(other):
             total += other
+        else:
+            _add_onto(total, other)
         if u is not None:
             total = 0.5 * (total + total.conj().T)
         out[t] = hermitian_eigenvalues(total)
@@ -363,17 +462,20 @@ def mc_free_mul_experiment(spec1: EnsembleSpec, spec2: EnsembleSpec,
     Realized from the left operand's factor A = C C^dagger, as the module
     docstring says: from the Gram matrix of F^dagger U^dagger C when
     B = F F^dagger has a factor too, else from C^dagger (U B U^dagger) C.
-    U is the identity when either ensemble is unitarily invariant and one
-    Haar draw otherwise (see ``_mixing_unitary``).  Rank differences
-    against N are padded with (or checked as) exact zeros.
+    When both ensembles are invariant, C is the bidiagonal reduced form of
+    the left Wishart draw.  U is the identity when either ensemble is
+    unitarily invariant and one Haar draw otherwise (see
+    ``_mixing_unitary``).  Rank differences against N are padded with (or
+    checked as) exact zeros.
     """
     if spec1.dimension != spec2.dimension:
         raise ValidationError("operand dimensions differ")
     trials = _integer(trials, "trials", 1)
+    reduced = _both_invariant(spec1, spec2)
     n = spec1.dimension
     out = np.empty((trials, n))
     for t in range(trials):
-        c = _factor(spec1, t, 0)
+        c = _factor(spec1, t, 0, reduced)
         if c is None:
             raise ValidationError(
                 "left factor must be a positive semidefinite family "

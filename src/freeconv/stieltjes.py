@@ -30,6 +30,9 @@ MAX_HALVINGS = 20
 ATOM_MASS_THRESHOLD = 1e-3
 ATOM_FLATNESS = 0.9
 MASS_WINDOW = (0.99, 1.01)
+# Largest |node| of a contour: beyond ~1e161, G(z) ~ 1/z squares to zero
+# in floating point and the Newton steps divide by it.
+CONTOUR_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,14 @@ class ContourSpec:
                            _readonly(self.epsilon_schedule))
         if self.real_grid.size < 8:
             raise ValidationError("contour needs at least 8 real nodes")
+        if not np.all(np.abs(self.real_grid) <= CONTOUR_LIMIT):
+            raise ValidationError(
+                f"contour nodes must be finite and within ±{CONTOUR_LIMIT:g}")
         if np.any(np.diff(self.real_grid) <= 0):
             raise ValidationError("contour real grid must be strictly increasing")
         eps = self.epsilon_schedule
-        if eps.size < 2 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
+        if (eps.size < 2 or not np.all(eps > 0)
+                or not np.all(np.diff(eps) < 0)):
             raise ValidationError(
                 "epsilon schedule must be positive and strictly decreasing"
             )

@@ -7,7 +7,7 @@ are checked against genuinely independent computations.
 
 import numpy as np
 
-from freeconv.measures import Segment, _segment_power_integral
+from freeconv.measures import Segment, _segment_power_integral, moment
 
 
 def set_partitions(n):
@@ -164,3 +164,13 @@ def absolute_moment(mu, n):
         if np.sum(pos) >= 2:
             total += _segment_power_integral(Segment(grid[pos], dens[pos]), n)
     return float(total)
+
+
+def total_mass(mu):
+    """Total mass: the atom weights plus the trapezoid mass of each segment."""
+    return sum(w for _, w in mu.atoms) + sum(s.mass for s in mu.segments)
+
+
+def variance(mu):
+    m1 = moment(mu, 1)
+    return moment(mu, 2) - m1 * m1

@@ -22,14 +22,13 @@ from freeconv.measures import (
     dirac,
     make_law,
     moment,
-    variance,
     wasserstein1,
 )
 from freeconv.series import free_add_series, free_multiply_series
 from freeconv import stieltjes
 from freeconv.stieltjes import MeasureResolvent, _ladder, default_contour
 
-from oracles import semicircle_g
+from oracles import semicircle_g, variance
 
 RNG = np.random.default_rng(19981031)
 

@@ -30,6 +30,8 @@ from freeconv.rmt import (
 )
 from freeconv.series import free_add_series
 
+from oracles import total_mass
+
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -45,7 +47,7 @@ def test_law_emits_normalized_density(tmp_path):
     assert code == 0
     mu = read_density_csv(tmp_path / "density.csv",
                           tmp_path / "density.atoms.json")
-    assert abs(mu.mass - 1.0) <= 1e-6
+    assert abs(total_mass(mu) - 1.0) <= 1e-6
 
 
 def test_transform_csv(tmp_path):
@@ -243,7 +245,7 @@ def test_add_writes_the_sum_density(tmp_path):
     assert main(["add", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     mu = read_density_csv(tmp_path / "sum_density.csv",
                           tmp_path / "sum_density.atoms.json")
-    assert abs(mu.mass - 1.0) <= 1e-6
+    assert abs(total_mass(mu) - 1.0) <= 1e-6
     # semicircle variances add: 1 + 1
     assert moment(mu, 2) == pytest.approx(2.0, rel=1e-2)
 
@@ -410,6 +412,17 @@ def test_verify_external_field_without_probes_has_zero_residual(tmp_path):
     assert report["verdict"] == "pass"
 
 
+def test_verify_external_field_takes_a_zero_sigma2(tmp_path):
+    # a field coupled to one Gaussian: sigma2 = 0 is a valid input
+    cfg, _ = VERIFY_CASES["external_field"]
+    path = write_config(tmp_path, "v.json", {"mode": "external_field", **cfg,
+                                             "sigma2": 0})
+    assert main(["verify", "--config", str(path),
+                 "--out", str(tmp_path)]) in (0, 2)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert np.isfinite(report["metrics"]["max_analytic_residual"])
+
+
 LAW_CONFIG = {"law": {"kind": "semicircle", "params": [1.0],
                       "grid_points": 200}}
 ADD_LAWS = {"law1": {"kind": "semicircle", "params": [1.0],
@@ -481,6 +494,20 @@ BAD_INPUTS = {
         "mode": "pastur", **VERIFY_CASES["pastur"][0], "sigma": "a"}),
     "pastur_sigma_is_a_bool": (["verify"], {
         "mode": "pastur", **VERIFY_CASES["pastur"][0], "sigma": True}),
+    "field_sigma1_is_a_string": (["verify"], {
+        "mode": "external_field", **VERIFY_CASES["external_field"][0],
+        "sigma1": "a"}),
+    "field_sigma2_is_a_string": (["verify"], {
+        "mode": "external_field", **VERIFY_CASES["external_field"][0],
+        "sigma2": "a"}),
+    "field_sigma2_is_negative": (["verify"], {
+        "mode": "external_field", **VERIFY_CASES["external_field"][0],
+        "sigma2": -0.5}),
+    "epsilon_schedule_is_a_string": (["add"], {
+        **ADD_LAWS, "contour": {"lo": -3.0, "hi": 3.0, "points": 100,
+                                "epsilon_schedule": "a"}}),
+    "contour_hi_is_huge": (["add"], {
+        **ADD_LAWS, "contour": {"lo": -3.0, "hi": 1e308, "points": 100}}),
 }
 
 

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freeconv.eigen import (
+    CHECK_BLOCK_ROWS,
+    HERMITICITY_TOL,
+    check_hermitian,
     hermitian_eigenvalues,
     householder_tridiagonalize,
     tridiagonal_eigenvalues,
@@ -43,6 +46,40 @@ def test_rejects_non_finite(bad):
     m[1, 2] = m[2, 1] = bad
     with pytest.raises(ValidationError):
         hermitian_eigenvalues(m)
+
+
+@pytest.mark.parametrize("excess", [1.01, 0.99])
+def test_lone_asymmetry_in_the_last_partial_block(excess):
+    # the blockwise check compares each row block with the conjugate of its
+    # column block; an entry whose transpose sits in the last, partial
+    # block is judged at the same tolerance as anywhere else
+    n = 2 * CHECK_BLOCK_ROWS + 5
+    m = 0.5 * random_hermitian(n, np.random.default_rng(7)) / n
+    m[n - 1, n - 3] += excess * HERMITICITY_TOL
+    assert np.max(np.abs(m)) < 1.0
+    if excess > 1.0:
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            check_hermitian(m)
+    else:
+        assert check_hermitian(m) is m
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (CHECK_BLOCK_ROWS + 1,
+                                            CHECK_BLOCK_ROWS), (4,)])
+def test_blockwise_check_rejects_non_square(shape):
+    with pytest.raises(ValidationError, match="square"):
+        check_hermitian(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_blockwise_check_rejects_non_finite_in_a_later_block(bad):
+    # a non-finite entry outranks an asymmetric one in an earlier block
+    n = 2 * CHECK_BLOCK_ROWS + 5
+    m = np.eye(n, dtype=complex)
+    m[0, 1] = 1.0
+    m[n - 1, n - 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        check_hermitian(m)
 
 
 def test_lapack_failure_is_numerical_error(monkeypatch):

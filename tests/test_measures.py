@@ -17,12 +17,11 @@ from freeconv.measures import (
     quantiles,
     read_density_csv,
     support_interval,
-    variance,
     wasserstein1,
     write_density_csv,
 )
 
-from oracles import absolute_moment, quadrature_moment
+from oracles import absolute_moment, quadrature_moment, total_mass, variance
 
 RNG = np.random.default_rng(20260808)
 
@@ -44,7 +43,7 @@ def test_two_atom_is_pure_atoms():
 
 def test_semicircle_mass_and_support():
     mu = make_law(LawSpec.semicircle(1.0), 2000)
-    assert abs(mu.mass - 1.0) < 1e-6
+    assert abs(total_mass(mu) - 1.0) < 1e-6
     assert mu.support() == (-2.0, 2.0)
 
 
@@ -60,7 +59,7 @@ def test_marchenko_pastur_mass_and_mean_against_quadrature():
     mu = make_law(LawSpec.marchenko_pastur(1.0), 4000)
     assert mu.support()[0] == 0.0
     assert abs(mu.support()[1] - 4.0) < 1e-12
-    assert abs(mu.mass - 1.0) < 1e-9
+    assert abs(total_mass(mu) - 1.0) < 1e-9
     assert abs(moment(mu, 1) - 1.0) < 2e-3
 
 
@@ -68,13 +67,13 @@ def test_marchenko_pastur_above_one_has_zero_atom():
     mu = make_law(LawSpec.marchenko_pastur(2.0), 1000)
     assert mu.atoms[0][0] == 0.0
     assert abs(mu.atoms[0][1] - 0.5) < 1e-12
-    assert abs(mu.mass - 1.0) < 1e-9
+    assert abs(total_mass(mu) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("spec", CATALOG)
 def test_mass_and_nonnegativity_invariants(spec):
     mu = make_law(spec, 800)
-    assert abs(mu.mass - 1.0) <= 1e-9
+    assert abs(total_mass(mu) - 1.0) <= 1e-9
     for s in mu.segments:
         assert np.all(s.density >= 0)
     assert moment(mu, 0) == pytest.approx(1.0, abs=1e-12)
@@ -109,7 +108,7 @@ def test_constructor_polishes_small_mass_error():
     grid = np.linspace(0, 1, 11)
     dens = np.full(11, 1.0 + 5e-7)
     mu = SpectralMeasure(segments=(Segment(grid, dens),))
-    assert abs(mu.mass - 1.0) <= 1e-9
+    assert abs(total_mass(mu) - 1.0) <= 1e-9
     assert mu.renorm != 1.0
 
 

@@ -225,13 +225,33 @@ def test_fixed_spectrum_plus_gue_matches_pastur():
     assert wasserstein1_empirical(es.pooled(), target) <= 0.01
 
 
+def _dense_bidiagonal(d, e, n):
+    """The n-row dense matrix of a bidiagonal pair of ``rmt._bidiagonal``."""
+    b = np.zeros((n, d.size + (e.size == d.size)))
+    b[np.arange(d.size), np.arange(d.size)] = d
+    b[np.arange(e.size), np.arange(e.size) + 1] = e
+    return b
+
+
+def _dense_tridiagonal(diag, off, n):
+    """The n x n dense matrix of a tridiagonal pair, zero past its rows."""
+    m = np.zeros((n, n))
+    m[np.arange(diag.size), np.arange(diag.size)] = diag
+    m[np.arange(off.size), np.arange(off.size) + 1] = off
+    m[np.arange(off.size) + 1, np.arange(off.size)] = off
+    return m
+
+
 def _dense_product_spectra(spec1, spec2, trials):
     """eig(C^dagger U B U^dagger C) with C, B and U dense, from the draws
-    the experiment makes."""
+    the experiment makes: a left Wishart against an invariant right
+    operand is its reduced bidiagonal draw."""
     n = spec1.dimension
     rows = []
     for t in range(trials):
-        if spec1.kind == "wishart":
+        if spec1.kind == "wishart" and spec2.kind in rmt.INVARIANT_KINDS:
+            c = _dense_bidiagonal(*rmt._factor(spec1, t, 0, reduced=True), n)
+        elif spec1.kind == "wishart":
             rng = stream(spec1.base_seed, P_ENTRIES_A, t)
             cols = int(round(n / spec1.ratio))
             c = (rng.standard_normal((n, cols))
@@ -289,24 +309,203 @@ def test_gram_is_exactly_hermitian_on_the_smaller_side(shape):
 
 
 @pytest.mark.parametrize("left,right", [("fixed", "gue"), ("gue", "fixed"),
-                                        ("gue", "gue")])
+                                        ("gue", "gue"), ("wishart", "gue"),
+                                        ("gue", "wishart")])
 def test_unrotated_sum_is_not_symmetrized(left, right):
     # a sum of exactly Hermitian matrices is exactly Hermitian, so the
-    # symmetrized matrix has the same bits and the same eigenvalues
+    # symmetrized matrix has the same bits and the same eigenvalues; the
+    # left operand of an invariant pair is its reduced tridiagonal draw
     n = 48
     two = make_law(LawSpec.two_atom(0.5, -1.0, 1.0))
     specs = {"fixed": EnsembleSpec.fixed_spectrum(two, n, SEED),
-             "gue": EnsembleSpec.gue(1.0, n, SEED + 1)}
+             "gue": EnsembleSpec.gue(1.0, n, SEED + 1),
+             "wishart": EnsembleSpec.wishart(1.0, n, SEED + 2)}
+    reduced = {left, right} <= {"gue", "wishart"}
     es = mc_free_add_experiment(specs[left], specs[right], trials=3)
     for t in range(3):
         m = np.zeros((n, n), dtype=complex)
         for slot, kind in enumerate((left, right)):
             if kind == "fixed":
                 m[np.diag_indices(n)] += quantiles(two, n)
+            elif reduced and slot == 0:
+                m += _dense_tridiagonal(
+                    *rmt._tridiagonal(specs[kind], t, slot), n)
             else:
                 m += sample_ensemble(specs[kind], t, slot)
         expected = hermitian_eigenvalues(0.5 * (m + m.conj().T))
         assert np.array_equal(es.eigenvalues[t], expected)
+
+
+def _moment_z(es, k, exact):
+    """(pooled moment k - exact) over the standard error of the per-trial
+    moments."""
+    per_trial = np.mean(es.eigenvalues ** k, axis=1)
+    stderr = per_trial.std(ddof=1) / np.sqrt(per_trial.size)
+    return (per_trial.mean() - exact) / stderr
+
+
+@pytest.mark.parametrize("case", ["wishart_mul_wishart", "wishart_mul_gue",
+                                  "gue_add_gue", "wishart_add_gue"])
+def test_reduced_forms_give_the_free_moments(case):
+    # exact free moments: Fuss-Catalan 1, 3, 12; W times a GUE has
+    # m2 = m2(W) m2(G) = 1; semicircle(sqrt 2) has m2 = 2 and m4 = 8; a
+    # ratio-1 Wishart plus a GUE has m2 = 2 + 1.  Trial-to-trial standard
+    # errors are 0.1-0.4 %; a chi degree off by one moves m1 of W x W by
+    # 1/N, about 8 standard errors.
+    n, trials = 128, 200
+    wishart = EnsembleSpec.wishart(1.0, n, SEED)
+    left, kind, right = case.split("_")
+    specs = {"wishart": EnsembleSpec.wishart(1.0, n, SEED + 1),
+             "gue": EnsembleSpec.gue(1.0, n, SEED + 2)}
+    first = wishart if left == "wishart" else EnsembleSpec.gue(1.0, n, SEED)
+    run = mc_free_mul_experiment if kind == "mul" else mc_free_add_experiment
+    es = run(first, specs[right], trials)
+    expected = {"wishart_mul_wishart": {1: 1.0, 2: 3.0, 3: 12.0},
+                "wishart_mul_gue": {2: 1.0},
+                "gue_add_gue": {2: 2.0, 4: 8.0},
+                "wishart_add_gue": {2: 3.0}}[case]
+    for k, exact in expected.items():
+        assert abs(_moment_z(es, k, exact)) <= 5.0, (k, es.pooled_moment(k))
+
+
+@pytest.mark.parametrize("experiment", [mc_free_add_experiment,
+                                        mc_free_mul_experiment])
+def test_reduced_draws_are_deterministic_per_trial(experiment):
+    spec1 = EnsembleSpec.wishart(1.0, 24, SEED)
+    spec2 = EnsembleSpec.gue(1.0, 24, SEED + 1)
+    three = experiment(spec1, spec2, 3).eigenvalues
+    again = experiment(spec1, spec2, 3).eigenvalues
+    assert three.tobytes() == again.tobytes()
+    assert experiment(spec1, spec2, 1).eigenvalues[0].tobytes() \
+        == three[0].tobytes()
+    assert not np.array_equal(three[0], three[1])
+
+
+def test_reduced_form_entries_have_their_chi_laws():
+    # chi_{2m}^2 / 2 is Gamma(m): mean m, variance m.  Scaled back, each
+    # squared bidiagonal and off-diagonal entry must have its own mean, and
+    # the GUE diagonal its variance sigma^2/N (so the squares have mean
+    # 1 and variance 2 after scaling).
+    n, trials, sigma = 6, 4000, 1.3
+    wishart = EnsembleSpec.wishart(0.75, n, SEED)          # n_cols = 8
+    gue = EnsembleSpec.gue(sigma, n, SEED)
+    d, e = (np.array(part) for part in zip(
+        *[rmt._factor(wishart, t, 0, reduced=True) for t in range(trials)]))
+    gd, go = (np.array(part) for part in zip(
+        *[rmt._tridiagonal(gue, t, 0) for t in range(trials)]))
+    cases = [
+        (d ** 2 * 8, np.arange(6, 0, -1), np.arange(6, 0, -1)),
+        (e ** 2 * 8, np.arange(7, 1, -1), np.arange(7, 1, -1)),
+        (gd ** 2 * n / sigma ** 2, np.ones(n), 2 * np.ones(n)),
+        (go ** 2 * n / sigma ** 2, np.arange(5, 0, -1), np.arange(5, 0, -1)),
+    ]
+    for draws, mean, var in cases:
+        z = (draws.mean(axis=0) - mean) / np.sqrt(var / trials)
+        assert np.max(np.abs(z)) <= 5.0, z
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 1.5])
+def test_reduced_wishart_tridiagonal_is_b_b_transpose(ratio):
+    n = 20
+    spec = EnsembleSpec.wishart(ratio, n, SEED)
+    d, e = rmt._factor(spec, 2, 0, reduced=True)
+    cols = int(round(n / ratio))
+    assert d.size == min(n, cols) and e.size == min(n, cols - 1)
+    b = _dense_bidiagonal(d, e, n)
+    expected = b @ b.T
+    got = _dense_tridiagonal(*rmt._tridiagonal(spec, 2, 0), n)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(expected)
+
+
+def _parent_add(spec1, spec2, trials):
+    """The sum experiment as it was before the reduced forms: both
+    operands as drawn, one Haar rotation when neither is invariant."""
+    n = spec1.dimension
+    rows = []
+    for t in range(trials):
+        u = None
+        if not {spec1.kind, spec2.kind} & set(rmt.INVARIANT_KINDS):
+            u = haar_unitary(n, stream(spec1.base_seed, P_MIX, t))
+        ops = []
+        for slot, spec in enumerate((spec1, spec2)):
+            rot = u if slot == 1 else None
+            if spec.kind == "fixed_spectrum":
+                q = quantiles(spec.measure, n)
+                ops.append(q if rot is None else (rot * q) @ rot.conj().T)
+            else:
+                m = sample_ensemble(spec, t, slot)
+                ops.append(m if rot is None else rot @ m @ rot.conj().T)
+        total, other = ops
+        if total.ndim == 1:
+            total, other = other, total
+        if other.ndim == 1:
+            total[np.diag_indices(n)] += other
+        else:
+            total += other
+        if u is not None:
+            total = 0.5 * (total + total.conj().T)
+        rows.append(hermitian_eigenvalues(total))
+    return np.asarray(rows)
+
+
+def _parent_mul(spec1, spec2, trials):
+    """The product experiment as it was before the reduced forms: the
+    left factor dense."""
+    n = spec1.dimension
+    rows = []
+    for t in range(trials):
+        c = rmt._factor(spec1, t, 0)
+        u = None
+        if not {spec1.kind, spec2.kind} & set(rmt.INVARIANT_KINDS):
+            u = haar_unitary(n, stream(spec1.base_seed, P_MIX, t))
+        f = rmt._factor(spec2, t, 1)
+        if f is not None:
+            prod = rmt._gram(rmt._adjoint_times(
+                f, c if u is None else rmt._adjoint_times(u, c)))
+        else:
+            b = sample_ensemble(spec2, t, 1)
+            if u is not None:
+                b = u @ b @ u.conj().T
+            prod = rmt._adjoint_times(c, rmt._adjoint_times(b, c))
+            prod = 0.5 * (prod + prod.conj().T)
+        lam = hermitian_eigenvalues(prod)
+        rows.append(np.sort(np.concatenate([lam, np.zeros(n - lam.size)])))
+    return np.asarray(rows)
+
+
+@pytest.mark.parametrize("experiment,left,right", [
+    ("add", "fixed_spectrum", "gue"), ("add", "gue", "fixed_spectrum"),
+    ("add", "shifted_gue", "gue"), ("add", "gue", "shifted_gue"),
+    ("add", "fixed_spectrum", "fixed_spectrum"),
+    ("add", "fixed_spectrum", "shifted_gue"),
+    ("mul", "wishart", "fixed_spectrum"), ("mul", "fixed_spectrum", "wishart"),
+    ("mul", "fixed_spectrum", "fixed_spectrum"),
+    ("mul", "wishart", "shifted_gue"), ("mul", "fixed_spectrum", "gue"),
+])
+def test_pairs_that_are_not_both_invariant_keep_their_spectra(experiment,
+                                                              left, right):
+    # only a pair of invariant ensembles is drawn in reduced form; every
+    # other pair gives the spectra of the construction before it, bit for
+    # bit.  Sums with a dense Wishart are left out: a Wishart sample is now
+    # formed exactly Hermitian, which moves it by rounding.
+    specs = _budget_specs(24)
+    run, parent = ((mc_free_add_experiment, _parent_add)
+                   if experiment == "add"
+                   else (mc_free_mul_experiment, _parent_mul))
+    got = run(specs[left], specs[right], 2).eigenvalues
+    assert got.tobytes() == parent(specs[left], specs[right], 2).tobytes()
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+def test_wishart_sample_is_exactly_hermitian(ratio):
+    spec = EnsembleSpec.wishart(ratio, 32, SEED)
+    m = sample_ensemble(spec, 1)
+    assert m.shape == (32, 32)
+    assert np.array_equal(m, m.conj().T)
+    x = rmt._factor(spec, 1, 0)
+    dense = np.linalg.eigvalsh(x @ x.conj().T)
+    lam = hermitian_eigenvalues(m)
+    assert np.max(np.abs(lam - dense)) <= 1e-12 * max(1.0, dense[-1])
 
 
 def test_mul_requires_psd_left_factor():
