@@ -4,14 +4,15 @@ Addition composes inverse resolvents: the centered inverse R(w) =
 G^{-1}(w) - 1/w adds under free convolution, so the sum's transform solves
 R1(G) + R2(G) + 1/G = z.  Multiplication composes inverses of h(lambda) =
 lambda*G(lambda): lambda_out(h) = lambda_1(h) * lambda_2(h) * (h-1)/h.
-Deterministic-plus-Gaussian addition closes into the self-consistent
-equation omega = G(z - sigma^2 * omega), and the Gaussian external-field
-shift sigma^2 * a generalizes the addition law beyond the free case.
+Deterministic-plus-Gaussian addition is the sum with a semicircle, and
+the Gaussian external-field shift sigma^2 * a generalizes the addition law
+beyond the free case.
 
-The sum and the product are solved for their subordination function
-omega_1 (G(z) = G_1(omega_1(z)) for the sum), the fixed point of a map
-built from the operands' forward transforms, so no operand is inverted.
-That fixed point and Pastur's equation are single solves on one loop,
+The sum, the product and Pastur's sum are solved for their subordination
+function omega_1 (G(z) = G_1(omega_1(z)) for a sum), the fixed point of a
+map built from the operands' forward transforms, so no operand is
+inverted; the semicircle's map is in closed form, so Pastur's fixed point
+is omega_1 = z - sigma^2 G(omega_1).  Each is one solve on one loop,
 stieltjes.damped_newton.  Contour solves take two levels.  Every other
 column is solved serially, left to right at each imaginary offset, as a
 predictor-corrector continuation: each solve starts from the septic
@@ -142,9 +143,34 @@ _ARRAY_PASSES = 6
 _BLOCK = 512
 
 
+def _same_measure(mu1: SpectralMeasure, mu2: SpectralMeasure) -> bool:
+    if mu1 is mu2:
+        return True
+    if mu1.atoms != mu2.atoms or len(mu1.segments) != len(mu2.segments):
+        return False
+    return all(
+        np.array_equal(a.grid, b.grid) and np.array_equal(a.density, b.density)
+        for a, b in zip(mu1.segments, mu2.segments)
+    )
+
+
 class _SweepResolvent(ResolventEvaluator):
-    """Shared two-level predictor-corrector sweep for contour-solved
-    transforms.
+    """Two operands joined through the subordination function omega_1,
+    solved along a contour by a two-level predictor-corrector sweep.
+
+    Operand i gives a map t_i(z, w) from one kernel call at w (one
+    ``vd_scalar`` call, or one ``value_and_derivative`` call for an array
+    of w), and omega_1(z) is the fixed point of T = t_2 o t_1.  It is
+    unique in the upper half plane (Belinschi and Bercovici 2007), so any
+    root reached there is the physical one.  A self-convolution has
+    omega_1 = omega_2 and solves w = t_1(w).  The state per point is what
+    ``damped_newton`` returns: (w, (T - w, T_w - 1, f_1, T_z)), with f_1
+    the first operand's (value, derivative) at w.  Subclasses give
+    ``_t(z, w, f, f') -> (t, t_w, t_z)``, plain arithmetic that
+    broadcasts, and the seed ``_seed(z)``; G = G_1(omega_1) unless they
+    override ``_g_of`` and ``_gprime_of``, which read G and G' from a
+    state, one point's or an array's.  All state is local to one
+    ``sample_columns`` call.
 
     The anchors, columns 0, 2, 4, ... and the last, are solved serially,
     left to right, each ladder top down.  Along one rung (a fixed offset
@@ -172,18 +198,66 @@ class _SweepResolvent(ResolventEvaluator):
     carry their eps or whose seed is not finite, and those whose trial
     leaves the physical sheet, whose residual does not fall or is not
     finite, or that run out of passes.
-
-    Subclasses give ``_map(z, array)``: the fixed-point map at z, w ->
-    (residual, derivative, *extra), one formula for one w and for an
-    array of them; off the physical sheet it raises InversionError on one
-    point and gives a NaN residual on an array.  Also ``_scale(z, w)``,
-    which the Newton tolerance is relative to, and ``_solve(z, seed)``,
-    ``damped_newton`` on ``_map`` from ``seed`` (None for a cold seed),
-    which returns (unknown, f(unknown)).  ``_omega_prime(state)`` is the
-    unknown's z-derivative, and ``_g_of`` and ``_gprime_of`` read G and
-    G' from a state, one point's or an array's.  All state is local to
-    one ``sample_columns`` call.
     """
+
+    def __init__(self, operand, mu1, mu2):
+        # a self-convolution builds one operand, ``op2 is op1``
+        self._same = _same_measure(mu1, mu2)
+        self.op1 = operand(mu1)
+        self.op2 = self.op1 if self._same else operand(mu2)
+
+    def _map(self, z, array):
+        """The fixed-point map at z, w -> (T - w, T_w - 1, f_1, T_z), one
+        formula for one w and for an array of them; off the physical sheet
+        it raises InversionError on one point and gives a NaN residual on
+        an array."""
+        t, same = self._t, self._same
+        if array:
+            vd1 = self.op1.value_and_derivative
+            vd2 = self.op2.value_and_derivative
+        else:
+            vd1, vd2 = self.op1.vd_scalar, self.op2.vd_scalar
+
+        def fixed(w):
+            inside = w.imag > 0
+            if not (array or inside):
+                raise InversionError("trial left the upper half plane")
+            # arguments go by position, not by unpacking: the map runs
+            # once per Newton trial
+            f1 = f, fp = vd1(w)
+            tw, dw, dz = t(z, w, f, fp)
+            if not same:
+                f, fp = vd2(tw)
+                t2, d2, z2 = t(z, tw, f, fp)
+                tw, dw, dz = t2, d2 * dw, d2 * dz + z2
+            res = tw - w
+            if array:
+                res = np.where(inside, res, np.nan)
+            return res, dw - 1.0, f1, dz
+
+        return fixed
+
+    def _solve(self, z, seed):
+        """``damped_newton`` on ``_map`` from ``seed`` (None for a cold
+        seed), at a tolerance relative to |w|; returns (w, f(w))."""
+        w = self._seed(z) if seed is None else seed
+        scale = max(1.0, abs(w))
+        # arguments go by position: keyword passing costs measurably on
+        # the hot path of the sweep
+        return damped_newton(self._map(z, False), w, 0.0, OUTER_TOL * scale,
+                             1e-9 * scale)
+
+    @staticmethod
+    def _omega_prime(state):
+        # implicit differentiation of T(w, z) = w: w' = T_z / (1 - T_w)
+        return -state[1][3] / state[1][1]
+
+    @staticmethod
+    def _g_of(z, state):
+        return state[1][2][0]
+
+    def _gprime_of(self, z, state):
+        return state[1][2][1] * self._omega_prime(state)
 
     def _cold_state(self, z):
         lo, hi = self.support
@@ -380,7 +454,7 @@ class _SweepResolvent(ResolventEvaluator):
         refined = g.copy()
         with np.errstate(all="ignore"):
             zb, w = z[batch], seed[batch]
-            tol = OUTER_TOL * np.maximum(1.0, self._scale(zb, w))
+            tol = OUTER_TOL * np.maximum(1.0, np.abs(w))
             fx = self._map(zb, True)(w)
             r = np.abs(fx[0])
             fell = np.ones(batch.size, dtype=bool)
@@ -418,82 +492,7 @@ class _SweepResolvent(ResolventEvaluator):
         return g, gp
 
 
-def _same_measure(mu1: SpectralMeasure, mu2: SpectralMeasure) -> bool:
-    if mu1 is mu2:
-        return True
-    if mu1.atoms != mu2.atoms or len(mu1.segments) != len(mu2.segments):
-        return False
-    return all(
-        np.array_equal(a.grid, b.grid) and np.array_equal(a.density, b.density)
-        for a, b in zip(mu1.segments, mu2.segments)
-    )
-
-
-class _PairResolvent(_SweepResolvent):
-    """Two operands joined through the subordination function omega_1.
-
-    Operand i gives a map t_i(z, w) from one kernel call at w (one
-    ``vd_scalar`` call, or one ``value_and_derivative`` call for an array
-    of w), and omega_1(z) is the fixed point of T = t_2 o t_1.  It is
-    unique in the upper half plane (Belinschi and Bercovici 2007), so any
-    root reached there is the physical one.  A self-convolution has
-    omega_1 = omega_2 and solves w = t_1(w).  The state per point is what
-    ``damped_newton`` returns: (w, (T - w, T_w - 1, f_1, T_z)), with f_1
-    the first operand's (value, derivative) at w.
-
-    Subclasses give ``_t(z, w, f, f') -> (t, t_w, t_z)``, plain arithmetic
-    that broadcasts, the seed ``_seed(z)``, ``_g_of`` and ``_gprime_of``.
-    """
-
-    def __init__(self, operand, mu1, mu2):
-        # a self-convolution builds one operand, ``op2 is op1``
-        self._same = _same_measure(mu1, mu2)
-        self.op1 = operand(mu1)
-        self.op2 = self.op1 if self._same else operand(mu2)
-
-    def _map(self, z, array):
-        t, same = self._t, self._same
-        if array:
-            vd1 = self.op1.value_and_derivative
-            vd2 = self.op2.value_and_derivative
-        else:
-            vd1, vd2 = self.op1.vd_scalar, self.op2.vd_scalar
-
-        def fixed(w):
-            inside = w.imag > 0
-            if not (array or inside):
-                raise InversionError("trial left the upper half plane")
-            f1 = vd1(w)
-            tw, dw, dz = t(z, w, *f1)
-            if not same:
-                t2, d2, z2 = t(z, tw, *vd2(tw))
-                tw, dw, dz = t2, d2 * dw, d2 * dz + z2
-            res = tw - w
-            if array:
-                res = np.where(inside, res, np.nan)
-            return res, dw - 1.0, f1, dz
-
-        return fixed
-
-    @staticmethod
-    def _scale(z, w):
-        return abs(w)
-
-    def _solve(self, z, seed):
-        w = self._seed(z) if seed is None else seed
-        scale = max(1.0, self._scale(z, w))
-        # arguments go by position: keyword passing costs measurably on
-        # the hot path of the sweep
-        return damped_newton(self._map(z, False), w, 0.0, OUTER_TOL * scale,
-                             1e-9 * scale)
-
-    @staticmethod
-    def _omega_prime(state):
-        # implicit differentiation of T(w, z) = w: w' = T_z / (1 - T_w)
-        return -state[1][3] / state[1][1]
-
-
-class FreeSumResolvent(_PairResolvent):
+class FreeSumResolvent(_SweepResolvent):
     """Transform of the free additive convolution of two measures.
 
     With F_i = 1/G_i, t_i(z, w) = z + F_i(w) - w, and G(z) = G_1(omega_1).
@@ -514,72 +513,32 @@ class FreeSumResolvent(_PairResolvent):
     def _t(z, w, g, gp):
         return z + 1.0 / g - w, -gp / (g * g) - 1.0, 1.0
 
-    @staticmethod
-    def _g_of(z, state):
-        return state[1][2][0]
-
-    def _gprime_of(self, z, state):
-        return state[1][2][1] * self._omega_prime(state)
-
 
 class PasturResolvent(_SweepResolvent):
-    """Transform of measure-plus-Gaussian via the self-consistent equation
-    omega(z) = G(z - sigma^2 * omega(z))."""
+    """Transform of measure-plus-Gaussian: the free sum with the semicircle
+    of variance sigma^2, whose map has a closed form.  omega_1 solves
+    omega_1 = z - sigma^2 G(omega_1) with Im omega_1 > 0 (Biane 1997), so
+    t_1(z, w) = z - sigma^2 G(w) alone gives T, on the path of a
+    self-convolution, and G(z) = G(omega_1)."""
 
     def __init__(self, mu: SpectralMeasure, sigma: float):
         if sigma <= 0:
             raise ValidationError("sigma must be positive")
-        self.r = MeasureResolvent(mu)
+        super().__init__(MeasureResolvent, mu, mu)
         self.sigma2 = sigma * sigma
         lo, hi = mu.support()
         self.support = (lo - 2 * sigma, hi + 2 * sigma)
         self.edge_hints = ()
 
-    def _map(self, z, array):
-        vd = self.r.value_and_derivative if array else self.r.vd_scalar
-        sigma2 = self.sigma2
+    def _seed(self, z):
+        return z - self.sigma2 / z
 
-        def fixed(om):
-            # The physical root is the one fixed point with z - sigma^2
-            # omega in the upper half plane (Biane 1997).
-            arg = z - sigma2 * om
-            inside = arg.imag > 0
-            if not (array or inside):
-                raise InversionError("trial left the upper half plane")
-            g, gp = vd(arg)
-            res = om - g
-            if array:
-                res = np.where(inside, res, np.nan)
-            return res, 1.0 + sigma2 * gp, gp
-
-        return fixed
-
-    @staticmethod
-    def _scale(z, om):
-        return abs(z)
-
-    def _solve(self, z, seed):
-        omega = 1.0 / z if seed is None else seed
-        return damped_newton(self._map(z, False), omega, 0.0,
-                             OUTER_TOL * max(1.0, self._scale(z, omega)),
-                             None, 1e-10)
-
-    @staticmethod
-    def _omega_prime(state):
-        # omega = G(z - sigma^2 omega) gives omega' = G'/d with d = 1 +
-        # sigma^2 G', the Newton derivative; G' comes with the state, so
-        # this is (d - 1)/(sigma^2 d) without the cancellation in d - 1
-        return state[1][2] / state[1][1]
-
-    @staticmethod
-    def _g_of(z, state):
-        return state[0]
-
-    def _gprime_of(self, z, state):
-        return self._omega_prime(state)
+    def _t(self, z, w, g, gp):
+        s = self.sigma2
+        return z - s * g, -s * gp, 1.0
 
 
-class FreeProductResolvent(_PairResolvent):
+class FreeProductResolvent(_SweepResolvent):
     """Transform of the free multiplicative convolution of two measures.
 
     With h_i(w) = w * G_i(w) and k_i(w) = h_i(w) / ((h_i(w) - 1) w),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -58,12 +59,13 @@ def _object(cfg, what):
 
 
 def _numbers(values, count, what):
-    """``values`` if a list of ``count`` numbers (any number of them for a
-    ``count`` of None), else a ValidationError."""
+    """``values`` if a list of ``count`` finite numbers (any number of them
+    for a ``count`` of None), else a ValidationError."""
     if not (isinstance(values, list) and count in (None, len(values))
-            and all(type(v) in (int, float) for v in values)):
-        raise ValidationError(
-            f"{what} takes {count or 'a list of'} numbers, not {values!r}")
+            and all(type(v) in (int, float) and math.isfinite(v)
+                    for v in values)):
+        raise ValidationError(f"{what} takes {count or 'a list of'} finite "
+                              f"numbers, not {values!r}")
     return values
 
 
@@ -187,8 +189,12 @@ def cmd_mul(cfg, out_dir, seed):
 
 def cmd_sample(cfg, out_dir, seed):
     trials = _integer(cfg.get("trials", 20), "trials", 1)
+    experiment = cfg.get("experiment", "add")
+    if experiment not in ("add", "mul"):
+        raise ValidationError(
+            f"experiment must be 'add' or 'mul', not {experiment!r}")
     spec1 = ensemble_from_config(cfg["ensemble1"], seed)
-    if cfg.get("experiment", "add") == "mul":
+    if experiment == "mul":
         spec2 = ensemble_from_config(cfg["ensemble2"], seed)
         es = mc_free_mul_experiment(spec1, spec2, trials)
     elif "ensemble2" in cfg:
@@ -224,14 +230,15 @@ def cmd_verify(cfg, out_dir, seed):
         _write_measure(out, out_dir, "pastur_density")
     elif mode == "external_field":
         field = measure_from_config(cfg["field"])
-        sigma1, sigma2 = (_nonnegative_real(cfg.get(name, 1.0), name)
-                          for name in ("sigma1", "sigma2"))
+        sigma1 = _positive_real(cfg.get("sigma1", 1.0), "sigma1")
+        sigma2 = _nonnegative_real(cfg.get("sigma2", 1.0), "sigma2")
         probes = external_field_probes(
             field, _integer(cfg.get("probes", 50), "probes", 0),
             np.random.default_rng(seed))
         metrics = external_field_check(
             [(sigma1, sigma2, field, probes)], sigma1, field,
-            cfg.get("dimension", 128), cfg.get("trials", 400), seed)
+            _integer(cfg.get("dimension", 128), "dimension", 8),
+            _integer(cfg.get("trials", 400), "trials", 1), seed)
     else:
         raise ValidationError(f"unknown verify mode {mode!r}")
     report = verify_report(mode, {"config": cfg}, metrics, t0, seed,
@@ -299,8 +306,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _read_config(args.config)
-        seed = args.seed if args.seed is not None \
-            else cfg.get("base_seed", DEFAULT_SEED)
+        seed = _integer(cfg.get("base_seed", DEFAULT_SEED)
+                        if args.seed is None else args.seed, "base_seed", 0)
         args.out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out, seed)
     except (ValidationError, KeyError, json.JSONDecodeError) as err:

@@ -128,8 +128,9 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValidationError(f"unknown ensemble kind {self.kind!r}")
-        object.__setattr__(self, "dimension",
-                           _integer(self.dimension, "dimension", 2))
+        for name, least in (("dimension", 2), ("base_seed", 0)):
+            object.__setattr__(self, name,
+                               _integer(getattr(self, name), name, least))
         for name in ("sigma", "ratio"):
             object.__setattr__(self, name,
                                _positive_real(getattr(self, name), name))

@@ -575,7 +575,7 @@ def principal_value_transform(mu: SpectralMeasure, x: float) -> float:
     return total
 
 
-def damped_newton(f, x0, target, tol, stall_tol=None, xspace_tol=None):
+def damped_newton(f, x0, target, tol, stall_tol=None):
     """Solve f(x)[0] = target by damped complex Newton; returns (x, f(x)).
 
     ``f(x)`` returns ``(value, derivative, *extra)``; the extra entries
@@ -583,9 +583,7 @@ def damped_newton(f, x0, target, tol, stall_tol=None, xspace_tol=None):
     Newton correction and halves it up to MAX_HALVINGS times; a trial that
     raises InversionError or does not lower |value - target| is rejected.
     A stall counts as converged when the residual is at most ``stall_tol``
-    (default ``tol``), or when the Newton correction it implies is at most
-    ``xspace_tol`` relative to the iterate: near a pole the residual floor
-    grows with the derivative, so x-space is the right measure there.
+    (default ``tol``).
     """
     x = x0
     fx = f(x0)
@@ -612,10 +610,7 @@ def damped_newton(f, x0, target, tol, stall_tol=None, xspace_tol=None):
                 break
         else:
             break
-    deriv = fx[1]
-    if abs(res) <= (tol if stall_tol is None else stall_tol) or (
-            xspace_tol is not None and deriv != 0
-            and abs(res / deriv) <= xspace_tol * max(1.0, abs(x))):
+    if abs(res) <= (tol if stall_tol is None else stall_tol):
         return x, fx
     raise InversionError(
         f"damped Newton did not converge (residual {abs(res):.3g})",

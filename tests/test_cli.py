@@ -412,8 +412,9 @@ def test_verify_external_field_without_probes_has_zero_residual(tmp_path):
     assert report["verdict"] == "pass"
 
 
-def test_verify_external_field_takes_a_zero_sigma2(tmp_path):
-    # a field coupled to one Gaussian: sigma2 = 0 is a valid input
+def test_verify_external_field_takes_a_zero_sigma2(tmp_path, capsys):
+    # a field coupled to one Gaussian: sigma2 = 0 is a valid input; the
+    # Monte Carlo half samples at sigma1, which must be positive
     cfg, _ = VERIFY_CASES["external_field"]
     path = write_config(tmp_path, "v.json", {"mode": "external_field", **cfg,
                                              "sigma2": 0})
@@ -421,6 +422,11 @@ def test_verify_external_field_takes_a_zero_sigma2(tmp_path):
                  "--out", str(tmp_path)]) in (0, 2)
     report = json.loads((tmp_path / "report.json").read_text())
     assert np.isfinite(report["metrics"]["max_analytic_residual"])
+    path = write_config(tmp_path, "v.json", {"mode": "external_field", **cfg,
+                                             "sigma1": 0})
+    assert main(["verify", "--config", str(path),
+                 "--out", str(tmp_path)]) == 1
+    assert "sigma1 must be positive" in capsys.readouterr().err
 
 
 LAW_CONFIG = {"law": {"kind": "semicircle", "params": [1.0],
@@ -508,6 +514,24 @@ BAD_INPUTS = {
                                 "epsilon_schedule": "a"}}),
     "contour_hi_is_huge": (["add"], {
         **ADD_LAWS, "contour": {"lo": -3.0, "hi": 1e308, "points": 100}}),
+    "sample_experiment_is_unknown": (["sample"], {
+        "experiment": "mull",
+        "ensemble1": {"kind": "gue", "dimension": 16},
+        "ensemble2": {"kind": "gue", "dimension": 16}}),
+    "base_seed_is_a_string": (["sample"], {
+        "base_seed": "a", "ensemble1": {"kind": "gue", "dimension": 16}}),
+    "ensemble_base_seed_is_negative": (["sample"], {
+        "ensemble1": {"kind": "gue", "dimension": 16, "base_seed": -1}}),
+    "field_dimension_is_a_string": (["verify"], {
+        "mode": "external_field", **VERIFY_CASES["external_field"][0],
+        "dimension": "a"}),
+    "field_trials_is_a_string": (["verify"], {
+        "mode": "external_field", **VERIFY_CASES["external_field"][0],
+        "trials": "a"}),
+    "law_param_is_nan": (["law"], {"law": {
+        "kind": "semicircle", "params": [float("nan")]}}),
+    "atom_position_is_infinite": (["law"], {"law": {
+        "kind": "atom_list", "params": [[float("inf"), 1.0]]}}),
 }
 
 
@@ -521,3 +545,4 @@ def test_bad_input_exits_one(tmp_path, capsys, case):
     assert main(args + ["--config", str(path), "--out", str(out)]) == 1
     assert "invalid input: " in capsys.readouterr().err
     assert not (out / "density.csv").exists()
+

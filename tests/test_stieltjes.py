@@ -275,9 +275,9 @@ def _floored_linear(x):
     return value, 1e6
 
 
-def test_newton_xspace_stall_rule_accepts_a_root():
+def test_newton_stall_rule_accepts_a_residual_within_stall_tol():
     root, (value, _) = damped_newton(_floored_linear, 2.0 + 0j, 0.0, 1e-12,
-                                     xspace_tol=1e-8)
+                                     1e-3)
     assert root == 1.0
     assert value == 1e-3
 
