@@ -4,7 +4,6 @@ Cauchy transform, an independent moment/cumulant series route, and
 reproducible Monte Carlo matrix experiments."""
 
 from .arithmetic import (
-    HTransform,
     RTransform,
     external_field_lambda_gaussian,
     free_add,

@@ -1,30 +1,32 @@
 """Free convolution of spectral measures.
 
-Addition composes inverse resolvents: the centered inverse R(w) =
-G^{-1}(w) - 1/w adds under free convolution, so the sum's transform solves
-R1(G) + R2(G) + 1/G = z.  Multiplication composes inverses of h(lambda) =
-lambda*G(lambda): lambda_out(h) = lambda_1(h) * lambda_2(h) * (h-1)/h.
+The outputs satisfy the laws of the inverse transforms: the centered
+inverse R(w) = G^{-1}(w) - 1/w adds under free convolution, so the sum's
+transform has R1(G) + R2(G) + 1/G = z, and the inverse lambda(h) of
+h(lambda) = lambda*G(lambda) multiplies as lambda_out(h) = lambda_1(h) *
+lambda_2(h) * (h-1)/h.  These are identities that the series oracle and
+the tests check, not what the code composes.
 Deterministic-plus-Gaussian addition is the sum with a semicircle, and
 the Gaussian external-field shift sigma^2 * a generalizes the addition law
 beyond the free case.
 
 The sum, the product and Pastur's sum are solved for their subordination
-function omega_1 (G(z) = G_1(omega_1(z)) for a sum), the fixed point of a
-map built from the operands' forward transforms, so no operand is
-inverted; the semicircle's map is in closed form, so Pastur's fixed point
-is omega_1 = z - sigma^2 G(omega_1).  Each is one solve on one loop,
-stieltjes.damped_newton.  Contour solves take two levels.  Every other
-column is solved serially, left to right at each imaginary offset, as a
-predictor-corrector continuation: each solve starts from the septic
-Hermite interpolant of its offset's last four solutions and their
-z-derivatives, which every solve's state already holds, so Newton needs
-about one correction per point.  The stored solutions are taken one
-Newton step past each accepted iterate, from the residual and derivative
-the state holds, so the extrapolation does not amplify the solver's
-tolerance.  The columns between are then seeded by Hermite interpolation
-through the solved columns around them and corrected all at once by
-Newton on arrays, with the serial solve as the fallback of any point that
-does not converge there.
+function omega_1 (G(z) = G_1(omega_1(z)) for a sum, omega_1 G_1(omega_1) /
+z for a product), the fixed point of a map built from the operands'
+resolvents G_i and G_i', so no operand is inverted; the semicircle's map
+is in closed form, so Pastur's fixed point is omega_1 = z - sigma^2
+G(omega_1).  Each is one solve on one loop, stieltjes.damped_newton.
+Contour solves take two levels.  Every other column is solved serially,
+left to right at each imaginary offset, as a predictor-corrector
+continuation: each solve starts from the septic Hermite interpolant of its
+offset's last four solutions and their z-derivatives, which every solve's
+state already holds, so Newton needs about one correction per point.  The
+stored solutions are taken one Newton step past each accepted iterate,
+from the residual and derivative the state holds, so the extrapolation
+does not amplify the solver's tolerance.  The columns between are then
+seeded by Hermite interpolation through the solved columns around them and
+corrected all at once by Newton on arrays, with the serial solve as the
+fallback of any point that does not converge there.
 """
 
 from __future__ import annotations
@@ -77,27 +79,6 @@ class RTransform:
         except InversionError:
             lam = invert_cauchy(self.resolvent, w)
             return lam - inv_w
-
-
-class HTransform:
-    """h(lambda) = lambda * G(lambda) of one measure."""
-
-    def __init__(self, mu: SpectralMeasure):
-        self.resolvent = MeasureResolvent(mu)
-        self.mean = moment(mu, 1)
-
-    def __call__(self, lam: complex) -> complex:
-        return lam * self.resolvent(lam)
-
-    def vd_scalar(self, lam: complex):
-        """(h, h') at one point."""
-        g, gp = self.resolvent.vd_scalar(lam)
-        return lam * g, g + lam * gp
-
-    def value_and_derivative(self, lam):
-        """(h, h') at each point of an array."""
-        g, gp = self.resolvent.value_and_derivative(lam)
-        return lam * g, g + lam * gp
 
 
 # -- pipeline evaluators -------------------------------------------------------
@@ -158,17 +139,17 @@ class _SweepResolvent(ResolventEvaluator):
     """Two operands joined through the subordination function omega_1,
     solved along a contour by a two-level predictor-corrector sweep.
 
-    Operand i gives a map t_i(z, w) from one kernel call at w (one
-    ``vd_scalar`` call, or one ``value_and_derivative`` call for an array
-    of w), and omega_1(z) is the fixed point of T = t_2 o t_1.  It is
-    unique in the upper half plane (Belinschi and Bercovici 2007), so any
-    root reached there is the physical one.  A self-convolution has
-    omega_1 = omega_2 and solves w = t_1(w).  The state per point is what
-    ``damped_newton`` returns: (w, (T - w, T_w - 1, f_1, T_z)), with f_1
-    the first operand's (value, derivative) at w.  Subclasses give
-    ``_t(z, w, f, f') -> (t, t_w, t_z)``, plain arithmetic that
-    broadcasts, and the seed ``_seed(z)``; G = G_1(omega_1) unless they
-    override ``_g_of`` and ``_gprime_of``, which read G and G' from a
+    Operand i is the ``MeasureResolvent`` of its measure, and gives a map
+    t_i(z, w) from one kernel call at w (one ``vd_scalar`` call, or one
+    ``value_and_derivative`` call for an array of w), and omega_1(z) is
+    the fixed point of T = t_2 o t_1.  It is unique in the upper half
+    plane (Belinschi and Bercovici 2007), so any root reached there is the
+    physical one.  A self-convolution has omega_1 = omega_2 and solves
+    w = t_1(w).  The state per point is what ``damped_newton`` returns:
+    (w, (T - w, T_w - 1, f_1, T_z)), with f_1 = (G_1, G_1') at w.
+    Subclasses give ``_t(z, w, g, g') -> (t, t_w, t_z)``, plain arithmetic
+    that broadcasts, and the seed ``_seed(z)``; G = G_1(omega_1) unless
+    they override ``_g_of`` and ``_gprime_of``, which read G and G' from a
     state, one point's or an array's.  All state is local to one
     ``sample_columns`` call.
 
@@ -200,11 +181,11 @@ class _SweepResolvent(ResolventEvaluator):
     finite, or that run out of passes.
     """
 
-    def __init__(self, operand, mu1, mu2):
+    def __init__(self, mu1, mu2):
         # a self-convolution builds one operand, ``op2 is op1``
         self._same = _same_measure(mu1, mu2)
-        self.op1 = operand(mu1)
-        self.op2 = self.op1 if self._same else operand(mu2)
+        self.op1 = MeasureResolvent(mu1)
+        self.op2 = self.op1 if self._same else MeasureResolvent(mu2)
 
     def _map(self, z, array):
         """The fixed-point map at z, w -> (T - w, T_w - 1, f_1, T_z), one
@@ -224,11 +205,11 @@ class _SweepResolvent(ResolventEvaluator):
                 raise InversionError("trial left the upper half plane")
             # arguments go by position, not by unpacking: the map runs
             # once per Newton trial
-            f1 = f, fp = vd1(w)
-            tw, dw, dz = t(z, w, f, fp)
+            f1 = g, gp = vd1(w)
+            tw, dw, dz = t(z, w, g, gp)
             if not same:
-                f, fp = vd2(tw)
-                t2, d2, z2 = t(z, tw, f, fp)
+                g, gp = vd2(tw)
+                t2, d2, z2 = t(z, tw, g, gp)
                 tw, dw, dz = t2, d2 * dw, d2 * dz + z2
             res = tw - w
             if array:
@@ -499,7 +480,7 @@ class FreeSumResolvent(_SweepResolvent):
     """
 
     def __init__(self, mu1: SpectralMeasure, mu2: SpectralMeasure):
-        super().__init__(MeasureResolvent, mu1, mu2)
+        super().__init__(mu1, mu2)
         lo1, hi1 = mu1.support()
         lo2, hi2 = mu2.support()
         self.support = (lo1 + lo2, hi1 + hi2)
@@ -524,7 +505,7 @@ class PasturResolvent(_SweepResolvent):
     def __init__(self, mu: SpectralMeasure, sigma: float):
         if sigma <= 0:
             raise ValidationError("sigma must be positive")
-        super().__init__(MeasureResolvent, mu, mu)
+        super().__init__(mu, mu)
         self.sigma2 = sigma * sigma
         lo, hi = mu.support()
         self.support = (lo - 2 * sigma, hi + 2 * sigma)
@@ -543,7 +524,8 @@ class FreeProductResolvent(_SweepResolvent):
 
     With h_i(w) = w * G_i(w) and k_i(w) = h_i(w) / ((h_i(w) - 1) w),
     t_i(z, w) = z * k_i(w): the product rule with omega_i = lambda_i(h(z))
-    gives omega_1 * omega_2 = z * h / (h - 1).  Then G(z) = h_1(omega_1)/z.
+    gives omega_1 * omega_2 = z * h / (h - 1).  Then G(z) = h_1(omega_1)/z
+    = omega_1 G_1(omega_1) / z.
     """
 
     def __init__(self, mu1: SpectralMeasure, mu2: SpectralMeasure):
@@ -557,28 +539,31 @@ class FreeProductResolvent(_SweepResolvent):
                     "each factor must put mass away from zero (a point mass "
                     "at 0 times any law is that point mass)"
                 )
-        super().__init__(HTransform, mu1, mu2)
+        super().__init__(mu1, mu2)
         lo1, hi1 = mu1.support()
         lo2, hi2 = mu2.support()
         self.support = (lo1 * lo2, hi1 * hi2)
         self.edge_hints = (lo1 * lo2, hi1 * hi2)
+        self.m2 = moment(mu2, 1)
 
     def _seed(self, z):
-        return complex(z / self.op2.mean)
+        return complex(z / self.m2)
 
     @staticmethod
-    def _t(z, w, h, hp):
+    def _t(z, w, g, gp):
+        h, hp = w * g, g + w * gp
         d = (h - 1.0) * w
         k = h / d
         return z * k, -z * (hp * w + h * (h - 1.0)) / (d * d), k
 
     @staticmethod
     def _g_of(z, state):
-        return state[1][2][0] / z
+        return state[0] * state[1][2][0] / z
 
     def _gprime_of(self, z, state):
-        h, hp = state[1][2]
-        return (hp * self._omega_prime(state) * z - h) / (z * z)
+        w, (g, gp) = state[0], state[1][2]
+        hp = g + w * gp
+        return (hp * self._omega_prime(state) * z - w * g) / (z * z)
 
 
 # -- public operations ---------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -29,10 +28,10 @@ from .acceptance import (
     run_all,
     verify_report,
 )
-from .arithmetic import HTransform, RTransform, free_add, free_multiply
+from .arithmetic import RTransform, free_add, free_multiply
 from .eigen import hermitian_eigenvalues
 from .errors import NumericalError, ValidationError
-from .measures import LawSpec, make_law, write_density_csv
+from .measures import CONTOUR_LIMIT, LawSpec, make_law, write_density_csv
 from .rmt import (
     EmpiricalSpectrum,
     EnsembleSpec,
@@ -59,13 +58,13 @@ def _object(cfg, what):
 
 
 def _numbers(values, count, what):
-    """``values`` if a list of ``count`` finite numbers (any number of them
-    for a ``count`` of None), else a ValidationError."""
+    """``values`` if a list of ``count`` numbers within ±CONTOUR_LIMIT (any
+    number of them for a ``count`` of None), else a ValidationError."""
     if not (isinstance(values, list) and count in (None, len(values))
-            and all(type(v) in (int, float) and math.isfinite(v)
+            and all(type(v) in (int, float) and abs(v) <= CONTOUR_LIMIT
                     for v in values)):
-        raise ValidationError(f"{what} takes {count or 'a list of'} finite "
-                              f"numbers, not {values!r}")
+        raise ValidationError(f"{what} takes {count or 'a list of'} numbers "
+                              f"within ±{CONTOUR_LIMIT:g}, not {values!r}")
     return values
 
 
@@ -135,8 +134,12 @@ def _write_measure(mu, out_dir, stem):
 
 
 def cmd_law(cfg, out_dir, seed):
+    if "output" in cfg:
+        raise ValidationError(
+            "law takes no output key; it writes density.csv and "
+            "density.atoms.json")
     mu = measure_from_config(cfg["law"])
-    _write_measure(mu, out_dir, cfg.get("output", "density"))
+    _write_measure(mu, out_dir, "density")
     return 0
 
 
@@ -146,16 +149,16 @@ def cmd_transform(cfg, out_dir, seed):
     xs = _grid(cfg["grid"], 200, "grid")
     offset = _finite_real(cfg.get("imag_offset", 1e-2), "imag_offset")
     # one evaluator (and one domain check) serves the whole grid
-    if which == "cauchy":
-        vals = cauchy_transform(mu, xs + 1j * offset)
+    if which in ("cauchy", "h"):
+        lam = xs + 1j * offset
+        vals = cauchy_transform(mu, lam)
+        if which == "h":
+            vals = lam * vals
     elif which == "pv":
         vals = [principal_value_transform(mu, float(x)) for x in xs]
     elif which == "r":
         rt = RTransform(mu)
         vals = [rt(complex(x, -offset)) for x in xs]
-    elif which == "h":
-        ht = HTransform(mu)
-        vals = [ht(complex(x, offset)) for x in xs]
     else:
         raise ValidationError(f"unknown transform {which!r}")
     path = out_dir / f"transform_{which}.csv"

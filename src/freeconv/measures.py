@@ -17,6 +17,11 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Largest magnitude of a law parameter, a contour node or offset and a real
+# read from a config: beyond ~1e161, G(z) ~ 1/z squares to zero in floating
+# point and the Newton steps divide by it, and squares of a scale overflow.
+CONTOUR_LIMIT = 1e150
+
 MASS_TOL = 1e-9
 RENORM_LIMIT = 1e-6
 
@@ -148,6 +153,11 @@ class LawSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValidationError(f"unknown law kind {self.kind!r}")
+        if not np.all(np.abs(np.asarray(self.params, dtype=float))
+                      <= CONTOUR_LIMIT):
+            raise ValidationError(
+                f"law {self.kind!r} parameters must be finite and within "
+                f"±{CONTOUR_LIMIT:g}, not {self.params!r}")
 
     @classmethod
     def semicircle(cls, sigma: float) -> "LawSpec":

@@ -54,7 +54,6 @@ of ``wishart`` samples, and of the sums that hold one, changed.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -62,7 +61,7 @@ import numpy as np
 
 from .eigen import hermitian_eigenvalues
 from .errors import NumericalError, ValidationError
-from .measures import SpectralMeasure, quantiles
+from .measures import CONTOUR_LIMIT, SpectralMeasure, quantiles
 
 # purpose identifiers for derived random streams
 P_ENTRIES_A = 0
@@ -93,11 +92,12 @@ def _integer(value, name, least):
 
 
 def _finite_real(value, name):
-    """``value`` as a float if it is a finite real (not a bool), else a
-    ValidationError."""
+    """``value`` as a float if it is a real within ±CONTOUR_LIMIT (not a
+    bool), else a ValidationError."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ValidationError(f"{name} must be a finite number, not {value!r}")
+            or not abs(value) <= CONTOUR_LIMIT):
+        raise ValidationError(f"{name} must be a finite number within "
+                              f"±{CONTOUR_LIMIT:g}, not {value!r}")
     return float(value)
 
 

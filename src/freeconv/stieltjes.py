@@ -21,7 +21,7 @@ from .errors import (
     SupportCoverageError,
     ValidationError,
 )
-from .measures import Segment, SpectralMeasure, _readonly
+from .measures import CONTOUR_LIMIT, Segment, SpectralMeasure, _readonly
 
 DEFAULT_EPSILON_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 NEWTON_TOL = 1e-12
@@ -30,9 +30,6 @@ MAX_HALVINGS = 20
 ATOM_MASS_THRESHOLD = 1e-3
 ATOM_FLATNESS = 0.9
 MASS_WINDOW = (0.99, 1.01)
-# Largest |node| of a contour: beyond ~1e161, G(z) ~ 1/z squares to zero
-# in floating point and the Newton steps divide by it.
-CONTOUR_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -54,10 +51,11 @@ class ContourSpec:
         if np.any(np.diff(self.real_grid) <= 0):
             raise ValidationError("contour real grid must be strictly increasing")
         eps = self.epsilon_schedule
-        if (eps.size < 2 or not np.all(eps > 0)
+        if (eps.size < 2 or not np.all((eps > 0) & (eps <= CONTOUR_LIMIT))
                 or not np.all(np.diff(eps) < 0)):
             raise ValidationError(
-                "epsilon schedule must be positive and strictly decreasing"
+                f"epsilon schedule must be positive, at most {CONTOUR_LIMIT:g}"
+                " and strictly decreasing"
             )
 
 

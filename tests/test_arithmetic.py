@@ -7,7 +7,6 @@ from freeconv.acceptance import _additivity_residuals, scaled_moment_error
 from freeconv.arithmetic import (
     FreeProductResolvent,
     FreeSumResolvent,
-    HTransform,
     PasturResolvent,
     RTransform,
     external_field_lambda_gaussian,
@@ -191,11 +190,7 @@ def test_pastur_moments_match_the_series_oracle(case):
     assert scaled_moment_error(got.m, expected.m) <= 1e-2
 
 
-# -- h function and free multiplication -------------------------------------------
-
-
-def test_h_function_of_atom():
-    assert HTransform(dirac(1.0))(3.0 + 0j) == pytest.approx(1.5, abs=1e-12)
+# -- free multiplication ----------------------------------------------------------
 
 
 def test_free_multiply_identity():
@@ -293,7 +288,7 @@ def test_sweep_kernel_calls_per_point(same):
     sums = _kernel_calls([ev.op1, ev.op2], ev)
     ev = FreeProductResolvent(mu, mu2)
     assert (ev.op2 is ev.op1) == same
-    products = _kernel_calls([ev.op1.resolvent, ev.op2.resolvent], ev)
+    products = _kernel_calls([ev.op1, ev.op2], ev)
     for first, second in (sums, products):
         assert first > 0
         assert (second == 0) if same else (second > 0)
@@ -498,8 +493,7 @@ def test_sweep_calls_per_point(case):
     if case in ("sum_same", "pastur"):
         assert ev.op2 is ev.op1
     columns = _uniform_columns(ev)
-    calls = _kernel_calls([getattr(op, "resolvent", op) for op in ops], ev,
-                          columns)
+    calls = _kernel_calls(ops, ev, columns)
     assert sum(calls) / (3 * len(columns[0])) <= bound
 
 

@@ -532,6 +532,23 @@ BAD_INPUTS = {
         "kind": "semicircle", "params": [float("nan")]}}),
     "atom_position_is_infinite": (["law"], {"law": {
         "kind": "atom_list", "params": [[float("inf"), 1.0]]}}),
+    "law_param_is_huge": (["law"], {"law": {
+        "kind": "semicircle", "params": [1e308]}}),
+    "transform_law_param_is_huge": (["transform"], {
+        "law": {"kind": "semicircle", "params": [1e308]}, "transform": "h",
+        "grid": {"lo": -3.0, "hi": 3.0, "points": 10}}),
+    "epsilon_schedule_is_huge": (["add"], {
+        **ADD_LAWS, "contour": {"lo": -3.0, "hi": 3.0, "points": 100,
+                                "epsilon_schedule": [1e308, 0.01]}}),
+    "field_sigma1_is_huge": (["verify"], {
+        "mode": "external_field", **VERIFY_CASES["external_field"][0],
+        "sigma1": 1e308}),
+    "law_param_is_a_huge_integer": (["law"], {"law": {
+        "kind": "semicircle", "params": [10 ** 400]}}),
+    "law_sets_output": (["law"], {**LAW_CONFIG, "output": "a/b"}),
+    "transform_h_on_the_support": (["transform"], {
+        **LAW_CONFIG, "transform": "h", "imag_offset": 0.0,
+        "grid": {"lo": -1.0, "hi": 1.0, "points": 10}}),
 }
 
 

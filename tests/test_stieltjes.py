@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freeconv.arithmetic import HTransform
 from freeconv.errors import (
     BranchError,
     DomainError,
@@ -497,20 +496,6 @@ def test_scalar_kernel_matches_batched(case):
         g_scale, gp_scale = _term_scales(mu, z, g_ref, gp_ref)
         assert abs(g - g_ref) <= 1e-13 * g_scale
         assert abs(gp - gp_ref) <= 1e-13 * gp_scale
-
-
-@settings(max_examples=30)
-@given(kernel_cases())
-def test_h_transform_array_matches_scalar(case):
-    # h = lambda G and h' = G + lambda G', on one point or on an array
-    mu, zs = case
-    ev = HTransform(mu)
-    h_batch, hp_batch = ev.value_and_derivative(np.array(zs))
-    for z, h_ref, hp_ref in zip(zs, h_batch, hp_batch):
-        h, hp = ev.vd_scalar(z)
-        g_scale, gp_scale = _term_scales(mu, z, *ev.resolvent.vd_scalar(z))
-        assert abs(h - h_ref) <= 1e-13 * abs(z) * g_scale
-        assert abs(hp - hp_ref) <= 1e-13 * (g_scale + abs(z) * gp_scale)
 
 
 # -- the cell treecode against a 40-digit oracle ------------------------------
