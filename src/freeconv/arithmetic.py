@@ -16,17 +16,18 @@ z for a product), the fixed point of a map built from the operands'
 resolvents G_i and G_i', so no operand is inverted; the semicircle's map
 is in closed form, so Pastur's fixed point is omega_1 = z - sigma^2
 G(omega_1).  Each is one solve on one loop, stieltjes.damped_newton.
-Contour solves take two levels.  Every other column is solved serially,
+Contour solves take two levels.  The anchor columns are solved serially,
 left to right at each imaginary offset, as a predictor-corrector
 continuation: each solve starts from the septic Hermite interpolant of its
 offset's last four solutions and their z-derivatives, which every solve's
 state already holds, so Newton needs about one correction per point.  The
 stored solutions are taken one Newton step past each accepted iterate,
 from the residual and derivative the state holds, so the extrapolation
-does not amplify the solver's tolerance.  The columns between are then
-seeded by Hermite interpolation through the solved columns around them and
-corrected all at once by Newton on arrays, with the serial solve as the
-fallback of any point that does not converge there.
+does not amplify the solver's tolerance.  The step to the next anchor,
+two columns or more, follows the predictor's error at the last one.  The
+columns between are then seeded by Hermite interpolation through the
+anchors around them and corrected all at once by Newton on arrays, with
+the serial solve as the fallback of any point that does not converge there.
 """
 
 from __future__ import annotations
@@ -123,6 +124,14 @@ def _rung(offsets, eps):
 _ARRAY_PASSES = 6
 _BLOCK = 512
 
+# The step control's target for an anchor's relative predictor error, and
+# its largest step in columns.  Mid-gap, the septic interpolant errs by
+# about 1/1800 of the extrapolation across the same spacing ((3/2 * 1/2)^4
+# against (1 * 2 * 3 * 4)^2), so this leaves the seeds between anchors at
+# about the Newton tolerance.
+_STEP_TOL = 1e3 * OUTER_TOL
+_MAX_STEP = 64
+
 
 def _same_measure(mu1: SpectralMeasure, mu2: SpectralMeasure) -> bool:
     if mu1 is mu2:
@@ -153,22 +162,26 @@ class _SweepResolvent(ResolventEvaluator):
     state, one point's or an array's.  All state is local to one
     ``sample_columns`` call.
 
-    The anchors, columns 0, 2, 4, ... and the last, are solved serially,
-    left to right, each ladder top down.  Along one rung (a fixed offset
-    eps) the unknown is analytic in x, so each rung keeps the unknown and
-    its z-derivative (read from the solve's state, with no kernel call) at
-    the last four anchors, and the septic Hermite interpolant through them
-    seeds the next anchor; a rung seen on fewer anchors interpolates
-    through those.  The stored unknown, like the warm seeds, is the
-    accepted iterate refined by one Newton step from the residual and
-    derivative in its state, since extrapolation amplifies the Newton
-    tolerance; the returned G is that of the accepted iterate.  Rungs are
-    keyed by the value of eps and keep their history only while
-    consecutive anchors carry it; the weights use the actual abscissae.
-    A non-finite or failed prediction retries from the warm seed (the
-    previous column's top rung for the top rung, else the rung above),
-    then from a cold start that descends vertically from far above the
-    support.
+    The anchors, column 0, then each one step ahead of the last, and the
+    last column, are solved serially, left to right, each ladder top down.
+    Along one rung (a fixed offset eps) the unknown is analytic in x, so
+    each rung keeps the unknown and its z-derivative (read from the
+    solve's state, with no kernel call) at the last four anchors, and the
+    septic Hermite interpolant through them seeds the next anchor; a rung
+    seen on fewer anchors interpolates through those.  The step, in
+    columns, is controlled on the largest relative gap e between an
+    anchor's accepted iterates and their predictions (infinite for a rung
+    with none): it is scaled by 0.9 (_STEP_TOL / e)^(1/8), doubled when
+    e = 0, and kept within 2 and _MAX_STEP.  The stored unknown, like the
+    warm seeds, is the accepted iterate refined by one Newton step from
+    the residual and derivative in its state, since extrapolation
+    amplifies the Newton tolerance; the returned G is that of the
+    accepted iterate.  Rungs are keyed by the value of eps and keep their
+    history only while consecutive anchors carry it; the weights use the
+    actual abscissae.  A non-finite or failed prediction retries from the
+    warm seed (the previous anchor's top rung for the top rung, else the
+    rung above), then from a cold start that descends vertically from far
+    above the support.
 
     Each point between two anchors is then seeded by the Hermite
     interpolant through those of the two nearest anchors on each side
@@ -284,38 +297,30 @@ class _SweepResolvent(ResolventEvaluator):
     def sample_columns(self, xs, ladders):
         xs = np.asarray(xs, dtype=float)
         lads = [np.asarray(lad, dtype=float) for lad in ladders]
-        n = len(lads)
-        anchors = list(range(0, n, 2))
-        if n % 2 == 0 and n:
-            anchors.append(n - 1)
-        out = [None] * n
-        known = self._sweep(xs, lads, anchors, out)
-        for lo in range(1, n - 1, 2 * _BLOCK):
+        out = [None] * len(lads)
+        anchors, known = self._sweep(xs, lads, out)
+        inner = np.delete(np.arange(len(lads)), anchors)
+        for lo in range(0, inner.size, _BLOCK):
             self._between(xs, lads, anchors, known, out,
-                          range(lo, min(lo + 2 * _BLOCK, n - 1), 2))
+                          inner[lo:lo + _BLOCK])
         return out
 
-    def _sweep(self, xs, lads, anchors, out):
-        """Solve the anchor columns serially into ``out``; returns the
-        offsets they carry, sorted and then a NaN, and the refined unknowns
-        and their z-derivatives as (anchors + 1, offsets) arrays, NaN where
-        an anchor does not carry an offset and in the last row and column.
+    def _sweep(self, xs, lads, out):
+        """Solve the anchor columns serially into ``out``, choosing each
+        next one by the step control; returns the anchors and the offsets
+        they carry, sorted and then a NaN, with the refined unknowns and
+        their z-derivatives as (anchors + 1, offsets) arrays, NaN where an
+        anchor does not carry an offset and in the last row and column.
         """
         solve, g_of, slope = self._solve_from, self._g_of, self._omega_prime
-        # the weights through each run of four anchors at the next one
-        xa = xs[anchors]
-        runs = max(0, xa.size - 4)
-        with np.errstate(all="ignore"):
-            stencils = np.array(_hermite_weights(
-                tuple(xa[i:i + runs] for i in range(4)), xa[4:])).reshape(
-                    8, runs).T
-        held = [lads[c].size for c in anchors]
-        ws, ds = np.empty((2, sum(held)), dtype=complex)
-        p = 0
+        n = len(lads)
+        anchors, ws, ds = [], [], []
+        c, step = 0, 2
         past = ()   # abscissae of the last four anchors, oldest first
         hist = {}   # eps -> (refined unknown, z-derivative) at those anchors
         top = None  # the refined unknown at the previous anchor's top rung
-        for i, c in enumerate(anchors):
+        while c < n:
+            anchors.append(c)
             x, lad = float(xs[c]), lads[c].tolist()
             if x in past:
                 # a repeated abscissa would zero a weight's denominator
@@ -324,10 +329,12 @@ class _SweepResolvent(ResolventEvaluator):
             short = {}  # history length -> weights through its anchors
             if len(past) == 4:
                 # past holds the four anchors before this one
-                a0, b0, a1, b1, a2, b2, a3, b3 = stencils[i - 4].tolist()
+                (a0, b0), (a1, b1), (a2, b2), (a3, b3) = _hermite_weights(
+                    past, x)
             col = np.empty(len(lad), dtype=complex)
             carried = {}
             warm = top
+            err = 0.0  # the largest relative predictor error of the column
             for j, eps in enumerate(lad):
                 z = complex(x, eps)
                 h = hist.get(eps, ())
@@ -338,36 +345,46 @@ class _SweepResolvent(ResolventEvaluator):
                                  + a2 * w2 + b2 * d2 + a3 * w3 + b3 * d3)
                 elif h:
                     # a rung seen on fewer anchors interpolates through them
-                    n = len(h)
-                    if n not in short:
-                        short[n] = _hermite_weights(past[-n:], x)
+                    m = len(h)
+                    if m not in short:
+                        short[m] = _hermite_weights(past[-m:], x)
                     predicted = sum(a * w + b * d
-                                    for (a, b), (w, d) in zip(short[n], h))
+                                    for (a, b), (w, d) in zip(short[m], h))
                 if predicted is not None and not cmath.isfinite(predicted):
                     predicted = None
                 state = solve(z, predicted, warm)
+                w = state[0]
+                err = max(err, np.inf if predicted is None else
+                          abs(w - predicted) / max(1.0, abs(w)))
                 g = g_of(z, state)
                 if g.imag > 1e-9 * (1.0 + abs(g)):
                     self._herglotz(z, g)
                 col[j] = g
                 warm = _refined(state)
                 d = slope(state)
-                ws[p], ds[p] = warm, d
-                p += 1
+                ws.append(warm)
+                ds.append(d)
                 carried[eps] = h[-3:] + ((warm, d),)
                 if j == 0:
                     top = warm
             hist = carried
             past = past[-3:] + (x,)
             out[c] = col
+            if c == n - 1:
+                break
+            # step-length control on the predictor error, of order 8
+            grow = 2.0 if err == 0 else 0.9 * (_STEP_TOL / err) ** 0.125
+            step = min(max(round(step * grow), 2), _MAX_STEP)
+            c = min(c + step, n - 1)
         carried = np.concatenate([lads[c] for c in anchors] or [[]])
         offsets = np.append(np.unique(carried), np.nan)
         vals = np.full((len(anchors) + 1, offsets.size), np.nan,
                        dtype=complex)
         slopes = vals.copy()
+        held = [lads[c].size for c in anchors]
         at = np.repeat(np.arange(len(anchors)), held), _rung(offsets, carried)
         vals[at], slopes[at] = ws, ds
-        return offsets, vals, slopes
+        return anchors, (offsets, vals, slopes)
 
     def _between(self, xs, lads, anchors, known, out, inner):
         """Solve the columns ``inner``, each between two anchors, into
@@ -380,10 +397,10 @@ class _SweepResolvent(ResolventEvaluator):
         col = np.repeat(inner, sizes)
         x = xs[col]
         z = x + 1j * eps
-        # anchor k, the left neighbour of column c = 2k + 1, brackets it
-        # with anchor k + 1; the stencil is anchors k - 1 .. k + 2, and a
-        # slot past either end, or an offset no anchor carries, reads NaN
-        k = (col - 1) // 2
+        # anchor k, the last one left of column c, brackets it with anchor
+        # k + 1; the stencil is anchors k - 1 .. k + 2, and a slot past
+        # either end, or an offset no anchor carries, reads NaN
+        k = np.searchsorted(anchors, col) - 1
         slots = k[:, None] + np.arange(-1, 3)
         slots[(slots < 0) | (slots >= m)] = m
         e = _rung(offsets, eps)[:, None]
@@ -414,7 +431,8 @@ class _SweepResolvent(ResolventEvaluator):
             # the serial fallback, in column order: the warm seed is the
             # rung above, or the left anchor's top rung
             if p in heads:
-                above = vals[k[p], _rung(offsets, lads[col[p] - 1][:1])[0]]
+                left = anchors[k[p]]
+                above = vals[k[p], _rung(offsets, lads[left][:1])[0]]
             else:
                 above = warm[p - 1]
             state = self._solve_from(

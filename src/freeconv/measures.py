@@ -286,20 +286,20 @@ def make_law(spec: LawSpec, grid_points: int = 2000) -> SpectralMeasure:
 def _segment_power_integral(seg: Segment, n: int) -> float:
     # Exact integral of x^n against the linear interpolant, cell by cell.
     # Expanded around each cell midpoint to avoid cancellation on the tiny
-    # edge cells of stretched grids.
+    # edge cells of stretched grids, in powers of the half-width, so no
+    # power of the width beyond the moment's own is formed.
     t0, t1 = seg.grid[:-1], seg.grid[1:]
     r0, r1 = seg.density[:-1], seg.density[1:]
     h = t1 - t0
     c = 0.5 * (t0 + t1)
     rc = 0.5 * (r0 + r1)
-    s = (r1 - r0) / h
     total = np.zeros_like(h)
     for k in range(n + 1):
         binom = _comb(n, k)
         if k % 2 == 0:
-            piece = rc * h ** (k + 1) / (2**k * (k + 1))
+            piece = rc * h * (0.5 * h) ** k / (k + 1)
         else:
-            piece = s * h ** (k + 2) / (2 ** (k + 1) * (k + 2))
+            piece = (r1 - r0) * (0.5 * h) ** (k + 1) / (k + 2)
         total += binom * c ** (n - k) * piece
     return float(np.sum(total))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from freeconv.arithmetic import FreeSumResolvent
 from freeconv.errors import ValidationError
 from freeconv.measures import (
     LawSpec,
@@ -84,6 +85,42 @@ def test_moment_examples():
     # Catalan number C_2 = 2 via the non-crossing oracle (see test_series).
     mu = make_law(LawSpec.semicircle(1.0), 4000)
     assert moment(mu, 4) == pytest.approx(2.0, abs=1e-4)
+
+
+def _moment_in_full_widths(mu, n):
+    # the moment with each cell's terms in powers of its full width h,
+    # which overflow past h of about 5.6e102
+    total = sum(w * x**n for x, w in mu.atoms)
+    for seg in mu.segments:
+        t0, t1 = seg.grid[:-1], seg.grid[1:]
+        r0, r1 = seg.density[:-1], seg.density[1:]
+        h, c = t1 - t0, 0.5 * (t0 + t1)
+        rc, s = 0.5 * (r0 + r1), (r1 - r0) / (t1 - t0)
+        cells = np.zeros_like(h)
+        for k in range(n + 1):
+            if k % 2 == 0:
+                piece = rc * h ** (k + 1) / (2**k * (k + 1))
+            else:
+                piece = s * h ** (k + 2) / (2 ** (k + 1) * (k + 2))
+            cells += math.comb(n, k) * c ** (n - k) * piece
+        total += float(np.sum(cells))
+    return total
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_moments_in_half_widths_match_full_widths(spec):
+    mu = make_law(spec, 2000)
+    for n in range(1, 9):
+        want = _moment_in_full_widths(mu, n)
+        assert abs(moment(mu, n) - want) <= 1e-13 * max(abs(want), 1e-300)
+
+
+def test_moments_of_a_law_with_wide_cells_are_finite():
+    # cells about 1e147 wide: a power h^(k + 2) of the width overflows
+    mu = make_law(LawSpec.semicircle(1e149))
+    assert np.isfinite([moment(mu, 1), moment(mu, 2)]).all()
+    ev = FreeSumResolvent(mu, mu)
+    assert np.isfinite(ev.m2)
 
 
 def test_rejects_bad_parameters():
