@@ -16,18 +16,20 @@ z for a product), the fixed point of a map built from the operands'
 resolvents G_i and G_i', so no operand is inverted; the semicircle's map
 is in closed form, so Pastur's fixed point is omega_1 = z - sigma^2
 G(omega_1).  Each is one solve on one loop, stieltjes.damped_newton.
-Contour solves take two levels.  The anchor columns are solved serially,
-left to right at each imaginary offset, as a predictor-corrector
-continuation: each solve starts from the septic Hermite interpolant of its
-offset's last four solutions and their z-derivatives, which every solve's
-state already holds, so Newton needs about one correction per point.  The
-stored solutions are taken one Newton step past each accepted iterate,
-from the residual and derivative the state holds, so the extrapolation
-does not amplify the solver's tolerance.  The step to the next anchor,
-two columns or more, follows the predictor's error at the last one.  The
-columns between are then seeded by Hermite interpolation through the
-anchors around them and corrected all at once by Newton on arrays, with
-the serial solve as the fallback of any point that does not converge there.
+Contour solves take two levels.  The serial level is one path, the top
+point of each anchor column, left to right, solved as a predictor-corrector
+continuation: each solve starts from the septic Hermite interpolant of the
+path's last four solutions and their z-derivatives, at complex abscissae,
+which every solve's state already holds, so Newton needs about one
+correction per point.  The stored solutions are taken one Newton step past
+each accepted iterate, from the residual and derivative the state holds, so
+the extrapolation does not amplify the solver's tolerance.  The step to the
+next anchor, two columns or more, follows the predictor's error at the last
+one.  Every other point, the anchors' lower rungs and the columns between,
+is then seeded by the Hermite interpolant through the path around its
+column at its own z and corrected all at once by Newton on arrays, with a
+serial solve down its column as the fallback of any point whose seed is
+not close or that does not converge there.
 """
 
 from __future__ import annotations
@@ -87,11 +89,10 @@ class RTransform:
 
 def _hermite_weights(past, x):
     """Weights (H_i(x), K_i(x)) of the Hermite interpolant through distinct
-    abscissae: p(x) = sum H_i w_i + K_i w'_i, of degree 2n - 1 for n
-    abscissae.  With L_i the Lagrange basis on ``past``, H_i = (1 - 2
-    L_i'(x_i)(x - x_i)) L_i^2 and K_i = (x - x_i) L_i^2; one abscissa gives
-    w + w' (x - x_i).  ``past`` is a tuple of abscissae, or of arrays of
-    them with ``x`` an array: one stencil per point."""
+    abscissae, real or complex: p(x) = sum H_i w_i + K_i w'_i, of degree
+    2n - 1 for n abscissae.  With L_i the Lagrange basis on ``past``, H_i =
+    (1 - 2 L_i'(x_i)(x - x_i)) L_i^2 and K_i = (x - x_i) L_i^2; one
+    abscissa gives w + w' (x - x_i)."""
     weights = []
     for i, xi in enumerate(past):
         lag, d_lag = 1.0, 0.0
@@ -103,6 +104,23 @@ def _hermite_weights(past, x):
     return weights
 
 
+def _hermite_rows(nodes, w, d, x, row):
+    """The Hermite interpolant of ``_hermite_weights`` on arrays: through
+    the values ``w`` and slopes ``d`` at the distinct abscissae ``nodes``,
+    (stencils, n) arrays, evaluated at each point of ``x`` on stencil
+    ``row``.  Per stencil, H_i w_i + K_i w'_i = (w_i + (x - x_i) b_i) L_i^2
+    with b_i = w'_i - 2 L_i'(x_i) w_i, and L_i(x) is the product of all
+    x - x_j over (x - x_i) prod_{j != i} (x_i - x_j); a point on a node
+    gives NaN."""
+    off = ~np.eye(nodes.shape[1], dtype=bool)
+    gap = np.where(off, nodes[:, :, None] - nodes[:, None, :], 1.0)
+    denom = np.prod(gap, axis=2)
+    b = d - 2.0 * np.sum(np.where(off, 1.0 / gap, 0.0), axis=2) * w
+    dx = x[:, None] - nodes[row]
+    lag = np.prod(dx, axis=1, keepdims=True) / (dx * denom[row])
+    return np.sum((w[row] + dx * b[row]) * (lag * lag), axis=1)
+
+
 def _refined(state):
     """The unknown one Newton step past a solve's accepted state, with no
     kernel call: the state's f(x) holds the residual and its derivative."""
@@ -110,19 +128,19 @@ def _refined(state):
     return x - fx[0] / fx[1] if fx[1] else x
 
 
-def _rung(offsets, eps):
-    """The index of each of ``eps`` in ``offsets``, sorted with a NaN last;
-    an offset not there gets the NaN's."""
-    at = np.searchsorted(offsets, eps)
-    at[offsets[at] != eps] = offsets.size - 1
-    return at
-
-
 # Newton evaluations per point in the array pass before a point is handed
-# to the serial solve, and the columns between anchors corrected at once,
-# which bounds the pass's arrays.
+# to the serial solve, and the columns filled at once, which bounds the
+# pass's arrays.
 _ARRAY_PASSES = 6
 _BLOCK = 512
+
+# The array pass corrects a seed and does not search for a root: a point
+# whose first residual is over this multiple of its tolerance is handed to
+# the serial solve.
+_SEED_GATE = 1e6
+
+# The anchors whose top points seed every other point of a column.
+_STENCIL = 6
 
 # The step control's target for an anchor's relative predictor error, and
 # its largest step in columns.  Mid-gap, the septic interpolant errs by
@@ -162,36 +180,37 @@ class _SweepResolvent(ResolventEvaluator):
     state, one point's or an array's.  All state is local to one
     ``sample_columns`` call.
 
-    The anchors, column 0, then each one step ahead of the last, and the
-    last column, are solved serially, left to right, each ladder top down.
-    Along one rung (a fixed offset eps) the unknown is analytic in x, so
-    each rung keeps the unknown and its z-derivative (read from the
-    solve's state, with no kernel call) at the last four anchors, and the
-    septic Hermite interpolant through them seeds the next anchor; a rung
-    seen on fewer anchors interpolates through those.  The step, in
-    columns, is controlled on the largest relative gap e between an
-    anchor's accepted iterates and their predictions (infinite for a rung
-    with none): it is scaled by 0.9 (_STEP_TOL / e)^(1/8), doubled when
-    e = 0, and kept within 2 and _MAX_STEP.  The stored unknown, like the
-    warm seeds, is the accepted iterate refined by one Newton step from
-    the residual and derivative in its state, since extrapolation
-    amplifies the Newton tolerance; the returned G is that of the
-    accepted iterate.  Rungs are keyed by the value of eps and keep their
-    history only while consecutive anchors carry it; the weights use the
-    actual abscissae.  A non-finite or failed prediction retries from the
-    warm seed (the previous anchor's top rung for the top rung, else the
-    rung above), then from a cold start that descends vertically from far
-    above the support.
+    The serial level solves one path: the top point x + i*eps[0] of each
+    anchor column, column 0, then each one step ahead of the last, and the
+    last column.  omega_1 is analytic in z off the real axis, so the path
+    keeps the unknown and its z-derivative (read from the solve's state,
+    with no kernel call) at its last four points, and the septic Hermite
+    interpolant through them, at their complex abscissae, seeds the next
+    one; a shorter path interpolates through the points it has, and a
+    repeated point restarts it.  The step, in columns, is controlled on
+    the relative gap e between an anchor's accepted iterate and its
+    prediction (infinite with none): it is scaled by 0.9 (_STEP_TOL /
+    e)^(1/8), doubled when e = 0, and kept within 2 and _MAX_STEP.  The
+    stored unknown, like the warm seed, is the accepted iterate refined by
+    one Newton step from the residual and derivative in its state, since
+    extrapolation amplifies the Newton tolerance; the returned G is that
+    of the accepted iterate.  A non-finite or failed prediction retries
+    from the previous top point, then from a cold start that descends
+    vertically from far above the support.
 
-    Each point between two anchors is then seeded by the Hermite
-    interpolant through those of the two nearest anchors on each side
-    that carry its eps, and all of them take full Newton steps at once on
-    arrays (``_correct``), _BLOCK columns at a time, each accepted at the
-    tolerance of its serial solve.  The serial solve, from that seed, then
-    warm, then cold, takes the points whose bracketing anchors do not both
-    carry their eps or whose seed is not finite, and those whose trial
-    leaves the physical sheet, whose residual does not fall or is not
-    finite, or that run out of passes.
+    Every other point, the anchors' lower rungs and every rung of the
+    columns between, is seeded by the Hermite interpolant through the top
+    points of the _STENCIL anchors around its column, evaluated at its own
+    z, and all of them take full Newton steps at once on arrays
+    (``_correct``), _BLOCK columns at a time.  That pass corrects seeds
+    and never searches: it drops a point whose first residual is over
+    _SEED_GATE times its tolerance, whose trial leaves the physical sheet,
+    whose residual does not fall or is not finite, or that runs out of
+    passes, and accepts one at OUTER_TOL relative to the iterate it
+    returns.  A dropped point is solved serially down its own column, warm
+    from the solved point above it (for the top of a column between, the
+    top point of the anchor on its left), then cold; never from the seed
+    that was dropped.
     """
 
     def __init__(self, mu1, mu2):
@@ -238,8 +257,16 @@ class _SweepResolvent(ResolventEvaluator):
         scale = max(1.0, abs(w))
         # arguments go by position: keyword passing costs measurably on
         # the hot path of the sweep
-        return damped_newton(self._map(z, False), w, 0.0, OUTER_TOL * scale,
-                             1e-9 * scale)
+        state = damped_newton(self._map(z, False), w, 0.0, OUTER_TOL * scale,
+                              1e-9 * scale)
+        # those bounds scale with the seed, so a far seed loosens them:
+        # the residual is checked again at the iterate reached
+        r = abs(state[1][0])
+        if r > 1e-9 * max(1.0, abs(state[0])):
+            raise InversionError(
+                f"residual {r:.3g} is not small at the iterate reached",
+                last_iterate=state[0], residual=r)
+        return state
 
     @staticmethod
     def _omega_prime(state):
@@ -253,19 +280,23 @@ class _SweepResolvent(ResolventEvaluator):
     def _gprime_of(self, z, state):
         return state[1][2][1] * self._omega_prime(state)
 
-    def _cold_state(self, z):
+    def _cold_states(self, x, eps):
+        """The states at x + i*eps for each of the offsets ``eps``, from
+        one cold vertical descent: from far above the support down through
+        every offset, each solve seeded by the refined unknown of the one
+        above it, and an offset above the start solved from the cold
+        seed."""
         lo, hi = self.support
         height = 2.0 * max(1.0, abs(lo), abs(hi))
-        if z.imag >= height:
-            return self._solve(z, None)
-        n = max(2, int(np.ceil(np.log2(height / max(z.imag, 1e-12)))) + 1)
-        path = height * (max(z.imag, 1e-12) / height) ** (
-            np.arange(n) / (n - 1)
-        )
-        seed = None
-        for eps in path[:-1]:
-            seed = _refined(self._solve(complex(z.real, float(eps)), seed))
-        return self._solve(z, seed)
+        floor = max(min(eps), 1e-12)
+        n = max(2, int(np.ceil(np.log2(height / floor))) + 1)
+        path = height * (floor / height) ** (np.arange(n - 1) / (n - 1))
+        states, seed = {}, None
+        for e in sorted(set(path.tolist()).union(eps), reverse=True):
+            state = self._solve(complex(x, e), None if e >= height else seed)
+            seed = _refined(state)
+            states[e] = state
+        return [states[e] for e in eps]
 
     def _solve_from(self, z, predicted, warm):
         """Solve at z from the first seed that converges, else cold."""
@@ -276,7 +307,7 @@ class _SweepResolvent(ResolventEvaluator):
                 except InversionError:
                     pass
         try:
-            return self._cold_state(z)
+            return self._cold_states(z.real, [z.imag])[0]
         except InversionError as err:
             raise PipelineError(
                 f"{type(self).__name__}: contour solve failed at "
@@ -297,169 +328,119 @@ class _SweepResolvent(ResolventEvaluator):
     def sample_columns(self, xs, ladders):
         xs = np.asarray(xs, dtype=float)
         lads = [np.asarray(lad, dtype=float) for lad in ladders]
-        out = [None] * len(lads)
-        anchors, known = self._sweep(xs, lads, out)
-        inner = np.delete(np.arange(len(lads)), anchors)
-        for lo in range(0, inner.size, _BLOCK):
-            self._between(xs, lads, anchors, known, out,
-                          inner[lo:lo + _BLOCK])
+        if not all(lad.size for lad in lads):
+            raise ValidationError("every column needs at least one offset")
+        anchors, path = self._sweep(xs, lads)
+        out = []
+        for lo in range(0, len(lads), _BLOCK):
+            cols = np.arange(lo, min(lo + _BLOCK, len(lads)))
+            out += self._fill(xs, lads, anchors, path, cols)
         return out
 
-    def _sweep(self, xs, lads, out):
-        """Solve the anchor columns serially into ``out``, choosing each
-        next one by the step control; returns the anchors and the offsets
-        they carry, sorted and then a NaN, with the refined unknowns and
-        their z-derivatives as (anchors + 1, offsets) arrays, NaN where an
-        anchor does not carry an offset and in the last row and column.
-        """
+    def _sweep(self, xs, lads):
+        """Solve the top point of each anchor column serially, choosing
+        each next anchor by the step control; returns the anchors and, as
+        arrays over them, the top points z, G there, the refined unknowns
+        and their z-derivatives."""
         solve, g_of, slope = self._solve_from, self._g_of, self._omega_prime
         n = len(lads)
-        anchors, ws, ds = [], [], []
+        anchors, zs, gs, ws, ds = [], [], [], [], []
         c, step = 0, 2
-        past = ()   # abscissae of the last four anchors, oldest first
-        hist = {}   # eps -> (refined unknown, z-derivative) at those anchors
-        top = None  # the refined unknown at the previous anchor's top rung
+        past = ()  # the path's last four points, oldest first
+        warm = None  # the refined unknown at the path's last point
         while c < n:
-            anchors.append(c)
-            x, lad = float(xs[c]), lads[c].tolist()
-            if x in past:
-                # a repeated abscissa would zero a weight's denominator
+            z = complex(xs[c], lads[c][0])
+            if z in past:
+                # a repeated point would zero a weight's denominator
                 past = ()
-                hist = {}
-            short = {}  # history length -> weights through its anchors
-            if len(past) == 4:
-                # past holds the four anchors before this one
-                (a0, b0), (a1, b1), (a2, b2), (a3, b3) = _hermite_weights(
-                    past, x)
-            col = np.empty(len(lad), dtype=complex)
-            carried = {}
-            warm = top
-            err = 0.0  # the largest relative predictor error of the column
-            for j, eps in enumerate(lad):
-                z = complex(x, eps)
-                h = hist.get(eps, ())
-                predicted = None
-                if len(h) == 4:
-                    (w0, d0), (w1, d1), (w2, d2), (w3, d3) = h
-                    predicted = (a0 * w0 + b0 * d0 + a1 * w1 + b1 * d1
-                                 + a2 * w2 + b2 * d2 + a3 * w3 + b3 * d3)
-                elif h:
-                    # a rung seen on fewer anchors interpolates through them
-                    m = len(h)
-                    if m not in short:
-                        short[m] = _hermite_weights(past[-m:], x)
-                    predicted = sum(a * w + b * d
-                                    for (a, b), (w, d) in zip(short[m], h))
-                if predicted is not None and not cmath.isfinite(predicted):
+            predicted = None
+            if past:
+                m = len(past)
+                predicted = sum(a * w + b * d for (a, b), w, d in zip(
+                    _hermite_weights(past, z), ws[-m:], ds[-m:]))
+                if not cmath.isfinite(predicted):
                     predicted = None
-                state = solve(z, predicted, warm)
-                w = state[0]
-                err = max(err, np.inf if predicted is None else
-                          abs(w - predicted) / max(1.0, abs(w)))
-                g = g_of(z, state)
-                if g.imag > 1e-9 * (1.0 + abs(g)):
-                    self._herglotz(z, g)
-                col[j] = g
-                warm = _refined(state)
-                d = slope(state)
-                ws.append(warm)
-                ds.append(d)
-                carried[eps] = h[-3:] + ((warm, d),)
-                if j == 0:
-                    top = warm
-            hist = carried
-            past = past[-3:] + (x,)
-            out[c] = col
+            state = solve(z, predicted, warm)
+            w = state[0]
+            err = np.inf if predicted is None else (
+                abs(w - predicted) / max(1.0, abs(w)))
+            g = g_of(z, state)
+            if g.imag > 1e-9 * (1.0 + abs(g)):
+                self._herglotz(z, g)
+            warm = _refined(state)
+            anchors.append(c)
+            zs.append(z)
+            gs.append(g)
+            ws.append(warm)
+            ds.append(slope(state))
+            past = past[-3:] + (z,)
             if c == n - 1:
                 break
             # step-length control on the predictor error, of order 8
             grow = 2.0 if err == 0 else 0.9 * (_STEP_TOL / err) ** 0.125
             step = min(max(round(step * grow), 2), _MAX_STEP)
             c = min(c + step, n - 1)
-        carried = np.concatenate([lads[c] for c in anchors] or [[]])
-        offsets = np.append(np.unique(carried), np.nan)
-        vals = np.full((len(anchors) + 1, offsets.size), np.nan,
-                       dtype=complex)
-        slopes = vals.copy()
-        held = [lads[c].size for c in anchors]
-        at = np.repeat(np.arange(len(anchors)), held), _rung(offsets, carried)
-        vals[at], slopes[at] = ws, ds
-        return anchors, (offsets, vals, slopes)
+        return np.array(anchors, dtype=int), tuple(
+            np.array(v, dtype=complex) for v in (zs, gs, ws, ds))
 
-    def _between(self, xs, lads, anchors, known, out, inner):
-        """Solve the columns ``inner``, each between two anchors, into
-        ``out``: interpolated seeds, one array Newton pass, the serial
-        solve as its fallback."""
-        offsets, vals, slopes = known
-        m = len(anchors)
-        sizes = [lads[c].size for c in inner]
-        eps = np.concatenate([lads[c] for c in inner])
-        col = np.repeat(inner, sizes)
-        x = xs[col]
-        z = x + 1j * eps
-        # anchor k, the last one left of column c, brackets it with anchor
-        # k + 1; the stencil is anchors k - 1 .. k + 2, and a slot past
-        # either end, or an offset no anchor carries, reads NaN
-        k = np.searchsorted(anchors, col) - 1
-        slots = k[:, None] + np.arange(-1, 3)
-        slots[(slots < 0) | (slots >= m)] = m
-        e = _rung(offsets, eps)[:, None]
-        ax = np.append(xs[anchors], np.nan)[slots]
-        # the stencil runs one way, with x strictly inside its brackets
-        run = ax[:, 2] - ax[:, 1]
-        present = (np.isfinite(vals[slots, e])
-                   & ((x - ax[:, 1]) * (ax[:, 2] - x) > 0)[:, None])
-        present[:, 0] &= (ax[:, 1] - ax[:, 0]) * run > 0
-        present[:, 3] &= (ax[:, 3] - ax[:, 2]) * run > 0
-        seed = np.full(x.size, np.nan, dtype=complex)
-        code = present @ (1 << np.arange(4))
+    def _fill(self, xs, lads, anchors, path, cols):
+        """G on the columns ``cols``: the anchors' top points from
+        ``path``, every other point seeded by the Hermite interpolant
+        through the top points of the anchors around its column, corrected
+        on arrays, and solved serially down its column where that pass
+        drops it."""
+        tops, g_top, w_top, d_top = path
+        sizes = [lads[c].size for c in cols]
+        first = np.cumsum([0] + sizes)
+        col = np.repeat(cols, sizes)
+        z = xs[col] + 1j * np.concatenate([lads[c] for c in cols])
+        # anchor k, the last one at or left of a point's column, sits third
+        # in the stencil, which shifts to stay inside the anchors
+        k = np.searchsorted(anchors, col, side="right") - 1
+        width = min(_STENCIL, anchors.size)
+        lo = np.clip(k - (width - 1) // 2, 0, anchors.size - width)
+        heads = first[:-1]
+        on_path = np.zeros(z.size, dtype=bool)
+        on_path[heads] = anchors[k[heads]] == cols
+        g = np.where(on_path, g_top[k], np.nan)
+        warm = np.where(on_path, w_top[k], np.nan)
+        rest = np.flatnonzero(~on_path)
+        # the stencils of this block's columns, from its first one on
+        at = np.arange(lo[0], lo[-1] + 1)[:, None] + np.arange(width)
         with np.errstate(all="ignore"):
-            for pattern in np.unique(code[code > 0]):
-                rows = np.flatnonzero(code == pattern)
-                use = np.flatnonzero(present[rows[0]])
-                weights = _hermite_weights(
-                    tuple(ax[rows, i] for i in use), x[rows])
-                at = slots[rows][:, use], e[rows]
-                seed[rows] = sum(h * w + kd * d for (h, kd), w, d in zip(
-                    weights, vals[at].T, slopes[at].T))
-        batch = np.flatnonzero(present[:, 1] & present[:, 2]
-                               & np.isfinite(seed))
-        g, warm = self._correct(z, seed, batch)
-        first = np.cumsum([0] + sizes).tolist()
-        heads = set(first)
+            seed = _hermite_rows(tops[at], w_top[at], d_top[at], z[rest],
+                                 lo[rest] - lo[0])
+        g[rest], warm[rest] = self._correct(z[rest], seed)
+        head = set(heads.tolist())
         for p in np.flatnonzero(~np.isfinite(warm)).tolist():
-            # the serial fallback, in column order: the warm seed is the
-            # rung above, or the left anchor's top rung
-            if p in heads:
-                left = anchors[k[p]]
-                above = vals[k[p], _rung(offsets, lads[left][:1])[0]]
-            else:
-                above = warm[p - 1]
-            state = self._solve_from(
-                complex(z[p]),
-                complex(seed[p]) if cmath.isfinite(seed[p]) else None,
-                complex(above))
+            # the serial fallback, down each column: warm from the point
+            # above, or from the top point of the anchor on the left
+            above = w_top[k[p]] if p in head else warm[p - 1]
+            state = self._solve_from(complex(z[p]), None, complex(above))
             g[p] = self._g_of(complex(z[p]), state)
             warm[p] = _refined(state)
         self._herglotz(z, g)
-        for c, lo, hi in zip(inner, first[:-1], first[1:]):
-            out[c] = g[lo:hi]
+        first = first.tolist()
+        return [g[a:b] for a, b in zip(first[:-1], first[1:])]
 
-    def _correct(self, z, seed, batch):
-        """Full Newton steps on the points ``batch`` of ``z``, from ``seed``,
-        all at once; returns G and the refined unknown at every point, the
-        latter not finite where a point was not accepted."""
+    def _correct(self, z, seed):
+        """Full Newton steps on every point of ``z`` at once, from
+        ``seed``; returns G and the refined unknown, both NaN where a point
+        was not accepted."""
         g = np.full(z.shape, np.nan, dtype=complex)
         refined = g.copy()
+        batch = np.flatnonzero(np.isfinite(seed))
+        if not batch.size:
+            return g, refined
         with np.errstate(all="ignore"):
             zb, w = z[batch], seed[batch]
-            tol = OUTER_TOL * np.maximum(1.0, np.abs(w))
             fx = self._map(zb, True)(w)
             r = np.abs(fx[0])
-            fell = np.ones(batch.size, dtype=bool)
+            # a seed far from its root is not searched from here
+            fell = r <= _SEED_GATE * OUTER_TOL * np.maximum(1.0, np.abs(w))
             for n in range(_ARRAY_PASSES):
                 nxt = w - fx[0] / fx[1]
-                done = fell & (r <= tol)
+                done = fell & (r <= OUTER_TOL * np.maximum(1.0, np.abs(w)))
                 g[batch[done]] = self._g_of(zb, (w, fx))[done]
                 refined[batch[done]] = nxt[done]
                 # a NaN residual (a trial off the physical sheet) or one
@@ -467,25 +448,31 @@ class _SweepResolvent(ResolventEvaluator):
                 keep = fell & ~done & np.isfinite(r)
                 if n == _ARRAY_PASSES - 1 or not keep.any():
                     break
-                batch, zb, w, tol = batch[keep], zb[keep], nxt[keep], tol[keep]
+                batch, zb, w = batch[keep], zb[keep], nxt[keep]
                 fx = self._map(zb, True)(w)
                 r, last = np.abs(fx[0]), r[keep]
                 fell = r < last
         return g, refined
 
     def value_and_derivative(self, z):
+        """G and G' at each z of the closed upper half plane, solved cold:
+        the points of one abscissa share one vertical descent, and none is
+        seeded from another abscissa."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        if np.any(z_arr.imag < 0):
+            raise ValidationError(
+                "pipeline evaluators are defined on the closed upper "
+                "half plane"
+            )
         g = np.empty(z_arr.shape, dtype=complex)
         gp = np.empty(z_arr.shape, dtype=complex)
-        for i, zi in enumerate(z_arr):
-            zi = complex(zi)
-            if zi.imag < 0:
-                raise ValidationError(
-                    "pipeline evaluators are defined on the closed upper "
-                    "half plane"
-                )
-            state = self._cold_state(zi)
-            g[i], gp[i] = self._g_of(zi, state), self._gprime_of(zi, state)
+        xs, which = np.unique(z_arr.real, return_inverse=True)
+        for i, x in enumerate(xs.tolist()):
+            at = np.flatnonzero(which == i)
+            eps = z_arr.imag[at].tolist()
+            for p, e, state in zip(at, eps, self._cold_states(x, eps)):
+                zp = complex(x, e)
+                g[p], gp[p] = self._g_of(zp, state), self._gprime_of(zp, state)
         if np.isscalar(z) or np.asarray(z).ndim == 0:
             return complex(g[0]), complex(gp[0])
         return g, gp

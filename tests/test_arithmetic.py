@@ -333,24 +333,24 @@ def _uniform_pastur_edge(sigma):
 
 # (evaluator, its left support edge, kernel points per contour point
 # allowed on the 400- and on the 2000-column sweep, each point of an array
-# call counting as one).  The 400-column bounds sit between the septic
-# Hermite predictor through four columns of Newton-refined history (1.51,
-# 2.87, 2.99, 1.57 solved serially; 1.73, 3.20, 3.27, 1.76 with every other
-# column corrected in the array pass) and the quintic one through three
-# columns of accepted iterates (2.12, 4.10, 4.04, 2.17).  Pastur's figures
-# are of its former solve in G; solved for omega_1 on two levels it takes
-# 1.67.  With step-controlled anchors the sweep takes 1.78, 3.35, 3.29 and
-# 1.76 there, and 1.22, 2.43, 2.42 and 1.21 on 2000 columns, where the
-# bounds leave about 5 %.
+# call counting as one).  The septic Hermite predictor through four
+# columns of Newton-refined history took 1.51, 2.87, 2.99, 1.57 solved
+# serially, against 2.12, 4.10, 4.04, 2.17 for the quintic one through
+# three columns of accepted iterates.  With step-controlled anchors
+# solving every rung serially the sweep took 1.78, 3.35, 3.29 and 1.76
+# there, and 1.22, 2.43, 2.42 and 1.21 on 2000 columns.  With one serial
+# path through the anchors' top points, and every other point seeded from
+# it, it takes 1.45, 2.82, 2.82 and 1.46, and 1.10, 2.19, 2.18 and 1.11;
+# the bounds leave about 5 %.
 SWEEP_CASES = {
     "sum_same": (lambda: FreeSumResolvent(SEMI500, SEMI500),
-                 -2.0 * np.sqrt(2.0), (1.8, 1.28)),
+                 -2.0 * np.sqrt(2.0), (1.52, 1.16)),
     "sum_distinct": (lambda: FreeSumResolvent(SEMI500, UNIF500),
-                     _uniform_pastur_edge(1.0), (3.45, 2.55)),
+                     _uniform_pastur_edge(1.0), (2.96, 2.3)),
     "product": (lambda: FreeProductResolvent(MP500, MP_HALF500), 0.0,
-                (3.5, 2.55)),
+                (2.96, 2.29)),
     "pastur": (lambda: PasturResolvent(UNIF500, 0.5),
-               _uniform_pastur_edge(0.5), (1.85, 1.27)),
+               _uniform_pastur_edge(0.5), (1.53, 1.16)),
 }
 
 
@@ -412,13 +412,23 @@ def test_sweep_matches_pointwise_solves(case):
 
 
 def test_sweep_takes_columns_in_any_order():
-    # A repeated abscissa restarts the rung histories: two equal abscissae
-    # in one history would zero a Lagrange weight's denominator.  The last
-    # column repeats the fourth-to-last, the oldest one a history holds.
+    # A repeated top point restarts the serial path: two equal abscissae
+    # in one history would zero a Lagrange weight's denominator, and they
+    # leave the interpolated seeds of the points around them not finite,
+    # so those are solved serially.  The last column repeats the
+    # fourth-to-last, the oldest one a history holds.
     ev = PasturResolvent(UNIF500, 0.5)
     xs = [0.1, 0.2, 0.3, 0.2, 0.3, -0.4, 0.5, 0.6, 0.7, -0.4]
     diff, g, _ = _sweep_against_pointwise(ev, xs, [[1e-2, 5e-3]] * len(xs))
     assert np.max(diff / g) <= 1e-10
+
+
+def test_a_column_without_offsets_is_invalid_input():
+    # The serial path runs through each anchor's top offset, so a column
+    # needs one.
+    ev = PasturResolvent(UNIF500, 0.5)
+    with pytest.raises(ValidationError, match="at least one offset"):
+        ev.sample_columns([0.1, 0.2, 0.3], [[1e-2], [], [1e-2]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
@@ -433,13 +443,37 @@ def test_sweeps_of_few_columns(n):
     assert np.max(diff / g) <= 1e-10
 
 
-def _recording_serial_solves(ev):
-    """Record the z of every serial solve (anchors and fallbacks alike)."""
+def test_array_hermite_interpolant_matches_the_scalar_weights():
+    # _hermite_rows is _hermite_weights' interpolant written for arrays,
+    # one stencil per point; the order of its sums differs, so it agrees
+    # to rounding, and a stencil of one node is the line w + w' (x - x_0).
+    from freeconv.arithmetic import _hermite_rows, _hermite_weights
+
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 4, 6):
+        nodes = (np.cumsum(rng.uniform(0.5, 1.5, (5, n)), axis=1)
+                 + 1j * rng.uniform(0.5, 1.0, (5, n)))
+        w = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        d = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        row = rng.integers(0, 5, 40)
+        x = nodes[row, 0] + rng.uniform(0.0, n, 40) - 0.3j
+        got = _hermite_rows(nodes, w, d, x, row)
+        want = [sum(a * wi + b * di for (a, b), wi, di in zip(
+                    _hermite_weights(tuple(nodes[r]), xi), w[r], d[r]))
+                for r, xi in zip(row, x)]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _recording_serial_solves(ev, seeds=None):
+    """Record the z of every serial solve (anchors and fallbacks alike),
+    and into ``seeds`` its predicted and warm seeds, keyed by z."""
     seen = []
     solve = ev._solve_from
 
     def recorded(z, predicted, warm):
         seen.append(z)
+        if seeds is not None:
+            seeds[z] = predicted, warm
         return solve(z, predicted, warm)
 
     ev._solve_from = recorded
@@ -451,10 +485,10 @@ def _recording_anchors(ev):
     seen = []
     sweep = ev._sweep
 
-    def recorded(xs, lads, out):
-        anchors, known = sweep(xs, lads, out)
-        seen.append(anchors)
-        return anchors, known
+    def recorded(xs, lads):
+        anchors, path = sweep(xs, lads)
+        seen.append(anchors.tolist())
+        return anchors, path
 
     ev._sweep = recorded
     return seen
@@ -481,8 +515,9 @@ def test_arcsine_contour_is_mostly_solved_on_arrays():
 
 def test_points_the_array_pass_rejects_are_solved_serially():
     # The array residual is NaN right of 0.2, so the array pass rejects
-    # every point there between anchors; the serial fallback must land
-    # each on the root a cold solve finds.
+    # every point there but the anchors' top points, the lower rungs of
+    # anchors as well as the columns between; the serial fallback must
+    # land each on the root a cold solve finds.
     ev = PasturResolvent(UNIF500, 0.5)
     make = ev._map
 
@@ -502,44 +537,87 @@ def test_points_the_array_pass_rejects_are_solved_serially():
     ladders = [[1e-2, 5e-3]] * len(xs)
     diff, g, _ = _sweep_against_pointwise(ev, xs, ladders)
     assert np.max(diff / g) <= 1e-10
-    seen = set(seen)
-    between = {complex(x, e) for x in np.delete(xs, anchors[0])
-               for e in ladders[0]}
-    rejected = {z for z in between if z.real > 0.2}
-    assert len(rejected) >= 16 and rejected <= seen
-    assert not (between - rejected) & seen
+    tops = {complex(xs[a], ladders[0][0]) for a in anchors[0]}
+    rest = {complex(x, e) for x in xs for e in ladders[0]} - tops
+    rejected = {z for z in rest if z.real > 0.2}
+    assert len(rejected) >= 24 and set(seen) == tops | rejected
 
 
-def test_offset_missing_from_a_bracketing_anchor_is_solved_serially():
-    # The first column between two anchors past column 2 gets a bottom
-    # offset that its right anchor carries and its left one does not, so
-    # that point has no bracketing interpolant and is solved serially,
-    # while its other rungs go to the array pass.  The anchors up to the
-    # right one do not see the new offset, so they stay where a sweep
-    # without it puts them.
-    ev = FreeSumResolvent(SEMI500, UNIF500)
-    xs = np.linspace(-0.5, 0.5, 9)
-    ladders = [[1e-2, 5e-3]] * 9
-    anchors = _recording_anchors(ev)
-    ev.sample_columns(xs, ladders)
-    c = min(set(range(3, 9)) - set(anchors[0]))
-    right = anchors[0][np.searchsorted(anchors[0], c)]
-    ladders[c:right + 1] = [[1e-2, 5e-3, 2.5e-3]] * (right + 1 - c)
+def test_serial_solves_are_the_anchors_top_points():
+    # On a uniform 3-rung contour inside the support, away from the edges
+    # where a lower rung's seed reaches towards the branch point, the
+    # array pass accepts every seed.  So the serial level solves one path,
+    # the top point of each anchor, and the anchors' lower rungs join the
+    # columns between on arrays.
+    ev = PasturResolvent(UNIF500, 0.5)
     seen = _recording_serial_solves(ev)
+    anchors = _recording_anchors(ev)
+    xs = np.linspace(-1.0, 1.0, 200)
+    ladders = [default_contour(*ev.support).epsilon_schedule] * len(xs)
+    assert len(ladders[0]) == 3
     diff, g, _ = _sweep_against_pointwise(ev, xs, ladders)
     assert np.max(diff / g) <= 1e-10
-    assert anchors[1][:anchors[1].index(right) + 1] == [
-        a for a in anchors[0] if a <= right]
-    assert c not in anchors[1]
-    seen = set(seen)
-    assert complex(xs[c], 2.5e-3) in seen
-    assert not {complex(xs[c], 1e-2), complex(xs[c], 5e-3)} & seen
+    (anchors,) = anchors
+    assert seen == [complex(xs[c], ladders[c][0]) for c in anchors]
+
+
+def test_a_far_seed_between_anchors_is_solved_from_the_point_above():
+    # A point whose first residual in the array pass is far over its
+    # tolerance is not searched from there: it is solved serially, warm
+    # from the solved point above it in its column, and never from the
+    # seed that was dropped.
+    ev = PasturResolvent(UNIF500, 0.5)
+    xs = np.linspace(-1.0, 1.0, 41)
+    ladders = [[1e-2, 5e-3, 2.5e-3]] * len(xs)
+    anchors = _recording_anchors(ev)
+    ev.sample_columns(xs, ladders)
+    c = min(set(range(len(xs))) - set(anchors[0]))
+    far = complex(xs[c], 5e-3)
+    make = ev._map
+
+    def offset(z, array):
+        fixed = make(z, array)
+
+        def fun(w):
+            res, *rest = fixed(w)
+            return (np.where(z == far, res + 1.0, res), *rest)
+
+        return fun if array else fixed
+
+    ev._map = offset
+    seeds = {}
+    seen = _recording_serial_solves(ev, seeds)
+    diff, g, _ = _sweep_against_pointwise(ev, xs, ladders)
+    assert np.max(diff / g) <= 1e-10
+    tops = {complex(xs[a], 1e-2) for a in anchors[1]}
+    assert set(seen) == tops | {far}
+    predicted, warm = seeds[far]
+    above = ev._cold_states(xs[c], [1e-2])[0][0]
+    assert predicted is None
+    assert abs(warm - above) <= 1e-10 * abs(above)
+
+
+def test_a_deep_ladder_on_one_column_matches_cold_solves():
+    # _refine_atom weighs a pole on one column with a deep ladder: one
+    # anchor, so every lower rung is seeded by a line through its top
+    # point, and the rungs the array pass drops are solved down the column.
+    # The sum has an atom of mass 0.3 at 0, where G ~ 0.3 / (z - a) is as
+    # ill-conditioned in z as an edge, so it is held to 1e-10 in G or in z.
+    one = make_law(LawSpec.atom_list([(0.0, 0.7), (1.0, 0.3)]))
+    two = make_law(LawSpec.atom_list([(0.0, 0.6), (2.0, 0.4)]))
+    lad = _ladder(1e-2, 1e-6)
+    assert lad.size >= 10
+    for ev in (FreeSumResolvent(one, two), PasturResolvent(UNIF500, 0.5)):
+        for a in (0.0, 1e-3, 0.3):
+            diff, g, gp_z = _sweep_against_pointwise(ev, [a], [lad])
+            assert np.max(diff / (g + gp_z)) <= 1e-10
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_calls_per_point(case):
-    # Each solve is seeded by extrapolating its rung across the last four
-    # columns, so Newton needs about one correction per point.
+    # Each anchor's top point is seeded by extrapolating the path across
+    # the last four anchors, and every other point by interpolating it, so
+    # Newton needs about one correction per point.
     make, _, bounds = SWEEP_CASES[case]
     for points, bound in zip((400, 2000), bounds):
         ev = make()
@@ -572,11 +650,13 @@ def test_arcsine_sweep_on_edge_columns():
 def test_edge_refinement_samples_three_rungs(monkeypatch):
     # Density recovery reads only the three bottom rungs of an edge
     # column, so refinement solves only those.  Neighbouring columns then
-    # share two offsets at most, and each rung's history follows its eps:
-    # keyed by position in the ladder, the predictor would extrapolate
-    # values from other offsets and cost 4.5 kernel points per point here
-    # instead of 2.08.  A rung that has just entered the three bottom ones
-    # is seeded from the columns it has (2.30 if it waited for four).
+    # share two offsets at most, and their top points shift by a rung now
+    # and then.  The serial path runs through the top points at their
+    # complex abscissae, so such a shift does not break its history, and
+    # every other rung is seeded from that path at its own z: 1.67 kernel
+    # points per point here.  Histories kept per offset took 2.08, and
+    # histories keyed by position in the ladder, which extrapolate values
+    # from other offsets, took 4.5.
     ev = FreeSumResolvent(TWO, TWO)
     refine = stieltjes._refine_edge
     columns, calls = [], [0]
@@ -608,7 +688,27 @@ def test_edge_refinement_samples_three_rungs(monkeypatch):
         assert lad.size == 3
         assert np.allclose(lad[:-1] / lad[1:], 2.0, rtol=1e-12, atol=0)
         assert lad[-1] <= 1.01 * min((2.0 - abs(x)) / 10.0, bottom)
-    assert calls[0] / (3 * len(columns)) <= 2.2
+    assert calls[0] / (3 * len(columns)) <= 1.75
+
+
+def test_a_far_seed_does_not_loosen_its_own_acceptance():
+    # The solve's tolerances scale with |seed|, so from a far seed Newton
+    # stalled on a point with residual 0.2, no root at all (G off by 0.53),
+    # and accepted it.  The residual is checked again at the iterate
+    # reached, and the fallback then finds the root of a cold solve.
+    ev = PasturResolvent(UNIF500, 0.5)
+    z = complex(-1.47894, 0.005)
+    cold = ev._g_of(z, ev._solve(z, None))
+    for far in (complex(1.5e15, 1.25e16), 1e6 * (1 + 1j)):
+        try:
+            w, fx = ev._solve(z, far)
+        except InversionError:
+            pass
+        else:
+            assert abs(fx[0]) <= 1e-9 * max(1.0, abs(w))
+            assert abs(ev._g_of(z, (w, fx)) - cold) <= 1e-8 * abs(cold)
+        g = ev._g_of(z, ev._solve_from(z, far, None))
+        assert abs(g - cold) <= 1e-10 * abs(cold)
 
 
 def test_pastur_rejects_a_seed_off_the_physical_sheet():
