@@ -49,6 +49,12 @@ from .stieltjes import (
     principal_value_transform,
 )
 
+# The largest sizes a config may ask for: the nodes of a law's grid, of a
+# contour or of a transform grid, and the dimension of a random matrix
+# (4096^2 complex entries take 256 MiB).
+POINTS_LIMIT = 1_000_000
+DIMENSION_LIMIT = 4096
+
 
 def _object(cfg, what):
     """``cfg`` if it is a JSON object, else a ValidationError."""
@@ -89,7 +95,7 @@ def measure_from_config(cfg):
         count = len(inspect.signature(ctor).parameters)
         spec = ctor(*_numbers(params, count, f"law {kind!r}"))
     return make_law(spec, _integer(cfg.get("grid_points", 2000),
-                                   "grid_points", 1))
+                                   "grid_points", 1, POINTS_LIMIT))
 
 
 def _grid(cfg, points, what):
@@ -97,7 +103,8 @@ def _grid(cfg, points, what):
     _object(cfg, what)
     return np.linspace(_finite_real(cfg["lo"], "lo"),
                        _finite_real(cfg["hi"], "hi"),
-                       _integer(cfg.get("points", points), "points", 1))
+                       _integer(cfg.get("points", points), "points", 1,
+                                POINTS_LIMIT))
 
 
 def contour_from_config(cfg) -> ContourSpec | None:
@@ -111,7 +118,7 @@ def contour_from_config(cfg) -> ContourSpec | None:
 
 def ensemble_from_config(cfg, base_seed) -> EnsembleSpec:
     kind = _object(cfg, "an ensemble")["kind"]
-    n = cfg["dimension"]
+    n = _integer(cfg["dimension"], "dimension", 2, DIMENSION_LIMIT)
     seed = cfg.get("base_seed", base_seed)
     if kind == "gue":
         return EnsembleSpec.gue(cfg.get("sigma", 1.0), n, seed)
@@ -218,10 +225,12 @@ def cmd_verify(cfg, out_dir, seed):
     if mode in ("add", "mul"):
         mu1 = measure_from_config(cfg["law1"])
         mu2 = measure_from_config(cfg["law2"])
+        dimension = _integer(cfg.get("dimension", 512), "dimension", 2,
+                             DIMENSION_LIMIT)
         out, err = oracle_moment_error(
             mode, mu1, mu2, _integer(cfg.get("order", 8), "order", 1),
             contour)
-        w1 = monte_carlo_w1(mode, out, mu1, mu2, cfg.get("dimension", 512),
+        w1 = monte_carlo_w1(mode, out, mu1, mu2, dimension,
                             cfg.get("trials", 10), seed)
         metrics = {"moment_rel_error": err, "w1_vs_monte_carlo": w1}
         _write_measure(out, out_dir, f"{mode}_density")
@@ -240,7 +249,8 @@ def cmd_verify(cfg, out_dir, seed):
             np.random.default_rng(seed))
         metrics = external_field_check(
             [(sigma1, sigma2, field, probes)], sigma1, field,
-            _integer(cfg.get("dimension", 128), "dimension", 8),
+            _integer(cfg.get("dimension", 128), "dimension", 8,
+                     DIMENSION_LIMIT),
             _integer(cfg.get("trials", 400), "trials", 1), seed)
     else:
         raise ValidationError(f"unknown verify mode {mode!r}")

@@ -81,13 +81,15 @@ def stream(base_seed: int, purpose: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _integer(value, name, least):
+def _integer(value, name, least, most=None):
     """``value`` as an int if it is an integer (not a bool) of at least
-    ``least``, else a ValidationError."""
+    ``least`` and, given ``most``, at most ``most``, else a
+    ValidationError."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValidationError(
-            f"{name} must be an integer of at least {least}, not {value!r}")
+            or value < least or (most is not None and value > most)):
+        upto = "" if most is None else f" and at most {most}"
+        raise ValidationError(f"{name} must be an integer of at least "
+                              f"{least}{upto}, not {value!r}")
     return int(value)
 
 

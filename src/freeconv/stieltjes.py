@@ -75,8 +75,9 @@ class ResolventEvaluator:
     """Deterministic contract z -> G(z) for z off the real support.
 
     Subclasses provide ``value_and_derivative`` returning (G, G'), report a
-    ``support`` interval and structurally exact ``edge_hints``.  Evaluation is reentrant: ``sample_columns`` carries
-    any warm-start state locally, so concurrent use needs no coordination.
+    ``support`` interval and structurally exact ``edge_hints``.
+    Evaluation is reentrant: ``sample_columns`` carries any warm-start
+    state locally, so concurrent use needs no coordination.
     """
 
     support: tuple[float, float] = (-1.0, 1.0)
@@ -114,83 +115,79 @@ _NODES = int(np.ceil(np.log(1e-15 * np.sqrt(1 - _FAR_THETA ** 2)
                             * (1 - 1 / _RHO) / 4) / (-2 * np.log(_RHO))))
 _MIN_BLOCK = 16
 # Entries of each row block of points x atoms or points x far nodes, and
-# of each group of near slices, in ``MeasureResolvent.value_and_derivative``.
+# of each group of near slices, in ``MeasureResolvent.value_and_derivative``,
+# and of each chunk of blocks x Gauss-Legendre points in ``_block_rules``.
 _ROW_ENTRIES = 1 << 13
-# For the modified moments of a block (see _recurrences): the recurrence
-# coefficients b_k of the monic Legendre polynomials p_k = P_k / lead_k,
-# and 3 / ((k - 1) k (k + 1) (k + 2) lead_k) for k >= 2.
-_k = np.arange(2.0 * _NODES)
-_LEGENDRE_B = _k * _k / (4 * _k * _k - 1)
-_LEAD = np.cumprod(np.r_[1.0, (2 * _k[1:] - 1) / _k[1:]])
-_JUMP_SCALE = 3 / ((_k - 1) * _k * (_k + 1) * (_k + 2) * _LEAD)[2:, None]
+# The (_NODES + 1)-point Gauss-Legendre rule on [-1, 1], by Golub-Welsch
+# on the Legendre recurrence: on a cell it integrates rho(t) dt times any
+# polynomial of degree 2 _NODES - 1 exactly, rho being linear there.
+_k = np.arange(1.0, _NODES + 1)
+_GL_X, _GL_VEC = np.linalg.eigh(np.diag(_k / np.sqrt(4 * _k * _k - 1), -1))
+_GL_W = 2 * _GL_VEC[0] ** 2
 
 
-def _recurrences(t0, t1, r0, r1, bounds):
+def _block_rules(t0, t1, r0, r1, bounds):
     """The centres c and half-widths r of the blocks of cells between
-    ``bounds``; the recurrence coefficients alpha_k, beta_k, k < _NODES, of
-    the measure rho dy of each block, y = (t - c)/r, as (_NODES, blocks)
-    arrays; and a mask of the blocks of more than one cell whose moments
-    pin those down too loosely.
+    ``bounds``, and the _NODES-point Gauss rule of the measure rho(t) dt of
+    each block, as (blocks, _NODES) arrays of nodes and weights.
 
-    The moments of rho dy against the monic Legendre polynomials p_k(y)
-    come in closed form.  Twice by parts against I_k = 3 (1 - y^2)^2
-    C_(k-2)(y) / ((k - 1) k (k + 1) (k + 2)), C the Gegenbauer polynomials
-    of index 5/2, which is the antiderivative of P_k whose value and slope
-    vanish at y = -1 and 1, moment k >= 2 is sum_j (s_j - s_(j-1)) I_k(y_j)
-    / lead_k over the nodes inside the block, s the slopes drho/dy of its
-    cells.  The terms are small where the density is smooth, and the
-    double zero of I_k damps the large slopes next to a singular edge.
-    The sum cancels, though, where the slopes jump by much more than the
-    mass, as on a rough density over cells of very unequal size; such a
-    block is in the mask once sum_j |s_j - s_(j-1)| (1 - y_j^2)^2 exceeds
-    1000 times its mass (|I_k| <= 1/8, so that bounds the rounding by
-    about 3e-14 of the mass).  Gautschi's modified Chebyshev algorithm turns
-    the moments into the coefficients.  It loses about log10 prod_k
-    b_k/beta_k digits, b_k the Legendre coefficients: O(1) for a density
-    spread over its block, but without bound where the density all but
-    vanishes on part of it; such a block is in the mask once the product
-    exceeds 100.
+    Each cell's Gauss-Legendre rule turns rho dy, y = (t - c)/r, into a
+    discrete measure of positive weights with the moments of rho dy up to
+    degree 2 _NODES - 1, and so with its Gauss rule.  Lanczos on that
+    measure gives the recurrence coefficients alpha_k, beta_k from
+    positive weights alone (Gautschi, Orthogonal Polynomials, 2004,
+    section 2.2), however unevenly the mass spreads over the block; beta_0
+    is the block's mass.  Without reorthogonalisation Lanczos loses
+    orthogonality once a node converges, but its rule stays the Gauss
+    rule of a measure within rounding of this one (Golub and Strakos,
+    Numer. Algorithms 8, 1994), which is all the far sum asks of it.  The
+    blocks run in chunks of at most _ROW_ENTRIES points (or one block).
     """
-    starts, nb = bounds[:-1], np.diff(bounds)
-    cen = 0.5 * (t0[starts] + t1[bounds[1:] - 1])
-    rad = 0.5 * (t1[bounds[1:] - 1] - t0[starts])
-    y = (t0 - np.repeat(cen, nb)) / np.repeat(rad, nb)
-    dy = (t1 - t0) / np.repeat(rad, nb)
-    u = (r1 - r0) / dy
-    u[1:] = np.diff(u)
-    u[starts] = 0.0
-    u *= ((1 - y) * (1 + y)) ** 2
-    c = np.zeros((2 * _NODES - 1, y.size))  # c[j + 1] = C_j, c[0] = 0
-    c[1] = 1.0
-    for j in range(2 * _NODES - 3):
-        c[j + 2] = ((2 * j + 5) * y * c[j + 1] - (j + 4) * c[j]) / (j + 1)
-    mom = np.empty((2 * _NODES, starts.size))
-    mom[0] = np.add.reduceat((r0 + r1) * dy, starts) / 2
-    mom[1] = np.add.reduceat(
-        (r0 * (3 * y + dy) + r1 * (3 * y + 2 * dy)) * dy, starts) / 6
-    mom[2:] = np.add.reduceat(c[1:] * u, starts, axis=1) * _JUMP_SCALE
-    alpha, beta = np.empty((2, _NODES, starts.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # unit mass, so that no sig underflows; beta_0 is the mass
-        rough = np.add.reduceat(np.abs(u), starts) / mom[0]
-        sig_old, sig = np.zeros_like(mom), mom / mom[0]
-        alpha[0], beta[0] = sig[1], mom[0]
-        for k in range(1, _NODES):
-            new = np.zeros_like(mom)
-            new[1:-1] = (sig[2:] - alpha[k - 1] * sig[1:-1]
-                         - beta[k - 1] * sig_old[1:-1]
-                         + _LEGENDRE_B[1:-1, None] * sig[:-2])
-            alpha[k] = new[k + 1] / new[k] - sig[k] / sig[k - 1]
-            beta[k] = new[k] / sig[k - 1]
-            sig_old, sig = sig, new
-        loss = np.cumprod(np.where(beta[1:] > 0, _LEGENDRE_B[1:_NODES, None]
-                                   / beta[1:], np.inf), axis=0)
+    starts, stops = bounds[:-1], bounds[1:]
+    cen = 0.5 * (t0[starts] + t1[stops - 1])
+    rad = 0.5 * (t1[stops - 1] - t0[starts])
+    span = np.arange(np.diff(bounds).max())
+    alpha, beta = np.zeros((2, starts.size, _NODES))
+    step = max(1, _ROW_ENTRIES // (span.size * _GL_X.size))
+    for b in range(0, starts.size, step):
+        blk = slice(b, b + step)
+        idx = starts[blk, None] + span
+        pad = idx >= stops[blk, None]  # a shorter block's zero cells
+        idx = np.minimum(idx, stops[blk, None] - 1)
+        # half-widths from the cells' own ends, not from y: a narrow cell
+        # of a wide block would lose its digits to the rounding of y
+        h = np.where(pad, 0.0, t1[idx] - t0[idx]) / (2 * rad[blk, None])
+        m = (0.5 * (t0[idx] + t1[idx]) - cen[blk, None]) / rad[blk, None]
+        rc, rd = (r0[idx] + r1[idx]) / 2, (r1[idx] - r0[idx]) / 2
+        y = (m[..., None] + h[..., None] * _GL_X).reshape(len(idx), -1)
+        w = (h[..., None] * _GL_W * (rc[..., None] + rd[..., None] * _GL_X)
+             ).reshape(len(idx), -1)
+        beta[blk, 0] = mass = w.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q, prev, off = np.sqrt(w / mass[:, None]), 0.0, 0.0
+            for k in range(_NODES):
+                v = y * q
+                alpha[blk, k] = a = np.sum(v * q, axis=1)
+                if k + 1 == _NODES:
+                    break
+                v -= a[:, None] * q + off * prev
+                beta[blk, k + 1] = b = np.sum(v * v, axis=1)
+                off = np.sqrt(b)[:, None]
+                q, prev = v / off, q
     # The Jacobi matrix ends before a block's first beta <= 0: a block of
-    # zero mass gets no rule, and one too narrow for its moments to pin
-    # down more than k coefficients gets a k-point rule.
-    ok = np.logical_and.accumulate((beta > 0) & np.isfinite(alpha))
-    bad = ok[0] & (nb > 1) & ~(np.all(loss <= 100, axis=0) & (rough <= 1000))
-    return cen, rad, np.where(ok, alpha, 0.0), np.where(ok, beta, 0.0), bad
+    # zero mass gets zero weights, and a breakdown at beta_k a k-point rule.
+    ok = np.logical_and.accumulate((beta > 0) & np.isfinite(alpha), axis=1)
+    alpha, beta = np.where(ok, alpha, 0.0), np.where(ok, beta, 0.0)
+    # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix and
+    # the weights the mass times the squared first components of its
+    # eigenvectors.
+    i = np.arange(_NODES)
+    jac = np.zeros((starts.size, _NODES, _NODES))
+    jac[:, i, i], jac[:, i[1:], i[:-1]] = alpha, np.sqrt(beta[:, 1:])
+    y, vec = np.linalg.eigh(jac)  # reads the lower triangle only
+    y = np.clip(y, -1.0, 1.0)  # rounding can push a node of a tiny block out
+    return (cen, rad, cen[:, None] + rad[:, None] * y,
+            (beta[:, 0] * rad)[:, None] * vec[:, 0] ** 2)
 
 
 def _row_dots(a, b):
@@ -205,14 +202,12 @@ class _CellTree:
 
     The cells of each segment are grouped into contiguous blocks of about
     sqrt(2 cells) cells, and each block keeps the _NODES-point Gauss rule
-    of its measure rho(t) dt (``_recurrences``).  A block on which the
-    density all but vanishes in part, or whose slopes jump by far more
-    than its mass, is split in two until its moments pin the rule down.
-    At z, the blocks near z span one contiguous slice of cells, which is
-    summed exactly; every block outside the slice is far and adds
-    sum_j w_j/(z - t_j) over its rule.  ``__call__`` sums one point and
-    ``batch`` an array of points, with the same bits.  The tree holds
-    arrays only, never the resolvent that owns it.
+    of its measure rho(t) dt (``_block_rules``).  At z, the blocks near z
+    span one contiguous slice of cells, which is summed exactly; every
+    block outside the slice is far and adds sum_j w_j/(z - t_j) over its
+    rule.  ``__call__`` sums one point and ``batch`` an array of points,
+    with the same bits.  The tree holds arrays only, never the resolvent
+    that owns it.
     """
 
     def __init__(self, segments):
@@ -229,29 +224,16 @@ class _CellTree:
             k = -(-n // size)
             bounds.extend(bounds[-1] + (n * np.arange(1, k + 1)) // k)
         bounds = np.array(bounds)
-        while True:
-            cen, rad, alpha, beta, bad = _recurrences(t0, t1, r0, r1, bounds)
-            if not bad.any():
-                break
-            bounds = np.union1d(bounds, (bounds[:-1] + bounds[1:])[bad] // 2)
         starts, stops = bounds[:-1], bounds[1:]
-        # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix
-        # and the weights the mass times the squared first components of
-        # its eigenvectors.
-        i = np.arange(_NODES)
-        jac = np.zeros((starts.size, _NODES, _NODES))
-        jac[:, i, i], jac[:, i[1:], i[:-1]] = alpha.T, np.sqrt(beta[1:]).T
-        y, vec = np.linalg.eigh(jac)  # reads the lower triangle only
-        y = np.clip(y, -1.0, 1.0)  # rounding can push a node of a tiny block out
+        cen, rad, nodes, weights = _block_rules(t0, t1, r0, r1, bounds)
         self.starts, self.stops = starts.tolist(), stops.tolist()
         self.bounds = bounds
         self.cen = cen.astype(complex)
         self.reach = rad / _FAR_THETA
         # Held as complex (imaginary part +0), the arrays spare numpy a
         # cast on every call.
-        self.nodes = (cen[:, None] + rad[:, None] * y).ravel().astype(complex)
-        self.weights = ((beta[0] * rad)[:, None] * vec[:, 0] ** 2).ravel(
-            ).astype(complex)
+        self.nodes = nodes.ravel().astype(complex)
+        self.weights = weights.ravel().astype(complex)
         # The exact near sum works on cell midpoints and half-widths, and
         # on the stored ends of the cells next to Re z.
         self.mid = (0.5 * (t0 + t1)).astype(complex)
@@ -259,10 +241,8 @@ class _CellTree:
         self.rc = (0.5 * (r0 + r1)).astype(complex)
         self.slope = ((r1 - r0) / (t1 - t0)).astype(complex)
         self.t0, self.t1, self.r0, self.r1 = t0, t1, r0, r1
-        # running sums of 2*slope*half = r1 - r0 over the cells
-        self.jumps = np.concatenate(([0.0], np.cumsum(r1 - r0))).tolist()
         # (t, rho(t)) where each block starts and ends, and the blocks
-        # that start a later segment: the boundary terms of the near G'.
+        # that start a later segment: the boundary terms of the near sum.
         self.heads = list(zip(t0[starts].tolist(), r0[starts].tolist()))
         self.tails = list(zip(t1[stops - 1].tolist(),
                               r1[stops - 1].tolist()))
@@ -280,11 +260,12 @@ class _CellTree:
         or m - h, so L comes from the stored ends, and so does rho(z) =
         rc + s w, as rho(t) + s (z - t) at the nearer end t: from the
         midpoint it rounds by about eps |s h|, which a steep cell ending
-        next to z multiplies by its large L.  The second term of G' is
-        rho(t0)/(z - t0) - rho(t1)/(z - t1), which telescopes along a
-        segment, so the near sum adds it only at the ends of the segments
-        it spans: summed cell by cell those large terms cancel and swamp
-        G' next to the real axis.  A real z on a grid node gives NaN.
+        next to z multiplies by its large L.  The second terms, -2 s h =
+        rho(t0) - rho(t1) of G and rho(t0)/(z - t0) - rho(t1)/(z - t1) of
+        G', telescope along a segment, so the near sum adds them only at
+        the ends of the segments it spans: summed cell by cell those large
+        terms cancel, and swamp G' next to the real axis and G next to a
+        spike.  A real z on a grid node gives NaN.
         """
         zc = z - self.cen
         near = (np.abs(zc) < self.reach).nonzero()[0]
@@ -316,12 +297,12 @@ class _CellTree:
                     rho[i - lo] = (self.r0[i] + s[i - lo] * d0
                                    if abs(d0) < abs(d1)
                                    else self.r1[i] + s[i - lo] * d1)
-                g = (2 * complex(np.dot(rho, at))
-                     - (self.jumps[hi] - self.jumps[lo]))
+                g = 2 * complex(np.dot(rho, at)) + (ra - rb)
                 gp = 2 * complex(np.dot(s, at)) + ra / (z - ta) - rb / (z - tb)
                 for k in self.splits:
                     if jlo < k < jhi:
                         (ta, ra), (tb, rb) = self.heads[k], self.tails[k - 1]
+                        g += ra - rb
                         gp += ra / (z - ta) - rb / (z - tb)
             except (ZeroDivisionError, ValueError):
                 return complex("nan"), complex("nan")
@@ -420,21 +401,23 @@ class _CellTree:
                 continue
             rho[r, c] = (self.r0[i] + s[r, c] * d0 if abs(d0) < abs(d1)
                          else self.r1[i] + s[r, c] * d1)
-        heads, tails, jumps = self.heads, self.tails, self.jumps
+        heads, tails = self.heads, self.tails
         g, gp = [], []
-        for r, (v, dg, dgp, j0, j1, a) in enumerate(zip(
+        for r, (v, dg, dgp, j0, j1) in enumerate(zip(
                 zs, _row_dots(rho, at).tolist(), _row_dots(s, at).tolist(),
-                jlo.tolist(), jhi.tolist(), lo.tolist())):
+                jlo.tolist(), jhi.tolist())):
             (ta, ra), (tb, rb) = heads[j0], tails[j1 - 1]
-            g.append(2 * dg - (jumps[a + cells] - jumps[a]))
+            dg = 2 * dg + (ra - rb)
             try:
                 dgp = 2 * dgp + ra / (v - ta) - rb / (v - tb)
                 for k in self.splits:
                     if j0 < k < j1:
                         (ta, ra), (tb, rb) = heads[k], tails[k - 1]
+                        dg += ra - rb
                         dgp += ra / (v - ta) - rb / (v - tb)
             except ZeroDivisionError:
                 bad[r] = True
+            g.append(dg)
             gp.append(dgp)
         return g, gp, bad
 
@@ -859,7 +842,7 @@ def stieltjes_invert(ev: ResolventEvaluator,
         for fine, coarse, sign in ((lo_fine, lo_coarse, +1.0),
                                    (hi_fine, hi_coarse, -1.0)):
             anchor, hinted = fine, False
-            for h in getattr(ev, "edge_hints", ()):
+            for h in ev.edge_hints:
                 if min(abs(h - fine), abs(h - coarse)) <= 3.0 * spacing:
                     anchor, hinted = float(h), True
                     break

@@ -485,6 +485,14 @@ BAD_INPUTS = {
         **ADD_LAWS, "contour": {"lo": "a", "hi": 3.0, "points": 100}}),
     "contour_points_is_fractional": (["add"], {
         **ADD_LAWS, "contour": {"lo": -3.0, "hi": 3.0, "points": 2.5}}),
+    # sizes past POINTS_LIMIT and DIMENSION_LIMIT, which numpy would
+    # reject with a traceback
+    "grid_points_is_huge": (["law"], {"law": {
+        "kind": "semicircle", "params": [1.0], "grid_points": 10 ** 400}}),
+    "contour_points_is_huge": (["add"], {
+        **ADD_LAWS, "contour": {"lo": -3.0, "hi": 3.0, "points": 10 ** 400}}),
+    "dimension_is_huge": (["sample"], {"ensemble1": {
+        "kind": "gue", "dimension": 10 ** 400}}),
     "transform_grid_lo_is_a_string": (["transform"], {
         **LAW_CONFIG, "transform": "cauchy",
         "grid": {"lo": "a", "hi": 3.0, "points": 10}}),

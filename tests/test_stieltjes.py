@@ -585,10 +585,26 @@ def _gapped_semicircle_uniform():
         s.scaled(0.5) for s in left.segments + right.segments))
 
 
+def _rough_spike(seed, cells):
+    """rho = 1/sqrt(t + 1e-12) on a grid from 0 with spacings drawn
+    log-uniform from 1e-16 to 1, in random order (a spacing lost to
+    rounding merges two nodes): a spike at the start of the first block,
+    over cells of very unequal size."""
+    rng = np.random.default_rng(seed)
+    grid = np.unique(np.r_[0.0, np.cumsum(10.0 ** rng.uniform(-16, 0, cells))])
+    dens = 1 / np.sqrt(grid + 1e-12)
+    return SpectralMeasure(segments=(
+        Segment(grid, dens / np.trapezoid(dens, grid)),))
+
+
 @settings(max_examples=30)
 @given(oracle_cases())
 # the near slice spans a split where the density jumps to 1/4
 @example((_gapped_semicircle_uniform(), [2.0005 + 1e-9j, 2.0015 + 1e-4j]))
+# a near slice past a spike of height 1.6e5: the jumps rho(t1) - rho(t0)
+# of its cells must telescope, not come from running sums over the grid,
+# which round by eps times the spike
+@example((_rough_spike(0, 100), [-0.13907107252802298 + 1e-12j]))
 def test_kernel_matches_a_40_digit_oracle(case):
     mu, zs = case
     for z, paths in _both_paths(MeasureResolvent(mu), zs):
@@ -675,12 +691,16 @@ RULE_CASES = {
     "mp-half-500": lambda: make_law(LawSpec.marchenko_pastur(0.5), 500),
     "uniform-64": lambda: make_law(LawSpec.uniform(-1.0, 1.0), 64),
     "two-segments": _gapped_semicircle_uniform,
-    # densities that vanish on most of a block: the tree splits it
+    # densities that vanish on most of a block
     "one-hat": lambda: _one_bump(_FLAT, np.arange(65) == 30),
     "two-ends": lambda: _one_bump(_FLAT, (np.arange(65) < 3)
                                   | (np.arange(65) > 61)),
     "floor-1e-300": lambda: _one_bump(
         _FLAT, np.where(np.arange(65) == 30, 1.0, 1e-300)),
+    # a spike at a block end over cells of very unequal size
+    "rough-spike-64": lambda: _rough_spike(5, 64),
+    "rough-spike-100": lambda: _rough_spike(0, 100),
+    "rough-spike-300": lambda: _rough_spike(0, 300),
 }
 
 
