@@ -87,31 +87,31 @@ class RTransform:
 # -- pipeline evaluators -------------------------------------------------------
 
 
-def _hermite_weights(past, x):
-    """Weights (H_i(x), K_i(x)) of the Hermite interpolant through distinct
-    abscissae, real or complex: p(x) = sum H_i w_i + K_i w'_i, of degree
-    2n - 1 for n abscissae.  With L_i the Lagrange basis on ``past``, H_i =
-    (1 - 2 L_i'(x_i)(x - x_i)) L_i^2 and K_i = (x - x_i) L_i^2; one
-    abscissa gives w + w' (x - x_i)."""
-    weights = []
-    for i, xi in enumerate(past):
-        lag, d_lag = 1.0, 0.0
-        for xj in past[:i] + past[i + 1:]:
-            lag *= (x - xj) / (xi - xj)
-            d_lag += 1.0 / (xi - xj)
-        sq = lag * lag
-        weights.append(((1.0 - 2.0 * d_lag * (x - xi)) * sq, (x - xi) * sq))
-    return weights
+def _hermite(past, x):
+    """The Hermite interpolant through ``past``, a tuple of (x_i, w_i,
+    w'_i) triples at distinct abscissae, real or complex, evaluated at x:
+    of degree 2n - 1 for n triples, sum_i L_i^2 (w_i + (x - x_i)(w'_i -
+    2 c_i w_i)) with L_i the Lagrange basis on the x_i and c_i = L_i'(x_i)
+    = sum_{j != i} 1/(x_i - x_j).  One triple gives w + w' (x - x_i)."""
+    p = 0j
+    for xi, wi, di in past:
+        lag, c = 1.0, 0.0
+        for xj, _, _ in past:
+            if xj != xi:
+                r = 1.0 / (xi - xj)
+                lag *= (x - xj) * r
+                c += r
+        p += lag * lag * (wi + (x - xi) * (di - 2.0 * c * wi))
+    return p
 
 
 def _hermite_rows(nodes, w, d, x, row):
-    """The Hermite interpolant of ``_hermite_weights`` on arrays: through
-    the values ``w`` and slopes ``d`` at the distinct abscissae ``nodes``,
-    (stencils, n) arrays, evaluated at each point of ``x`` on stencil
-    ``row``.  Per stencil, H_i w_i + K_i w'_i = (w_i + (x - x_i) b_i) L_i^2
-    with b_i = w'_i - 2 L_i'(x_i) w_i, and L_i(x) is the product of all
-    x - x_j over (x - x_i) prod_{j != i} (x_i - x_j); a point on a node
-    gives NaN."""
+    """The interpolant of ``_hermite`` on arrays: through the values ``w``
+    and slopes ``d`` at the distinct abscissae ``nodes``, (stencils, n)
+    arrays, evaluated at each point of ``x`` on stencil ``row``.  L_i(x)
+    is the product of all x - x_j over (x - x_i) prod_{j != i} (x_i -
+    x_j), and each stencil's denominators and c_i are formed once; a point
+    on a node gives NaN."""
     off = ~np.eye(nodes.shape[1], dtype=bool)
     gap = np.where(off, nodes[:, :, None] - nodes[:, None, :], 1.0)
     denom = np.prod(gap, axis=2)
@@ -325,39 +325,38 @@ class _SweepResolvent(ResolventEvaluator):
                 f"z = {z!r}", point=z
             )
 
-    def sample_columns(self, xs, ladders):
+    def sample_columns(self, xs, eps):
         xs = np.asarray(xs, dtype=float)
-        lads = [np.asarray(lad, dtype=float) for lad in ladders]
-        if not all(lad.size for lad in lads):
+        eps = np.asarray(eps, dtype=float)
+        if eps.ndim != 2 or not eps.shape[1] or np.isnan(eps[:, 0]).any():
             raise ValidationError("every column needs at least one offset")
-        anchors, path = self._sweep(xs, lads)
-        out = []
-        for lo in range(0, len(lads), _BLOCK):
-            cols = np.arange(lo, min(lo + _BLOCK, len(lads)))
-            out += self._fill(xs, lads, anchors, path, cols)
-        return out
+        anchors, path = self._sweep(xs, eps[:, 0])
+        g = np.empty(eps.shape, dtype=complex)
+        for lo in range(0, xs.size, _BLOCK):
+            cols = np.arange(lo, min(lo + _BLOCK, xs.size))
+            g[cols] = self._fill(xs, eps, anchors, path, cols)
+        return g
 
-    def _sweep(self, xs, lads):
-        """Solve the top point of each anchor column serially, choosing
-        each next anchor by the step control; returns the anchors and, as
-        arrays over them, the top points z, G there, the refined unknowns
-        and their z-derivatives."""
+    def _sweep(self, xs, top):
+        """Solve the top point x + i*top of each anchor column serially,
+        choosing each next anchor by the step control; returns the anchors
+        and, as arrays over them, the top points z, G there, the refined
+        unknowns and their z-derivatives."""
         solve, g_of, slope = self._solve_from, self._g_of, self._omega_prime
-        n = len(lads)
-        anchors, zs, gs, ws, ds = [], [], [], [], []
+        xs, top = xs.tolist(), top.tolist()
+        n = len(xs)
+        anchors, path = [], []
         c, step = 0, 2
-        past = ()  # the path's last four points, oldest first
+        past = ()  # the path's last four (z, w, w') triples, oldest first
         warm = None  # the refined unknown at the path's last point
         while c < n:
-            z = complex(xs[c], lads[c][0])
-            if z in past:
-                # a repeated point would zero a weight's denominator
-                past = ()
+            z = complex(xs[c], top[c])
             predicted = None
-            if past:
-                m = len(past)
-                predicted = sum(a * w + b * d for (a, b), w, d in zip(
-                    _hermite_weights(past, z), ws[-m:], ds[-m:]))
+            if any(z == q[0] for q in past):
+                # a repeated point would zero a Lagrange denominator
+                past = ()
+            elif past:
+                predicted = _hermite(past, z)
                 if not cmath.isfinite(predicted):
                     predicted = None
             state = solve(z, predicted, warm)
@@ -367,13 +366,10 @@ class _SweepResolvent(ResolventEvaluator):
             g = g_of(z, state)
             if g.imag > 1e-9 * (1.0 + abs(g)):
                 self._herglotz(z, g)
-            warm = _refined(state)
+            warm, d = _refined(state), slope(state)
             anchors.append(c)
-            zs.append(z)
-            gs.append(g)
-            ws.append(warm)
-            ds.append(slope(state))
-            past = past[-3:] + (z,)
+            path.append((z, g, warm, d))
+            past = past[-3:] + ((z, warm, d),)
             if c == n - 1:
                 break
             # step-length control on the predictor error, of order 8
@@ -381,47 +377,44 @@ class _SweepResolvent(ResolventEvaluator):
             step = min(max(round(step * grow), 2), _MAX_STEP)
             c = min(c + step, n - 1)
         return np.array(anchors, dtype=int), tuple(
-            np.array(v, dtype=complex) for v in (zs, gs, ws, ds))
+            np.array(path, dtype=complex).T)
 
-    def _fill(self, xs, lads, anchors, path, cols):
-        """G on the columns ``cols``: the anchors' top points from
-        ``path``, every other point seeded by the Hermite interpolant
-        through the top points of the anchors around its column, corrected
-        on arrays, and solved serially down its column where that pass
-        drops it."""
+    def _fill(self, xs, eps, anchors, path, cols):
+        """G on the columns ``cols``, NaN at their padding: the anchors'
+        top points from ``path``, every other point seeded by the Hermite
+        interpolant through the top points of the anchors around its
+        column, corrected on arrays, and solved serially down its column
+        where that pass drops it."""
         tops, g_top, w_top, d_top = path
-        sizes = [lads[c].size for c in cols]
-        first = np.cumsum([0] + sizes)
-        col = np.repeat(cols, sizes)
-        z = xs[col] + 1j * np.concatenate([lads[c] for c in cols])
-        # anchor k, the last one at or left of a point's column, sits third
-        # in the stencil, which shifts to stay inside the anchors
-        k = np.searchsorted(anchors, col, side="right") - 1
+        z = xs[cols, None] + 1j * eps[cols]
+        # anchor k, the last one at or left of a column, sits third in the
+        # stencil, which shifts to stay inside the anchors
+        k = np.searchsorted(anchors, cols, side="right") - 1
         width = min(_STENCIL, anchors.size)
         lo = np.clip(k - (width - 1) // 2, 0, anchors.size - width)
-        heads = first[:-1]
-        on_path = np.zeros(z.size, dtype=bool)
-        on_path[heads] = anchors[k[heads]] == cols
-        g = np.where(on_path, g_top[k], np.nan)
-        warm = np.where(on_path, w_top[k], np.nan)
-        rest = np.flatnonzero(~on_path)
+        g = np.full(z.shape, complex("nan"))
+        warm = g.copy()
+        on_path = anchors[k] == cols
+        g[on_path, 0], warm[on_path, 0] = g_top[k[on_path]], w_top[k[on_path]]
+        rest = ~np.isnan(z)
+        rest[on_path, 0] = False
+        row, rung = rest.nonzero()
+        zr = z[row, rung]
         # the stencils of this block's columns, from its first one on
         at = np.arange(lo[0], lo[-1] + 1)[:, None] + np.arange(width)
         with np.errstate(all="ignore"):
-            seed = _hermite_rows(tops[at], w_top[at], d_top[at], z[rest],
-                                 lo[rest] - lo[0])
-        g[rest], warm[rest] = self._correct(z[rest], seed)
-        head = set(heads.tolist())
-        for p in np.flatnonzero(~np.isfinite(warm)).tolist():
+            seed = _hermite_rows(tops[at], w_top[at], d_top[at], zr,
+                                 lo[row] - lo[0])
+        g[row, rung], warm[row, rung] = self._correct(zr, seed)
+        for r, j in zip(*(rest & ~np.isfinite(warm)).nonzero()):
             # the serial fallback, down each column: warm from the point
             # above, or from the top point of the anchor on the left
-            above = w_top[k[p]] if p in head else warm[p - 1]
-            state = self._solve_from(complex(z[p]), None, complex(above))
-            g[p] = self._g_of(complex(z[p]), state)
-            warm[p] = _refined(state)
+            above = warm[r, j - 1] if j else w_top[k[r]]
+            state = self._solve_from(complex(z[r, j]), None, complex(above))
+            g[r, j] = self._g_of(complex(z[r, j]), state)
+            warm[r, j] = _refined(state)
         self._herglotz(z, g)
-        first = first.tolist()
-        return [g[a:b] for a, b in zip(first[:-1], first[1:])]
+        return g
 
     def _correct(self, z, seed):
         """Full Newton steps on every point of ``z`` at once, from

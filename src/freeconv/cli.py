@@ -50,10 +50,13 @@ from .stieltjes import (
 )
 
 # The largest sizes a config may ask for: the nodes of a law's grid, of a
-# contour or of a transform grid, and the dimension of a random matrix
-# (4096^2 complex entries take 256 MiB).
+# contour or of a transform grid, the dimension of a random matrix (4096^2
+# complex entries take 256 MiB), Monte Carlo trials or external-field
+# probes, and the moment order of verify's oracle.
 POINTS_LIMIT = 1_000_000
 DIMENSION_LIMIT = 4096
+COUNT_LIMIT = 10_000
+ORDER_LIMIT = 64
 
 
 def _object(cfg, what):
@@ -198,7 +201,7 @@ def cmd_mul(cfg, out_dir, seed):
 
 
 def cmd_sample(cfg, out_dir, seed):
-    trials = _integer(cfg.get("trials", 20), "trials", 1)
+    trials = _integer(cfg.get("trials", 20), "trials", 1, COUNT_LIMIT)
     experiment = cfg.get("experiment", "add")
     if experiment not in ("add", "mul"):
         raise ValidationError(
@@ -227,11 +230,10 @@ def cmd_verify(cfg, out_dir, seed):
         mu2 = measure_from_config(cfg["law2"])
         dimension = _integer(cfg.get("dimension", 512), "dimension", 2,
                              DIMENSION_LIMIT)
-        out, err = oracle_moment_error(
-            mode, mu1, mu2, _integer(cfg.get("order", 8), "order", 1),
-            contour)
-        w1 = monte_carlo_w1(mode, out, mu1, mu2, dimension,
-                            cfg.get("trials", 10), seed)
+        order = _integer(cfg.get("order", 8), "order", 1, ORDER_LIMIT)
+        trials = _integer(cfg.get("trials", 10), "trials", 1, COUNT_LIMIT)
+        out, err = oracle_moment_error(mode, mu1, mu2, order, contour)
+        w1 = monte_carlo_w1(mode, out, mu1, mu2, dimension, trials, seed)
         metrics = {"moment_rel_error": err, "w1_vs_monte_carlo": w1}
         _write_measure(out, out_dir, f"{mode}_density")
     elif mode == "pastur":
@@ -245,13 +247,13 @@ def cmd_verify(cfg, out_dir, seed):
         sigma1 = _positive_real(cfg.get("sigma1", 1.0), "sigma1")
         sigma2 = _nonnegative_real(cfg.get("sigma2", 1.0), "sigma2")
         probes = external_field_probes(
-            field, _integer(cfg.get("probes", 50), "probes", 0),
+            field, _integer(cfg.get("probes", 50), "probes", 0, COUNT_LIMIT),
             np.random.default_rng(seed))
         metrics = external_field_check(
             [(sigma1, sigma2, field, probes)], sigma1, field,
             _integer(cfg.get("dimension", 128), "dimension", 8,
                      DIMENSION_LIMIT),
-            _integer(cfg.get("trials", 400), "trials", 1), seed)
+            _integer(cfg.get("trials", 400), "trials", 1, COUNT_LIMIT), seed)
     else:
         raise ValidationError(f"unknown verify mode {mode!r}")
     report = verify_report(mode, {"config": cfg}, metrics, t0, seed,
@@ -298,10 +300,11 @@ def _read_config(path):
     if path is None:
         return {}
     try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as err:
+        # ValueError: bad UTF-8, bad JSON or an integer of too many digits
+        cfg = json.loads(path.read_text())
+    except (OSError, ValueError) as err:
         raise ValidationError(f"cannot read config {str(path)!r}: {err}")
-    return _object(json.loads(text), "the config")
+    return _object(cfg, "the config")
 
 
 def main(argv=None) -> int:
@@ -323,7 +326,7 @@ def main(argv=None) -> int:
                         if args.seed is None else args.seed, "base_seed", 0)
         args.out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out, seed)
-    except (ValidationError, KeyError, json.JSONDecodeError) as err:
+    except (ValidationError, KeyError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return 1
     except NumericalError as err:

@@ -92,10 +92,15 @@ class ResolventEvaluator:
     def __call__(self, z):
         return self.value_and_derivative(z)[0]
 
-    def sample_columns(self, xs, ladders):
-        """G at x_k + i*eps for each column's descending epsilon ladder."""
-        return [np.asarray(self(x + 1j * np.asarray(lad)))
-                for x, lad in zip(xs, ladders)]
+    def sample_columns(self, xs, eps):
+        """G at x_k + i*eps[k, j] as one complex array, from one array
+        call.  Row k of the float array ``eps`` is column k's descending
+        ladder; a shorter one is padded with NaN at the bottom, and G is
+        NaN there."""
+        z = np.asarray(xs, dtype=float)[:, None] + 1j * np.asarray(eps)
+        g = np.full(z.shape, complex("nan"))
+        g[~np.isnan(z)] = self(z[~np.isnan(z)])
+        return g
 
 
 # Treecode constants for the cell sum.  A block of cells with centre c and
@@ -118,12 +123,6 @@ _MIN_BLOCK = 16
 # of each group of near slices, in ``MeasureResolvent.value_and_derivative``,
 # and of each chunk of blocks x Gauss-Legendre points in ``_block_rules``.
 _ROW_ENTRIES = 1 << 13
-# The (_NODES + 1)-point Gauss-Legendre rule on [-1, 1], by Golub-Welsch
-# on the Legendre recurrence: on a cell it integrates rho(t) dt times any
-# polynomial of degree 2 _NODES - 1 exactly, rho being linear there.
-_k = np.arange(1.0, _NODES + 1)
-_GL_X, _GL_VEC = np.linalg.eigh(np.diag(_k / np.sqrt(4 * _k * _k - 1), -1))
-_GL_W = 2 * _GL_VEC[0] ** 2
 
 
 def _block_rules(t0, t1, r0, r1, bounds):
@@ -143,12 +142,19 @@ def _block_rules(t0, t1, r0, r1, bounds):
     Numer. Algorithms 8, 1994), which is all the far sum asks of it.  The
     blocks run in chunks of at most _ROW_ENTRIES points (or one block).
     """
+    # The (_NODES + 1)-point Gauss-Legendre rule on [-1, 1] by Golub-Welsch,
+    # exact on a cell for rho(t) dt times polynomials of degree 2 _NODES - 1
+    # (rho is linear there); built per tree, not at import, so a process
+    # without a tree keeps none of the memory LAPACK's eigh leaves resident.
+    k = np.arange(1.0, _NODES + 1)
+    gl_x, vec = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
+    gl_w = 2 * vec[0] ** 2
     starts, stops = bounds[:-1], bounds[1:]
     cen = 0.5 * (t0[starts] + t1[stops - 1])
     rad = 0.5 * (t1[stops - 1] - t0[starts])
     span = np.arange(np.diff(bounds).max())
     alpha, beta = np.zeros((2, starts.size, _NODES))
-    step = max(1, _ROW_ENTRIES // (span.size * _GL_X.size))
+    step = max(1, _ROW_ENTRIES // (span.size * gl_x.size))
     for b in range(0, starts.size, step):
         blk = slice(b, b + step)
         idx = starts[blk, None] + span
@@ -159,8 +165,8 @@ def _block_rules(t0, t1, r0, r1, bounds):
         h = np.where(pad, 0.0, t1[idx] - t0[idx]) / (2 * rad[blk, None])
         m = (0.5 * (t0[idx] + t1[idx]) - cen[blk, None]) / rad[blk, None]
         rc, rd = (r0[idx] + r1[idx]) / 2, (r1[idx] - r0[idx]) / 2
-        y = (m[..., None] + h[..., None] * _GL_X).reshape(len(idx), -1)
-        w = (h[..., None] * _GL_W * (rc[..., None] + rd[..., None] * _GL_X)
+        y = (m[..., None] + h[..., None] * gl_x).reshape(len(idx), -1)
+        w = (h[..., None] * gl_w * (rc[..., None] + rd[..., None] * gl_x)
              ).reshape(len(idx), -1)
         beta[blk, 0] = mass = w.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -704,15 +710,14 @@ def _refine_atom(ev, a0, top_eps, spacing):
     bottoms = np.geomspace(max(spacing / 4.0, 1e-5 * scale), 1e-6 * scale, 3)
     for bottom in bottoms:
         lad = _ladder(top_eps, float(bottom))
-        col = ev.sample_columns([a], [lad])[0]
-        g = col[-1]
+        g = ev.sample_columns([a], lad[None])[0, -1]
         if g.imag >= 0:
             break
         e_actual = float(lad[-1])
         shift = e_actual * g.real / (-g.imag)
         a -= float(np.clip(shift, -10 * e_actual, 10 * e_actual))
     lad = _ladder(top_eps, 1e-4 * scale)
-    col = ev.sample_columns([a], [lad])[0]
+    col = ev.sample_columns([a], lad[None])[0]
     tail = np.asarray(lad[-3:], dtype=float)
     m = np.abs(tail * col[-3:])
     flatness = float(m[-1] / m[0]) if m[0] > 0 else 0.0
@@ -803,7 +808,7 @@ def stieltjes_invert(ev: ResolventEvaluator,
     """
     xs = np.asarray(contour.real_grid, dtype=float)
     sched = np.asarray(contour.epsilon_schedule, dtype=float)
-    cols = np.array(ev.sample_columns(xs, [sched] * len(xs)))
+    cols = ev.sample_columns(xs, np.broadcast_to(sched, (xs.size, sched.size)))
     _herglotz_guard(cols)
 
     atoms = _detect_atoms(ev, xs, sched, cols)
@@ -962,22 +967,21 @@ def _refine_edge(ev, sched, anchor, hinted, inner_sign, width, spacing):
     new_xs = anchor + inner_sign * offsets
     order = np.argsort(new_xs)
     new_xs, offsets = new_xs[order], offsets[order]
-    # only the bottom rungs are read, so only they are solved
-    new_ladders = [
-        _ladder(sched[0], float(np.clip(d / 10.0, 3e-11 * width,
-                                        sched[-1])))[-3:]
-        for d in offsets
-    ]
-    cols = ev.sample_columns(new_xs, new_ladders)
-    _herglotz_guard(np.concatenate(cols))
-    new_dens = np.empty(len(cols))
-    depth = np.array([len(lad) for lad in new_ladders])
-    for k in np.unique(depth):
+    # only the bottom rungs are read, so only they are solved: the last
+    # min(n, 3) of each column's n-rung ``_ladder``, NaN-padded
+    target = np.clip(offsets / 10.0, 3e-11 * width, sched[-1])
+    n = np.maximum(1, np.ceil(np.log(sched[0] / target) / np.log(2.0)) + 1)
+    depth = np.minimum(n, 3).astype(int)
+    rung = (n - depth)[:, None] + np.arange(3.0)
+    eps = np.where(rung < n[:, None], sched[0] * 2.0 ** -rung, np.nan)
+    cols = ev.sample_columns(new_xs, eps)
+    _herglotz_guard(cols)
+    new_dens = np.empty(new_xs.size)
+    for k in np.unique(depth).tolist():
         # a short ladder (only from a schedule that halves less than once)
         # extrapolates on its own
-        rows = np.flatnonzero(depth == k)
-        new_dens[rows] = _column_densities(
-            [new_ladders[i] for i in rows], [cols[i] for i in rows])
+        rows = depth == k
+        new_dens[rows] = _column_densities(eps[rows, :k], cols[rows, :k])
     grid, dens = new_xs, np.clip(new_dens, 0.0, None)
     singular = False
     if hinted:

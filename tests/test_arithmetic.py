@@ -374,14 +374,27 @@ def _edge_columns(edge, width, top=1e-2, n_march=40, n_hand=6):
     return edge + offsets, ladders
 
 
-def _sweep_against_pointwise(ev, xs, ladders):
-    """Per point: |sweep - cold|, |G| and |G'| * max(1, |z|) of the cold
-    solve."""
-    cols = ev.sample_columns(xs, ladders)
-    z = np.concatenate([x + 1j * np.asarray(lad)
-                        for x, lad in zip(xs, ladders)])
+def _padded(ladders):
+    """Ladders of any depths as one (columns x rungs) array, each padded
+    with NaN at the bottom."""
+    eps = np.full((len(ladders), max(len(lad) for lad in ladders)), np.nan)
+    for row, lad in zip(eps, ladders):
+        row[:len(lad)] = lad
+    return eps
+
+
+def _sweep_against_pointwise(ev, xs, eps):
+    """Per offset of the (columns x rungs) array ``eps``, in row order:
+    |sweep - cold|, |G| and |G'| * max(1, |z|) of the cold solve.  The
+    sweep's G must be NaN exactly at the padding."""
+    eps = np.asarray(eps, dtype=float)
+    some = ~np.isnan(eps)
+    got = ev.sample_columns(xs, eps)
+    assert got.shape == eps.shape
+    assert np.array_equal(np.isnan(got), ~some)
+    z = (np.asarray(xs, dtype=float)[:, None] + 1j * eps)[some]
     g, gp = ev.value_and_derivative(z)
-    return (np.abs(np.concatenate(cols) - g), np.abs(g),
+    return (np.abs(got[some] - g), np.abs(g),
             np.abs(gp) * np.maximum(1.0, np.abs(z)))
 
 
@@ -407,7 +420,7 @@ def test_sweep_matches_pointwise_solves(case):
     lo, hi = ev.support
     xs, ladders = _edge_columns(edge, hi - lo)
     for lads in (ladders, [lad[-3:] for lad in ladders]):
-        diff, g, gp_z = _sweep_against_pointwise(ev, xs, lads)
+        diff, g, gp_z = _sweep_against_pointwise(ev, xs, _padded(lads))
         assert np.max(diff / (g + gp_z)) <= 1e-10
 
 
@@ -425,10 +438,33 @@ def test_sweep_takes_columns_in_any_order():
 
 def test_a_column_without_offsets_is_invalid_input():
     # The serial path runs through each anchor's top offset, so a column
-    # needs one.
+    # needs one: a row of padding alone is invalid.
     ev = PasturResolvent(UNIF500, 0.5)
     with pytest.raises(ValidationError, match="at least one offset"):
-        ev.sample_columns([0.1, 0.2, 0.3], [[1e-2], [], [1e-2]])
+        ev.sample_columns([0.1, 0.2, 0.3],
+                          [[1e-2, 5e-3], [np.nan, np.nan], [1e-2, 5e-3]])
+
+
+@pytest.mark.parametrize("case", ["measure", "sum", "product", "pastur"])
+def test_each_evaluator_answers_one_array_nan_at_the_padding(case):
+    # sample_columns takes one (columns x rungs) array of offsets, a
+    # shorter ladder padded with NaN at the bottom, and returns one
+    # complex array of that shape, NaN exactly at the padding and G at
+    # every other offset.
+    ev = {"measure": lambda: MeasureResolvent(UNIF500),
+          "sum": lambda: FreeSumResolvent(SEMI500, UNIF500),
+          "product": lambda: FreeProductResolvent(MP500, MP_HALF500),
+          "pastur": lambda: PasturResolvent(UNIF500, 0.5)}[case]()
+    xs = np.linspace(0.2, 1.5, 12)
+    eps = _padded([[1e-2, 5e-3, 2.5e-3]] * 4 + [[1e-2]] + [[1e-2, 5e-3]] * 3
+                  + [[1e-2, 5e-3, 2.5e-3]] * 3 + [[1e-2, 5e-3]])
+    got = ev.sample_columns(xs, eps)
+    assert got.shape == (12, 3) and got.dtype == complex
+    some = ~np.isnan(eps)
+    assert np.array_equal(np.isnan(got), ~some)
+    assert not np.isnan(got.real[some]).any()
+    want = ev((xs[:, None] + 1j * eps)[some])
+    assert np.max(np.abs(got[some] - want) / np.abs(want)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
@@ -443,11 +479,12 @@ def test_sweeps_of_few_columns(n):
     assert np.max(diff / g) <= 1e-10
 
 
-def test_array_hermite_interpolant_matches_the_scalar_weights():
-    # _hermite_rows is _hermite_weights' interpolant written for arrays,
-    # one stencil per point; the order of its sums differs, so it agrees
-    # to rounding, and a stencil of one node is the line w + w' (x - x_0).
-    from freeconv.arithmetic import _hermite_rows, _hermite_weights
+def test_array_hermite_interpolant_matches_the_scalar_predictor():
+    # _hermite_rows is the serial predictor's interpolant written for
+    # arrays, one stencil per point; the order of its sums differs, so it
+    # agrees to rounding, and a stencil of one node is the line
+    # w + w' (x - x_0).
+    from freeconv.arithmetic import _hermite, _hermite_rows
 
     rng = np.random.default_rng(22)
     for n in (1, 2, 4, 6):
@@ -458,8 +495,7 @@ def test_array_hermite_interpolant_matches_the_scalar_weights():
         row = rng.integers(0, 5, 40)
         x = nodes[row, 0] + rng.uniform(0.0, n, 40) - 0.3j
         got = _hermite_rows(nodes, w, d, x, row)
-        want = [sum(a * wi + b * di for (a, b), wi, di in zip(
-                    _hermite_weights(tuple(nodes[r]), xi), w[r], d[r]))
+        want = [_hermite(tuple(zip(nodes[r], w[r], d[r])), xi)
                 for r, xi in zip(row, x)]
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -639,12 +675,13 @@ def test_arcsine_sweep_on_edge_columns():
         xs, ladders = _edge_columns(0.0, 4.0, n_march=144, n_hand=25)
         xs = edge + sign * xs
         order = np.argsort(xs)
-        xs, ladders = xs[order], [ladders[i] for i in order]
-        cols = ev.sample_columns(xs, ladders)
-        for x, lad, col in zip(xs, ladders, cols):
-            z = x + 1j * lad
-            exact = 1.0 / (np.sqrt(z - 2.0) * np.sqrt(z + 2.0))
-            assert np.max(np.abs(col - exact) / np.abs(exact)) <= 1e-5
+        xs, eps = xs[order], _padded(ladders)[order]
+        got = ev.sample_columns(xs, eps)
+        some = ~np.isnan(eps)
+        assert np.array_equal(np.isnan(got), ~some)
+        z = (xs[:, None] + 1j * eps)[some]
+        exact = 1.0 / (np.sqrt(z - 2.0) * np.sqrt(z + 2.0))
+        assert np.max(np.abs(got[some] - exact) / np.abs(exact)) <= 1e-5
 
 
 def test_edge_refinement_samples_three_rungs(monkeypatch):

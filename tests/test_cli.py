@@ -34,8 +34,10 @@ from oracles import total_mass
 
 
 def write_config(tmp_path, name, payload):
+    """Write ``payload`` as JSON, or as it is if it is already text."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str)
+                    else json.dumps(payload))
     return path
 
 
@@ -554,6 +556,24 @@ BAD_INPUTS = {
     "law_param_is_a_huge_integer": (["law"], {"law": {
         "kind": "semicircle", "params": [10 ** 400]}}),
     "law_sets_output": (["law"], {**LAW_CONFIG, "output": "a/b"}),
+    # counts past TRIALS_LIMIT, PROBES_LIMIT and ORDER_LIMIT, which would
+    # run for hours or end in a numpy traceback
+    "sample_trials_is_huge": (["sample"], {
+        "ensemble1": {"kind": "gue", "dimension": 16}, "trials": 10 ** 400}),
+    "verify_order_is_huge": (["verify"], {
+        "mode": "add", **VERIFY_CASES["add"][0], "order": 10 ** 400}),
+    "verify_trials_is_huge": (["verify"], {
+        "mode": "mul", **VERIFY_CASES["mul"][0], "trials": 10 ** 400}),
+    "field_probes_is_huge": (["verify"], {
+        "mode": "external_field", **VERIFY_CASES["external_field"][0],
+        "probes": 10 ** 400}),
+    "field_trials_is_huge": (["verify"], {
+        "mode": "external_field", **VERIFY_CASES["external_field"][0],
+        "trials": 10 ** 400}),
+    # json.loads raises a plain ValueError on an integer of more than
+    # 4300 digits
+    "config_integer_past_the_digit_limit": (
+        ["sample"], '{"trials": ' + "9" * 5000 + "}"),
     "transform_h_on_the_support": (["transform"], {
         **LAW_CONFIG, "transform": "h", "imag_offset": 0.0,
         "grid": {"lo": -1.0, "hi": 1.0, "points": 10}}),
