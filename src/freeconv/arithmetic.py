@@ -507,7 +507,6 @@ class PasturResolvent(_SweepResolvent):
         self.sigma2 = sigma * sigma
         lo, hi = mu.support()
         self.support = (lo - 2 * sigma, hi + 2 * sigma)
-        self.edge_hints = ()
 
     def _seed(self, z):
         return z - self.sigma2 / z

@@ -734,28 +734,20 @@ def _detect_atoms(ev, xs, lad, cols):
     eps*|G| profile is flat, which separates true point masses from
     integrable edge singularities (those decay like a power of eps).
     """
-    n = len(xs)
     spacing = np.gradient(xs)
     idx = _detection_indices(lad, spacing)
     e = np.asarray(lad, dtype=float)[idx]
     m = np.abs(e * np.take_along_axis(cols, idx, axis=1))
     # no signal on the top detection rung: not a candidate
     m0 = np.where(m[:, 0] <= 0, 0.0, neville_to_zero(e.T, m.T))
-    flags = m0 > ATOM_MASS_THRESHOLD
+    # each run of flagged nodes is one candidate, [start, stop)
+    runs = np.diff(m0 > ATOM_MASS_THRESHOLD, prepend=False, append=False)
     atoms = []
-    k = 0
-    while k < n:
-        if not flags[k]:
-            k += 1
-            continue
-        j = k
-        while j + 1 < n and flags[j + 1]:
-            j += 1
-        peak = k + int(np.argmax(m0[k:j + 1]))
+    for k, j in np.flatnonzero(runs).reshape(-1, 2).tolist():
+        peak = k + int(np.argmax(m0[k:j]))
         fit, flatness = _refine_atom(ev, xs[peak], lad[0], spacing[peak])
         if fit[1] > ATOM_MASS_THRESHOLD and flatness > ATOM_FLATNESS:
             atoms.append(fit)
-        k = j + 1
     return atoms
 
 
@@ -801,10 +793,13 @@ def stieltjes_invert(ev: ResolventEvaluator,
 
     Density at every contour node comes from Neville extrapolation of
     -Im G(x + i eps)/pi over the epsilon ladder; atoms are detected and
-    removed first.  Support edges found in the first pass are re-sampled
-    on deeper ladders (and, near structurally exact hard edges, completed
-    by a fitted power law) so edge-singular densities keep their mass.
-    Output mass must land in [0.99, 1.01] and is renormalized.
+    removed first.  Support edges are found by mass quantiles.  An edge
+    that matches one of the evaluator's exact ``edge_hints`` is re-sampled
+    on deep ladders (and completed by a fitted power law where singular)
+    so edge-singular densities keep their mass; any other edge keeps its
+    contour columns.  Every cut between grids lies half a spacing off the
+    contour nodes.  Output mass must land in [0.99, 1.01] and is
+    renormalized.
     """
     xs = np.asarray(contour.real_grid, dtype=float)
     sched = np.asarray(contour.epsilon_schedule, dtype=float)
@@ -851,18 +846,21 @@ def stieltjes_invert(ev: ResolventEvaluator,
                 if min(abs(h - fine), abs(h - coarse)) <= 3.0 * spacing:
                     anchor, hinted = float(h), True
                     break
-            g, r, zone, singular = _refine_edge(ev, sched, anchor, hinted,
-                                                sign, width, spacing)
-            if g.size:
+            if hinted:
+                g, r, zone, singular = _refine_edge(ev, sched, anchor, sign,
+                                                    width, spacing)
                 grid_parts.append(g)
                 dens_parts.append(r)
-                # refined columns replace the coarse ones in their zone
-                keep_mask &= ~((xs > zone[0]) & (xs < zone[1]))
+                # refined columns replace the coarse ones in their zone and
+                # half a spacing beyond, so no cut lands on a node
+                keep_mask &= ~((xs > zone[0] - spacing / 2)
+                               & (xs < zone[1] + spacing / 2))
                 if singular:
                     singular_zones.append(zone)
             # ghost residue beyond the edge carries no mass: drop it; a
-            # hinted anchor is the exact edge, so nothing lies outside it
-            margin = 0.0 if hinted else 2 * spacing
+            # hinted anchor is the exact edge, so nothing lies outside it,
+            # and a quantile anchor is a node, so its margin ends between two
+            margin = 0.0 if hinted else 2.5 * spacing
             if sign > 0:
                 keep_mask &= ~(xs < anchor - margin)
             else:
@@ -941,28 +939,25 @@ def _herglotz_guard(g):
         )
 
 
-def _refine_edge(ev, sched, anchor, hinted, inner_sign, width, spacing):
-    """Deep-ladder columns marching into one support edge.
+def _refine_edge(ev, sched, anchor, inner_sign, width, spacing):
+    """Deep-ladder columns marching into one structurally exact edge.
 
-    Offsets reach down to 1e-7 of the width when the edge sits on a
-    structurally exact hint (hard edge), else down to the base resolution;
-    hard edges with a clean power-law profile are completed analytically.
-    Each column's ladder halves from the schedule's top down to a tenth of
-    its offset, but only its three bottom rungs are sampled: they are all
-    the density extrapolation reads.
+    Offsets from the anchor reach down to 1e-9 of the width; an edge with
+    a clean power-law profile is completed analytically.  Each column's
+    ladder halves from the schedule's top down to a tenth of its offset,
+    but only its three bottom rungs are sampled: they are all the density
+    extrapolation reads.
     """
-    d_min = 1e-9 * width if hinted else max(sched[-1] / 50, 1e-9 * width)
+    d_min = 1e-9 * width
     d_max = 8.0 * spacing
     if d_min >= 2.0 * spacing:
         return np.empty(0), np.empty(0), (anchor, anchor), False
     # geometric march into the edge, then uniform coverage out to the
     # handover at d_max; the march is kept dense because the trapezoid
-    # rule over-integrates convex singular densities on coarse cells, and
-    # hinted (structurally hard) edges get the finest treatment
-    n_march, n_hand = (144, 25) if hinted else (64, 9)
+    # rule over-integrates convex singular densities on coarse cells
     offsets = np.concatenate([
-        np.geomspace(d_min, 2.0 * spacing, n_march, endpoint=False),
-        np.linspace(2.0 * spacing, d_max, n_hand),
+        np.geomspace(d_min, 2.0 * spacing, 144, endpoint=False),
+        np.linspace(2.0 * spacing, d_max, 25),
     ])
     new_xs = anchor + inner_sign * offsets
     order = np.argsort(new_xs)
@@ -983,16 +978,14 @@ def _refine_edge(ev, sched, anchor, hinted, inner_sign, width, spacing):
         rows = depth == k
         new_dens[rows] = _column_densities(eps[rows, :k], cols[rows, :k])
     grid, dens = new_xs, np.clip(new_dens, 0.0, None)
-    singular = False
-    if hinted:
-        off_sorted = np.abs(grid - anchor)
-        inner_first = np.argsort(off_sorted)
-        comp = _power_law_completion(
-            off_sorted[inner_first], dens[inner_first], anchor, inner_sign)
-        if comp is not None:
-            singular = True
-            grid = np.concatenate([grid, comp[0]])
-            dens = np.concatenate([dens, comp[1]])
+    off_sorted = np.abs(grid - anchor)
+    inner_first = np.argsort(off_sorted)
+    comp = _power_law_completion(
+        off_sorted[inner_first], dens[inner_first], anchor, inner_sign)
+    singular = comp is not None
+    if singular:
+        grid = np.concatenate([grid, comp[0]])
+        dens = np.concatenate([dens, comp[1]])
     zone = (min(anchor, anchor + inner_sign * d_max),
             max(anchor, anchor + inner_sign * d_max))
     return grid, dens, zone, singular

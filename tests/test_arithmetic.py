@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeconv.acceptance import _additivity_residuals, scaled_moment_error
+from freeconv.acceptance import (
+    _additivity_residuals,
+    _moment_scales,
+    scaled_moment_error,
+)
 from freeconv.arithmetic import (
     FreeProductResolvent,
     FreeSumResolvent,
@@ -35,6 +39,7 @@ RNG = np.random.default_rng(19981031)
 
 SEMI = make_law(LawSpec.semicircle(1.0), 2000)
 TWO = make_law(LawSpec.two_atom(0.5, -1.0, 1.0))
+UNIF = make_law(LawSpec.uniform(-1.0, 1.0), 2000)
 MP1 = make_law(LawSpec.marchenko_pastur(1.0), 2000)
 
 
@@ -68,15 +73,15 @@ def test_r_transform_small_w_limit_is_mean():
 
 
 # The addition law of section 2 at finite w: R of the free_add output is
-# R_1 + R_2.  Each bound is about three times the largest residual measured
-# at these w: 8.0e-5 for the uniform sum (its output mean is 7.1e-5 off 0)
-# and 9.3e-6 for the two-atom sum.  Leaving out R_2 misses by 1.7e-2 or
-# more on both.
+# R_1 + R_2.  The largest residuals measured at these w are 1.2e-5 for the
+# uniform sum and 1.6e-5 for the two-atom sum; each bound is two to three
+# times that, so an output mean 7.1e-5 off 0 (a recovery cut on a contour
+# node) fails it.  Leaving out R_2 misses by 1.7e-2 or more on both.
 R_LAW_W = (-0.05j, -0.1j, 0.05 - 0.1j, -0.05 - 0.2j, 0.1 - 0.3j, -0.3j)
 
 
 @pytest.mark.parametrize("mu1, mu2, bound", [
-    (SEMI, make_law(LawSpec.uniform(-1.0, 1.0), 2000), 2.5e-4),
+    (SEMI, UNIF, 4e-5),
     (TWO, SEMI, 3e-5),
 ], ids=["semicircle_uniform", "two_atom_semicircle"])
 def test_free_add_r_transforms_add(mu1, mu2, bound):
@@ -175,6 +180,13 @@ def atoms_and_sigma(draw):
     return atoms, draw(st.floats(0.3, 1.5))
 
 
+def _semicircle_moments(sigma):
+    """Moments 1-8 of the semicircle of variance sigma^2: sigma^k C_{k/2}."""
+    return MomentVector(np.array(
+        [0.0, sigma ** 2, 0.0, 2 * sigma ** 4, 0.0, 5 * sigma ** 6, 0.0,
+         14 * sigma ** 8]))
+
+
 @settings(max_examples=30)
 @given(atoms_and_sigma())
 def test_pastur_moments_match_the_series_oracle(case):
@@ -182,10 +194,8 @@ def test_pastur_moments_match_the_series_oracle(case):
     # moments sigma^k C_{k/2}, at criterion 9's tolerance for atoms.
     atoms, sigma = case
     mu = make_law(LawSpec.atom_list(atoms), 0)
-    semicircle = MomentVector(np.array(
-        [0.0, sigma ** 2, 0.0, 2 * sigma ** 4, 0.0, 5 * sigma ** 6, 0.0,
-         14 * sigma ** 8]))
-    expected = free_add_series(MomentVector.from_measure(mu, 8), semicircle)
+    expected = free_add_series(MomentVector.from_measure(mu, 8),
+                               _semicircle_moments(sigma))
     got = MomentVector.from_measure(pastur_add_gaussian(mu, sigma), 8)
     assert scaled_moment_error(got.m, expected.m) <= 1e-2
 
@@ -243,6 +253,98 @@ def test_free_multiply_rejects_negative_support():
                  (MP1, dirac(0.0))):
         with pytest.raises(ValidationError):
             free_multiply(*pair)
+
+
+# -- edges and cuts in density recovery ----------------------------------------
+
+
+def _oracle_error(out, expected):
+    """Scaled moment error of ``out`` on orders 1-8 (criterion 9's metric)."""
+    return scaled_moment_error(MomentVector.from_measure(out, 8).m,
+                               expected.m)
+
+
+@pytest.mark.parametrize("pipeline, mu, other", [
+    (free_add, SEMI, UNIF),
+    (free_add, UNIF, UNIF),
+    (free_add, SEMI, SEMI),
+    (free_add, TWO, make_law(LawSpec.semicircle(0.5), 2000)),
+    (pastur_add_gaussian, make_law(LawSpec.uniform(-1.0, 1.0), 500), 0.5),
+], ids=["semicircle_uniform", "uniform_uniform", "semicircle_semicircle",
+        "two_atom_semicircle", "pastur_uniform"])
+def test_symmetric_inputs_recover_a_symmetric_law_without_ties(pipeline, mu,
+                                                               other):
+    # Recovery cuts the contour beyond each soft edge and at the ends of
+    # each refined edge zone.  A cut a whole number of spacings from a
+    # node fell within an ulp of one, so one side kept a node the other
+    # dropped: the semicircle-uniform sum had mean 7.1e-5, and its
+    # 4.4e-16-wide cells made the shift below raise ValidationError.
+    # Every cut now lies half a spacing off the nodes.
+    out = pipeline(mu, other)
+    m = MomentVector.from_measure(out, 8).m
+    assert np.max(np.abs(m[0::2]) / _moment_scales(m)[0::2]) <= 1e-9
+    affine_map(out, 1.0, 5.0)
+
+
+ERRATIC_SUM = (make_law(LawSpec.semicircle(0.9171298334287249), 500),
+               make_law(LawSpec.uniform(-1.1655306904028395,
+                                        0.9549790956797193), 500))
+ERRATIC_PASTUR = (make_law(LawSpec.uniform(-1.029246699411188,
+                                           1.029246699411188), 500),
+                  0.5039826881782143)
+# A soft edge is anchored at the node where the mass reaches 1e-4 and
+# everything 2.5 spacings beyond it is dropped, so how much mass the cut
+# takes depends on where the nodes fall (ROADMAP item 2): 1.29, 1.89 and
+# 1.42 times the tolerance at these points.
+EDGE_ANCHOR_MISSES = pytest.mark.xfail(
+    strict=True, reason="quantile anchor of a soft edge cuts off mass")
+
+
+@pytest.mark.parametrize("case, points", [
+    ("sum", 1000), ("sum", 2000), ("pastur", 1000), ("pastur", 2000),
+    ("pastur", 4000),
+    pytest.param("sum", 500, marks=EDGE_ANCHOR_MISSES),
+    pytest.param("sum", 4000, marks=EDGE_ANCHOR_MISSES),
+    pytest.param("pastur", 500, marks=EDGE_ANCHOR_MISSES),
+])
+def test_erratic_operands_meet_the_oracle(case, points):
+    # Operands at which the order-8 moment error once jumped past
+    # criterion 9's tolerance (1.85 and 1.45 at 1000 points, where a cut
+    # fell on a contour node), against 0.2-0.3 at nearby parameters.
+    if case == "sum":
+        mu1, mu2 = ERRATIC_SUM
+        (lo1, hi1), (lo2, hi2) = mu1.support(), mu2.support()
+        out = free_add(mu1, mu2, default_contour(lo1 + lo2, hi1 + hi2,
+                                                 points))
+        expected = free_add_series(MomentVector.from_measure(mu1, 8),
+                                   MomentVector.from_measure(mu2, 8))
+    else:
+        mu, sigma = ERRATIC_PASTUR
+        lo, hi = mu.support()
+        out = pastur_add_gaussian(
+            mu, sigma, default_contour(lo - 2 * sigma, hi + 2 * sigma, points))
+        expected = free_add_series(MomentVector.from_measure(mu, 8),
+                                   _semicircle_moments(sigma))
+    assert _oracle_error(out, expected) <= 1e-3
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_mp_products_keep_half_their_tolerance(seed):
+    # The ratio pairs the benchmark's dense workload draws from seeds
+    # 1-20, on its 500-cell grids and 1000-point contour.  A cut on a
+    # contour node took the error to 0.56 and 0.59 of criterion 9's
+    # singular-edge tolerance (1e-2) at seeds 10 and 13; with every cut
+    # off the nodes it is at most 0.24.
+    rng = np.random.default_rng(seed)
+    c1, c2 = rng.uniform(0.48, 0.52), rng.uniform(0.58, 0.62)
+    mu1 = make_law(LawSpec.marchenko_pastur(c1), 500)
+    mu2 = make_law(LawSpec.marchenko_pastur(c2), 500)
+    (lo1, hi1), (lo2, hi2) = mu1.support(), mu2.support()
+    out = free_multiply(mu1, mu2,
+                        default_contour(lo1 * lo2, hi1 * hi2, 1000))
+    expected = free_multiply_series(MomentVector.from_measure(mu1, 8),
+                                    MomentVector.from_measure(mu2, 8))
+    assert _oracle_error(out, expected) <= 0.5e-2
 
 
 # -- the two-operand contour solve ---------------------------------------------

@@ -23,8 +23,11 @@ from freeconv.measures import (
     make_law,
     moment,
 )
+from freeconv import stieltjes
 from freeconv.stieltjes import (
     _NODES,
+    ATOM_MASS_THRESHOLD,
+    DEFAULT_EPSILON_SCHEDULE,
     ContourSpec,
     MeasureResolvent,
     ResolventEvaluator,
@@ -370,6 +373,36 @@ def test_column_densities_take_one_ladder_per_column():
                   for lad, col in zip(ladders, cols)]
     assert np.array_equal(_column_densities(ladders, cols), per_column)
     assert 0.0 in per_column and max(per_column) > 0.0
+
+
+def test_atom_candidates_are_the_peaks_of_flagged_runs(monkeypatch):
+    # Atom detection takes one candidate per run of nodes whose
+    # extrapolated eps*|G| clears the threshold, at the run's peak.  The
+    # runs come from array bounds; a node-by-node scan is the reference.
+    rng = np.random.default_rng(26)
+    xs = np.linspace(-1.0, 1.0, 400)
+    lad = np.asarray(DEFAULT_EPSILON_SCHEDULE)
+    mass = rng.random(xs.size) * (rng.random(xs.size) < 0.6)
+    mass[[0, -1]] = 0.5
+    cols = -1j * mass[:, None] / lad  # eps*|G| is mass on every rung
+    seen = []
+
+    def rejecting(ev, a0, top_eps, spacing):
+        seen.append(a0)
+        return (a0, 0.0), 0.0
+
+    monkeypatch.setattr(stieltjes, "_refine_atom", rejecting)
+    assert stieltjes._detect_atoms(None, xs, lad, cols) == []
+    flags = mass > ATOM_MASS_THRESHOLD
+    expected, k = [], 0
+    while k < xs.size:
+        j = k
+        while flags[k] and j + 1 < xs.size and flags[j + 1]:
+            j += 1
+        if flags[k]:
+            expected.append(xs[k + int(np.argmax(mass[k:j + 1]))])
+        k = j + 1
+    assert seen == expected and len(expected) > 20
 
 
 def test_support_error_when_grid_too_narrow():
