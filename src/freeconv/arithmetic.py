@@ -151,6 +151,194 @@ _STEP_TOL = 1e3 * OUTER_TOL
 _MAX_STEP = 64
 
 
+# -- support hulls from the inverse transforms ----------------------------------
+#
+# Right of its support an operand's G is real, positive and decreasing, and
+# so is a pipeline's; the laws of the module docstring then hold on the real
+# axis too, and the output's right edge is the least value of x(y_1) = y_1 +
+# K_2(G_1(y_1)) - 1/G_1(y_1) (a sum), y_1 + sigma^2 G_1(y_1) (Pastur) or
+# y_1 lambda_2(h)(h - 1)/h with h = y_1 G_1(y_1) (a product) over y_1 right
+# of operand 1's support.  x is quasi-convex there: it falls from infinity
+# along the physical branch to its least value and rises beyond, so every
+# value it takes lies right of the support and bounds the edge, however
+# roughly the least one is searched.  A left edge is the right edge of the
+# reflected measures.
+
+# The geometric scan of the distance d = y_1 - edge: its ratio, the
+# bracket width in log d at which a search stops, and the closest point to
+# the edge, relative to the scale of the supports.
+_SCAN_RATIO = 2.0
+_SCAN_TOL = 1e-2
+_SCAN_NEAR = 1e-10
+
+
+def _side(op, s):
+    """The right edge and width of the support of the measure t -> s*t
+    pushed from ``op``'s, and that measure's (G, G') as floats at real y
+    right of the edge: s*G(s*y) and G'(s*y)."""
+    lo, hi = op.support
+    vd = op.vd_scalar
+
+    def gd(y):
+        g, gp = vd(complex(s * y))
+        return s * g.real, gp.real
+
+    return (hi if s > 0 else -lo), hi - lo, gd
+
+
+def _inverter(edge, width, gd, mass):
+    """g -> the y > edge with G(y) = g, for G, read by ``gd``, the transform
+    of a positive measure of mass ``mass`` whose support of width ``width``
+    ends at ``edge``; None where no such y lies right of a hair past the
+    edge, or where Newton does not settle.
+
+    Newton runs on 1/G - 1/g, which increases, in u = log(y - edge), where
+    an atom, a jump and a square-root edge all leave it close to linear.
+    Each search starts from the last root found, the first from y = edge +
+    2 mass/g, right of the root since G(y) <= mass/(y - edge); bisection in
+    u inside (the hair, edge + 2 mass/g] guards it."""
+    d_top = 1e-12 * (width + abs(edge) + 1.0)
+    g_top = gd(edge + d_top)[0]
+    last = [None]
+
+    def inverse(g):
+        if not 0.0 < g < g_top:
+            return None
+        a, b = np.log(d_top), np.log(2.0 * mass / g)
+        u = b if last[0] is None else min(max(np.log(last[0] - edge), a), b)
+        for _ in range(60):
+            d = np.exp(u)
+            gy, gpy = gd(edge + d)
+            if not gy > 0.0 > gpy:
+                return None
+            f = 1.0 / gy - 1.0 / g
+            if abs(f) <= 1e-11 / g:
+                last[0] = edge + d
+                return last[0]
+            if f < 0.0:
+                a = u
+            else:
+                b = u
+            nxt = u + f * gy * gy / (gpy * d)
+            if not a < nxt < b:
+                nxt = 0.5 * (a + b)
+            if nxt == u:
+                return None
+            u = nxt
+        return None
+
+    return inverse
+
+
+def _golden(f, a, m, b, fm):
+    """The least value found of f(e^t) on [a, b] by golden section, from m
+    in [a, b] whose value fm lies below those at a and b (m = a where a
+    ends f's domain)."""
+    while b - a > _SCAN_TOL:
+        x = m + 0.381966 * (b - m) if b - m > m - a else m - 0.381966 * (m - a)
+        v = f(np.exp(x))
+        if v is not None and v < fm:
+            a, b = (m, b) if x > m else (a, m)
+            m, fm = x, v
+        elif x > m:
+            b = x
+        else:
+            a = x
+    return fm
+
+
+def _least_value(f, scale, edge):
+    """The least value found of f(d) over d > 0, or None if f gives none.
+
+    d falls geometrically from 4*scale until f stops falling, falls by
+    less than 1e-7 of the scale, or d passes _SCAN_NEAR of the scale.
+    Where f first gives None, past the end of its domain, bisection finds
+    the last point before that end, which closes the last bracket.  Golden
+    section then narrows that bracket around the least value."""
+    scale = max(scale, 1e-9 * (1.0 + abs(edge)))
+    t, t_near = np.log(4.0 * scale), np.log(_SCAN_NEAR * (scale + abs(edge)))
+    ts, vs = [], []
+    while t >= t_near:
+        v = f(np.exp(t))
+        if v is None:
+            if not vs:
+                return None
+            a, t, v = t, ts[-1], vs[-1]
+            while t - a > _SCAN_TOL:
+                m = 0.5 * (a + t)
+                vm = f(np.exp(m))
+                a, t, v = (m, t, v) if vm is None else (a, m, vm)
+            if v < vs[-1]:
+                return _golden(f, t, t, ts[-1], v)
+        if vs and v >= vs[-1]:
+            return vs[0] if len(vs) == 1 else _golden(f, t, ts[-1], ts[-2],
+                                                       vs[-1])
+        if vs and vs[-1] - v <= 1e-7 * scale:
+            return v
+        ts.append(t)
+        vs.append(v)
+        t -= np.log(_SCAN_RATIO)
+    return vs[-1] if vs else None
+
+
+def _pastur_edge(op, sigma2, s):
+    """A bound of the right edge of Pastur's sum for the measure t -> s*t
+    pushed from ``op``'s: the least y + sigma^2 G(y), which is convex."""
+    e, w, gd = _side(op, s)
+    return _least_value(lambda d: e + d + sigma2 * gd(e + d)[0],
+                        w + np.sqrt(sigma2), e)
+
+
+def _sum_edge(op1, op2, s):
+    """A bound of the right edge of the sum of the measures t -> s*t pushed
+    from the operands'."""
+    e1, w1, gd1 = _side(op1, s)
+    if op2 is op1:
+        def x_of(d):
+            g = gd1(e1 + d)[0]
+            return 2.0 * (e1 + d) - 1.0 / g if g > 0 else None
+        return _least_value(x_of, 2.0 * w1, e1)
+    e2, w2, gd2 = _side(op2, s)
+    k2 = _inverter(e2, w2, gd2, 1.0)
+
+    def x_of(d):
+        g = gd1(e1 + d)[0]
+        y2 = k2(g)
+        return None if y2 is None else e1 + d + y2 - 1.0 / g
+
+    return _least_value(x_of, w1 + w2, e1)
+
+
+def _product_edge(op1, op2, m2):
+    """A bound of the right edge of the product of the operands' measures,
+    on [0, inf) with ``m2`` the mean of operand 2.  lambda_2 inverts
+    psi_2(y) = y G_2(y) - 1, the transform of t dmu_2(t), a measure of
+    mass m2."""
+    e1, _, gd1 = _side(op1, 1)
+    lo2, e2 = op2.support
+    if op2 is op1:
+        def x_of(d):
+            y = e1 + d
+            h = y * gd1(y)[0]
+            return y * y * (h - 1.0) / h if h > 1.0 else None
+        return _least_value(x_of, 2.0 * e1, e1)
+    gd2 = _side(op2, 1)[2]
+
+    def psi(y):
+        g, gp = gd2(y)
+        return y * g - 1.0, g + y * gp
+
+    lambda2 = _inverter(e2, e2 - lo2, psi, m2)
+
+    def x_of(d):
+        y = e1 + d
+        h = y * gd1(y)[0]
+        y2 = lambda2(h - 1.0)
+        return None if y2 is None else y * y2 * (h - 1.0) / h
+
+    return _least_value(x_of, e1 + e2, e1)
+
+
 def _same_measure(mu1: SpectralMeasure, mu2: SpectralMeasure) -> bool:
     if mu1 is mu2:
         return True
@@ -218,6 +406,14 @@ class _SweepResolvent(ResolventEvaluator):
         self._same = _same_measure(mu1, mu2)
         self.op1 = MeasureResolvent(mu1)
         self.op2 = self.op1 if self._same else MeasureResolvent(mu2)
+
+    def hull(self):
+        """The naive support, cut on each side s to the bound that
+        ``_edge(s)`` gives of the right edge of the output pushed by t ->
+        s*t, where it gives one."""
+        (lo, hi), left, right = self.support, self._edge(-1), self._edge(1)
+        return (lo if left is None else max(lo, -left),
+                hi if right is None else min(hi, right))
 
     def _map(self, z, array):
         """The fixed-point map at z, w -> (T - w, T_w - 1, f_1, T_z), one
@@ -485,6 +681,9 @@ class FreeSumResolvent(_SweepResolvent):
         self.edge_hints = (lo1 + lo2, hi1 + hi2)
         self.m2 = moment(mu2, 1)
 
+    def _edge(self, s):
+        return _sum_edge(self.op1, self.op2, s)
+
     def _seed(self, z):
         return complex(z - self.m2)
 
@@ -507,6 +706,9 @@ class PasturResolvent(_SweepResolvent):
         self.sigma2 = sigma * sigma
         lo, hi = mu.support()
         self.support = (lo - 2 * sigma, hi + 2 * sigma)
+
+    def _edge(self, s):
+        return _pastur_edge(self.op1, self.sigma2, s)
 
     def _seed(self, z):
         return z - self.sigma2 / z
@@ -542,6 +744,10 @@ class FreeProductResolvent(_SweepResolvent):
         self.support = (lo1 * lo2, hi1 * hi2)
         self.edge_hints = (lo1 * lo2, hi1 * hi2)
         self.m2 = moment(mu2, 1)
+
+    def _edge(self, s):
+        # the left edge keeps the naive bound lo_1 lo_2
+        return _product_edge(self.op1, self.op2, self.m2) if s > 0 else None
 
     def _seed(self, z):
         return complex(z / self.m2)

@@ -75,13 +75,20 @@ class ResolventEvaluator:
     """Deterministic contract z -> G(z) for z off the real support.
 
     Subclasses provide ``value_and_derivative`` returning (G, G'), report a
-    ``support`` interval and structurally exact ``edge_hints``.
-    Evaluation is reentrant: ``sample_columns`` carries any warm-start
-    state locally, so concurrent use needs no coordination.
+    ``support`` interval (the naive one that default contours span),
+    structurally exact ``edge_hints`` and a ``hull()``: an interval outside
+    which the measure has no mass, which ``stieltjes_invert`` solves only
+    near.  The base class declares the whole real line, so an evaluator
+    that knows no tighter hull loses no contour column.  Evaluation is
+    reentrant: ``sample_columns`` carries any warm-start state locally, so
+    concurrent use needs no coordination.
     """
 
     support: tuple[float, float] = (-1.0, 1.0)
     edge_hints: tuple = ()
+
+    def hull(self) -> tuple[float, float]:
+        return -np.inf, np.inf
 
     def value_and_derivative(self, z):
         raise NotImplementedError
@@ -450,6 +457,9 @@ class MeasureResolvent(ResolventEvaluator):
         self._atom_x, self._atom_w = np.array(self._atoms).reshape(-1, 2).T
         self._cells = _CellTree(mu.segments) if mu.segments else None
 
+    def hull(self):
+        return self.support
+
     def vd_scalar(self, z):
         """(G, G') at one point as Python complex numbers.
 
@@ -791,7 +801,12 @@ def stieltjes_invert(ev: ResolventEvaluator,
                      contour: ContourSpec) -> SpectralMeasure:
     """Recover the measure whose transform the evaluator computes.
 
-    Density at every contour node comes from Neville extrapolation of
+    Only the contour nodes within 4 eps_0 + 2 median spacings of the
+    evaluator's ``hull()`` are solved and recovered (eps_0 the ladder's top
+    rung): that margin keeps the top rung's leakage, the residue that the
+    edge cuts below trim, and the node that closes the output segment.  A
+    contour that keeps fewer than two nodes raises SupportCoverageError.
+    Density at every kept node comes from Neville extrapolation of
     -Im G(x + i eps)/pi over the epsilon ladder; atoms are detected and
     removed first.  Support edges are found by mass quantiles.  An edge
     that matches one of the evaluator's exact ``edge_hints`` is re-sampled
@@ -803,6 +818,15 @@ def stieltjes_invert(ev: ResolventEvaluator,
     """
     xs = np.asarray(contour.real_grid, dtype=float)
     sched = np.asarray(contour.epsilon_schedule, dtype=float)
+    lo, hi = ev.hull()
+    margin = 4.0 * sched[0] + 2.0 * float(np.median(np.diff(xs)))
+    xs = xs[(xs >= lo - margin) & (xs <= hi + margin)]
+    if xs.size < 2:
+        raise SupportCoverageError(
+            f"the contour keeps {xs.size} column(s) within {margin:.3g} of "
+            f"the support hull [{lo:.6g}, {hi:.6g}]; move the contour grid "
+            "onto it"
+        )
     cols = ev.sample_columns(xs, np.broadcast_to(sched, (xs.size, sched.size)))
     _herglotz_guard(cols)
 

@@ -838,10 +838,21 @@ def test_array_kernel_gives_the_scalar_bits_on_cells(law):
        st.floats(-1.0, 1.0), st.floats(-2.0, 0.0), st.floats(-1.0, 1.0))
 def test_kernel_is_affine_covariant(spec, log_scale, shift, log_height, x):
     """G of a*mu + b at a*z + b is G(z)/a, and G' is G'(z)/a^2: the
-    near/far rule of the tree has no absolute length in it."""
-    mu = make_law(spec, 2000)
-    a = 10.0 ** log_scale
-    b = shift * a
+    near/far rule of the tree has no absolute length in it.
+
+    The mapped measure must be the exact image of mu, or the two sides are
+    the transforms of two measures that differ by rounding: on the arcsine
+    grid a shift by 0.99 moves 662 nodes by up to 2.2e-16, which moves G'
+    by 9.9e-14 relative in exact arithmetic, while the kernel errs by
+    2e-15 on each.  So the nodes are put on multiples of 2^-40, a is a
+    power of two and b a multiple of 2^-40 a, and every mapped node and
+    density is exact."""
+    q = 2.0 ** -40
+    law = make_law(spec, 2000)
+    mu = SpectralMeasure(atoms=law.atoms, segments=tuple(
+        Segment(np.round(s.grid / q) * q, s.density) for s in law.segments))
+    a = 2.0 ** round(log_scale / np.log10(2.0))
+    b = round(shift / q) * q * a
     lo, hi = mu.support()
     z = complex(0.5 * (lo + hi) + x * 0.6 * (hi - lo),
                 10.0 ** log_height * (hi - lo))
