@@ -155,20 +155,25 @@ _MAX_STEP = 64
 #
 # Right of its support an operand's G is real, positive and decreasing, and
 # so is a pipeline's; the laws of the module docstring then hold on the real
-# axis too, and the output's right edge is the least value of x(y_1) = y_1 +
+# axis too.  The output's right edge e lies where x(y_1) = y_1 +
 # K_2(G_1(y_1)) - 1/G_1(y_1) (a sum), y_1 + sigma^2 G_1(y_1) (Pastur) or
-# y_1 lambda_2(h)(h - 1)/h with h = y_1 G_1(y_1) (a product) over y_1 right
-# of operand 1's support.  x is quasi-convex there: it falls from infinity
-# along the physical branch to its least value and rises beyond, so every
-# value it takes lies right of the support and bounds the edge, however
-# roughly the least one is searched.  A left edge is the right edge of the
-# reflected measures.
+# y_1 lambda_2(h)(h - 1)/h with h = y_1 G_1(y_1) (a product) is least on
+# the branch that reaches y_1 -> infinity: right of e the subordination
+# function omega_1 is real and increasing, x is its inverse, and so x rises
+# on the whole of (omega_1(e), infinity).  A point where x' > 0, reached
+# from the far side through points where x falls and x' > 0 too, lies on
+# that branch unless x turns twice between two of those points, and its x
+# bounds e from above.  Any other point, one with
+# x' <= 0 or a value that breaks the fall, gives no bound: left of
+# omega_1(e) nothing keeps x above e unless x is quasi-convex, which is
+# proved for Pastur's sum alone (there G_1 is convex).  A left edge is the
+# right edge of the reflected measures.
 
 # The geometric scan of the distance d = y_1 - edge: its ratio, the
 # bracket width in log d at which a search stops, and the closest point to
 # the edge, relative to the scale of the supports.
 _SCAN_RATIO = 2.0
-_SCAN_TOL = 1e-2
+_SCAN_TOL = 1e-3
 _SCAN_NEAR = 1e-10
 
 
@@ -187,17 +192,21 @@ def _side(op, s):
 
 
 def _inverter(edge, width, gd, mass):
-    """g -> the y > edge with G(y) = g, for G, read by ``gd``, the transform
-    of a positive measure of mass ``mass`` whose support of width ``width``
-    ends at ``edge``; None where no such y lies right of a hair past the
-    edge, or where Newton does not settle.
+    """g -> (y, G'(y)) at the y > edge with G(y) = g, for G, read by
+    ``gd``, the transform of a positive measure of mass ``mass`` whose
+    support of width ``width`` ends at ``edge``; None where no such y lies
+    right of a hair past the edge, or where Newton does not settle.
 
     Newton runs on 1/G - 1/g, which increases, in u = log(y - edge), where
     an atom, a jump and a square-root edge all leave it close to linear.
     Each search starts from the last root found, the first from y = edge +
     2 mass/g, right of the root since G(y) <= mass/(y - edge); bisection in
-    u inside (the hair, edge + 2 mass/g] guards it."""
-    d_top = 1e-12 * (width + abs(edge) + 1.0)
+    u inside (the hair, edge + 2 mass/g] guards it.  The hair is 1e-12 of
+    width + |edge|; a point mass at 0 has no length to take one from, and
+    gives no inverse."""
+    d_top = 1e-12 * (width + abs(edge))
+    if not d_top:
+        return lambda g: None
     g_top = gd(edge + d_top)[0]
     last = [None]
 
@@ -214,7 +223,7 @@ def _inverter(edge, width, gd, mass):
             f = 1.0 / gy - 1.0 / g
             if abs(f) <= 1e-11 / g:
                 last[0] = edge + d
-                return last[0]
+                return last[0], gpy
             if f < 0.0:
                 a = u
             else:
@@ -230,81 +239,79 @@ def _inverter(edge, width, gd, mass):
     return inverse
 
 
-def _golden(f, a, m, b, fm):
-    """The least value found of f(e^t) on [a, b] by golden section, from m
-    in [a, b] whose value fm lies below those at a and b (m = a where a
-    ends f's domain)."""
-    while b - a > _SCAN_TOL:
-        x = m + 0.381966 * (b - m) if b - m > m - a else m - 0.381966 * (m - a)
-        v = f(np.exp(x))
-        if v is not None and v < fm:
-            a, b = (m, b) if x > m else (a, m)
-            m, fm = x, v
-        elif x > m:
-            b = x
-        else:
-            a = x
-    return fm
-
-
 def _least_value(f, scale, edge):
-    """The least value found of f(d) over d > 0, or None if f gives none.
+    """The least x found on the far branch of f, or None if it gives none.
 
-    d falls geometrically from 4*scale until f stops falling, falls by
-    less than 1e-7 of the scale, or d passes _SCAN_NEAR of the scale.
-    Where f first gives None, past the end of its domain, bisection finds
-    the last point before that end, which closes the last bracket.  Golden
-    section then narrows that bracket around the least value."""
-    scale = max(scale, 1e-9 * (1.0 + abs(edge)))
+    f(d) is (x, dx/dd) at y = edge + d, or None past the end of its
+    domain.  d falls geometrically from 4*scale while x' > 0 and x falls;
+    a fall by under 1e-7 of the scale, or d past _SCAN_NEAR of the scale,
+    ends the search there.  The first point that breaks the fall (x' <= 0,
+    no value, or no lower value) and the last one before it bracket the end
+    of the branch, and bisection in log d narrows the bracket to _SCAN_TOL,
+    taking a midpoint as the new last point where it continues the fall.
+    A scale of 0 (two point masses) gives no bound."""
+    scale = max(scale, 1e-9 * abs(edge))
+    if not scale:
+        return None
     t, t_near = np.log(4.0 * scale), np.log(_SCAN_NEAR * (scale + abs(edge)))
-    ts, vs = [], []
+    best = t_best = None
+
+    def falls(r):
+        return r is not None and r[1] > 0.0 and (best is None or r[0] < best)
+
     while t >= t_near:
-        v = f(np.exp(t))
-        if v is None:
-            if not vs:
-                return None
-            a, t, v = t, ts[-1], vs[-1]
-            while t - a > _SCAN_TOL:
-                m = 0.5 * (a + t)
-                vm = f(np.exp(m))
-                a, t, v = (m, t, v) if vm is None else (a, m, vm)
-            if v < vs[-1]:
-                return _golden(f, t, t, ts[-1], v)
-        if vs and v >= vs[-1]:
-            return vs[0] if len(vs) == 1 else _golden(f, t, ts[-1], ts[-2],
-                                                       vs[-1])
-        if vs and vs[-1] - v <= 1e-7 * scale:
-            return v
-        ts.append(t)
-        vs.append(v)
+        r = f(np.exp(t))
+        if not falls(r):
+            break
+        if best is not None and best - r[0] <= 1e-7 * scale:
+            return r[0]
+        best, t_best = r[0], t
         t -= np.log(_SCAN_RATIO)
-    return vs[-1] if vs else None
+    else:
+        return best
+    while best is not None and t_best - t > _SCAN_TOL:
+        m = 0.5 * (t + t_best)
+        r = f(np.exp(m))
+        if falls(r):
+            best, t_best = r[0], m
+        else:
+            t = m
+    return best
 
 
 def _pastur_edge(op, sigma2, s):
     """A bound of the right edge of Pastur's sum for the measure t -> s*t
     pushed from ``op``'s: the least y + sigma^2 G(y), which is convex."""
     e, w, gd = _side(op, s)
-    return _least_value(lambda d: e + d + sigma2 * gd(e + d)[0],
-                        w + np.sqrt(sigma2), e)
+
+    def x_of(d):
+        g, gp = gd(e + d)
+        return e + d + sigma2 * g, 1.0 + sigma2 * gp
+
+    return _least_value(x_of, w + np.sqrt(sigma2), e)
 
 
 def _sum_edge(op1, op2, s):
     """A bound of the right edge of the sum of the measures t -> s*t pushed
-    from the operands'."""
+    from the operands'.  x' = 1 + G_1'/G_2'(y_2) + G_1'/G_1^2, as K_2' =
+    1/G_2'."""
     e1, w1, gd1 = _side(op1, s)
     if op2 is op1:
         def x_of(d):
-            g = gd1(e1 + d)[0]
-            return 2.0 * (e1 + d) - 1.0 / g if g > 0 else None
+            g, gp = gd1(e1 + d)
+            return (2.0 * (e1 + d) - 1.0 / g, 2.0 + gp / (g * g)) if g > 0 \
+                else None
         return _least_value(x_of, 2.0 * w1, e1)
     e2, w2, gd2 = _side(op2, s)
     k2 = _inverter(e2, w2, gd2, 1.0)
 
     def x_of(d):
-        g = gd1(e1 + d)[0]
-        y2 = k2(g)
-        return None if y2 is None else e1 + d + y2 - 1.0 / g
+        g, gp = gd1(e1 + d)
+        root = k2(g)
+        if root is None:
+            return None
+        y2, gp2 = root
+        return e1 + d + y2 - 1.0 / g, 1.0 + gp / gp2 + gp / (g * g)
 
     return _least_value(x_of, w1 + w2, e1)
 
@@ -313,14 +320,23 @@ def _product_edge(op1, op2, m2):
     """A bound of the right edge of the product of the operands' measures,
     on [0, inf) with ``m2`` the mean of operand 2.  lambda_2 inverts
     psi_2(y) = y G_2(y) - 1, the transform of t dmu_2(t), a measure of
-    mass m2."""
+    mass m2; with h' = G_1 + y G_1' and lambda_2' = 1/psi_2', x = y
+    lambda_2 (h - 1)/h has x' = lambda_2 (h - 1)/h + y h' (lambda_2' (h -
+    1)/h + lambda_2/h^2)."""
     e1, _, gd1 = _side(op1, 1)
     lo2, e2 = op2.support
+
+    def h_of(y):
+        g, gp = gd1(y)
+        return y * g, g + y * gp
+
     if op2 is op1:
         def x_of(d):
             y = e1 + d
-            h = y * gd1(y)[0]
-            return y * y * (h - 1.0) / h if h > 1.0 else None
+            h, hp = h_of(y)
+            if not h > 1.0:
+                return None
+            return y * y * (h - 1.0) / h, y * (2.0 * (h - 1.0) + y * hp / h) / h
         return _least_value(x_of, 2.0 * e1, e1)
     gd2 = _side(op2, 1)[2]
 
@@ -332,9 +348,14 @@ def _product_edge(op1, op2, m2):
 
     def x_of(d):
         y = e1 + d
-        h = y * gd1(y)[0]
-        y2 = lambda2(h - 1.0)
-        return None if y2 is None else y * y2 * (h - 1.0) / h
+        h, hp = h_of(y)
+        root = lambda2(h - 1.0)
+        if root is None:
+            return None
+        y2, psi_p = root
+        return (y * y2 * (h - 1.0) / h,
+                y2 * (h - 1.0) / h + y * hp * ((h - 1.0) / (h * psi_p)
+                                               + y2 / (h * h)))
 
     return _least_value(x_of, e1 + e2, e1)
 

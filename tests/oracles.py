@@ -122,6 +122,62 @@ def cauchy_reference(mu, z, dps=40):
         return complex(g), complex(gp), float(g_abs), float(gp_abs)
 
 
+def _two_product(a, b):
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker's split)."""
+    def split(v):
+        c = 134217729.0 * v
+        hi = c - (c - v)
+        return hi, v - hi
+
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def affine_image_defect(mu, scale, shift, w):
+    """How far G and G' of ``affine_map(mu, scale, shift)`` at w lie from
+    those of the exact image of ``mu`` (scale > 0), to first order in the
+    roundings of its nodes, fl(fl(scale*t) + shift), and of its densities,
+    fl(r/scale).
+
+    Each rounding is recovered exactly by an error-free transform, and the
+    closed form of ``cauchy_reference`` on each cell is differentiated
+    along them; the second-order terms are below 1e-16 of the first.
+    """
+    dg = dgp = 0j
+    for t, wt in mu.atoms:
+        p, e = _two_product(np.float64(scale), np.float64(t))
+        y = p + shift
+        f = (p - (y - (y - p))) + (shift - (y - p))
+        inv = 1.0 / (w - y)
+        dg, dgp = dg - (f + e) * wt * inv**2, dgp + 2.0 * (f + e) * wt * inv**3
+    for s in mu.segments:
+        p, e = _two_product(scale, s.grid)
+        t = p + shift
+        bb = t - p
+        dt = -(((p - (t - bb)) + (shift - bb)) + e)
+        r = s.density / scale
+        pr, er = _two_product(scale, r)
+        dr = ((pr - s.density) + er) / scale
+        t0, t1, r0, r1 = t[:-1], t[1:], r[:-1], r[1:]
+        d0, d1, e0, e1 = dt[:-1], dt[1:], dr[:-1], dr[1:]
+        h, dh = (t1 - t0) / 2, (d1 - d0) / 2
+        c, dc = w - (t0 + t1) / 2, -(d0 + d1) / 2
+        slope = (r1 - r0) / (t1 - t0)
+        dslope = ((e1 - e0) - slope * (d1 - d0)) / (t1 - t0)
+        lead = (r0 + r1) / 2 + slope * c
+        dlead = (e0 + e1) / 2 + dslope * c + slope * dc
+        log = np.log((c + h) / (c - h))
+        dlog = (dc + dh) / (c + h) - (dc - dh) / (c - h)
+        q = (c - h) * (c + h)
+        dq = (dc - dh) * (c + h) + (c - h) * (dc + dh)
+        dg += np.sum(dlead * log + lead * dlog - 2 * (dslope * h + slope * dh))
+        dgp += np.sum(dslope * log + slope * dlog
+                      - 2 * (dlead * h + lead * dh) / q
+                      + 2 * lead * h * dq / (q * q))
+    return complex(dg), complex(dgp)
+
+
 def block_moments(t0, t1, r0, r1, c, r, count):
     """int rho(t) ((t - c)/r)^k dt, k < count, over linear cells [t0, t1]
     with end densities r0, r1 (arrays), by the two hat functions of each

@@ -41,7 +41,7 @@ from freeconv import stieltjes
 from freeconv.stieltjes import MeasureResolvent, _ladder, default_contour
 
 from oracles import semicircle_g, variance
-from test_stieltjes import atom_lists, gapped_measures
+from test_stieltjes import CONTINUOUS, atom_lists, gapped_measures
 
 RNG = np.random.default_rng(19981031)
 
@@ -463,6 +463,9 @@ HULL_CASES = {
         1e-15),
     "marchenko_pastur_product": (
         lambda: FreeProductResolvent(MP1, MP1_500), (0.0, 27.0 / 4.0), 1e-3),
+    # one measure on both sides takes the self-product's formula
+    "marchenko_pastur_self_product": (
+        lambda: FreeProductResolvent(MP1, MP1), (0.0, 27.0 / 4.0), 1e-3),
 }
 
 
@@ -489,17 +492,62 @@ def test_bounds_come_from_the_operands_alone():
     assert MeasureResolvent(SEMI).hull() == SEMI.support()
 
 
-def _output_atoms(atoms1, atoms2):
-    """Positions of the atoms of a sum: a + b wherever mu({a}) + nu({b})
-    > 1 (Bercovici and Voiculescu 1998)."""
-    return [a + b for a, v in atoms1 for b, w in atoms2 if v + w > 1.0]
+def _output_atoms(atoms1, atoms2, op=np.add):
+    """Positions of the atoms of a sum, or with ``op=np.multiply`` of a
+    product: op(a, b) wherever mu({a}) + nu({b}) > 1 (Bercovici and
+    Voiculescu 1998)."""
+    return [op(a, b) for a, v in atoms1 for b, w in atoms2 if v + w > 1.0]
+
+
+# Atom lists moved onto (0, inf), their positions at least 1e-3 apart.
+positive_atom_lists = atom_lists().map(
+    lambda atoms: tuple((float(np.exp(x / 5.0)), w) for x, w in atoms)
+).filter(lambda atoms: np.min(np.diff(sorted(x for x, _ in atoms)),
+                              initial=1.0) >= 1e-3)
+
+
+ATOMLESS = [spec for spec in CONTINUOUS
+            if spec != LawSpec.marchenko_pastur(2.0)]
 
 
 @st.composite
-def atom_hull_cases(draw):
+def continuous_laws(draw, positive=False):
+    """A catalog law without atoms on 100 to 600 points, moved onto [0.5,
+    1.5] where ``positive``."""
+    law = make_law(draw(st.sampled_from(ATOMLESS)), draw(st.integers(100, 600)))
+    if not positive:
+        return law
+    lo, hi = law.support()
+    return affine_map(law, 1.0 / (hi - lo), 0.5 - lo / (hi - lo))
+
+
+@st.composite
+def hull_cases(draw):
     """A Pastur, self-sum or sum evaluator on the atom lists of
-    ``atoms_and_sigma``, and where the output's atoms sit."""
-    kind = draw(st.sampled_from(["pastur", "self_sum", "sum"]))
+    ``atoms_and_sigma``; Pastur on a gapped mixture, or a gapped mixture
+    plus a continuous law; a product or self-product of positive atom
+    lists, or of a gapped mixture moved onto [0.5, inf) and a positive
+    continuous law.  Each with where the output's atoms sit."""
+    kind = draw(st.sampled_from(["pastur", "self_sum", "sum", "gapped_pastur",
+                                 "gapped_sum", "product", "self_product",
+                                 "gapped_product"]))
+    if kind == "gapped_pastur":
+        return PasturResolvent(draw(gapped_measures()),
+                               draw(st.floats(0.05, 1.0))), []
+    if kind == "gapped_sum":
+        return FreeSumResolvent(draw(gapped_measures()),
+                                draw(continuous_laws())), []
+    if kind == "gapped_product":
+        return FreeProductResolvent(affine_map(draw(gapped_measures()), 1.0,
+                                               1.5),
+                                    draw(continuous_laws(positive=True))), []
+    if kind in ("product", "self_product"):
+        atoms = draw(positive_atom_lists)
+        other = atoms if kind == "self_product" else draw(positive_atom_lists)
+        mu = SpectralMeasure(atoms=atoms)
+        nu = mu if kind == "self_product" else SpectralMeasure(atoms=other)
+        return (FreeProductResolvent(mu, nu),
+                _output_atoms(atoms, other, np.multiply))
     atoms, sigma = draw(atoms_and_sigma())
     mu = make_law(LawSpec.atom_list(atoms))
     if kind == "pastur":
@@ -511,23 +559,25 @@ def atom_hull_cases(draw):
             _output_atoms(atoms, other))
 
 
-@settings(max_examples=25)
-@given(atom_hull_cases())
+@settings(max_examples=60)
+@given(hull_cases())
 def test_hull_is_never_inside_the_support(case):
     # Just outside the support -Im G(x + i eps) = eps * int dmu/((x -
-    # t)^2 + eps^2) falls in proportion to eps; inside it tends to pi times
-    # the density.  So 1e-6 of the width beyond each bound, it must fall
-    # about a hundredfold from eps = 1e-6 to 1e-8.  An output atom at the
-    # edge is skipped: there the bound is the naive one and the atom's own
-    # eps/x^2 tail is what the test would read.
+    # t)^2 + eps^2) falls in proportion to eps while eps is well below the
+    # distance to the support; inside it tends to pi times the density.  So
+    # 1e-6 of the width beyond each bound, it must fall about a hundredfold
+    # from eps = 1e-7 to 1e-9 of the width, whatever the density does at
+    # the edge.  An output atom at the edge is skipped: there the bound is
+    # the naive one and the atom's own eps/x^2 tail is what the test would
+    # read.
     ev, atoms = case
     lo, hi = ev.hull()
-    assert ev.support[0] <= lo < hi <= ev.support[1]
-    step = 1e-6 * (hi - lo)
-    for edge, x in ((lo, lo - step), (hi, hi + step)):
-        if any(abs(a - edge) <= 1e-9 * (hi - lo) for a in atoms):
+    assert ev.support[0] <= lo <= hi <= ev.support[1]
+    width = hi - lo
+    for edge, x in ((lo, lo - 1e-6 * width), (hi, hi + 1e-6 * width)):
+        if any(abs(a - edge) <= 1e-9 * width for a in atoms):
             continue
-        g = ev.value_and_derivative(np.array([x + 1e-6j, x + 1e-8j]))[0]
+        g = ev.value_and_derivative(x + np.array([1e-7j, 1e-9j]) * width)[0]
         assert g[0].imag / g[1].imag >= 50.0
 
 
@@ -582,11 +632,9 @@ def skip_cases(draw):
         ev = FreeSumResolvent(draw(gapped_measures()),
                               SpectralMeasure(atoms=draw(atom_lists())))
     else:
-        positive = atom_lists().map(
-            lambda atoms: tuple((float(np.exp(x / 5.0)), w) for x, w in atoms)
-        ).filter(lambda atoms: len({x for x, _ in atoms}) == len(atoms))
-        ev = FreeProductResolvent(SpectralMeasure(atoms=draw(positive)),
-                                  SpectralMeasure(atoms=draw(positive)))
+        ev = FreeProductResolvent(
+            SpectralMeasure(atoms=draw(positive_atom_lists)),
+            SpectralMeasure(atoms=draw(positive_atom_lists)))
     return ev, SKIP_TOL[kind]
 
 
