@@ -279,7 +279,7 @@ def criterion_2_bernoulli_arcsine():
         rel = abs(got - expect) / expect
         metrics[f"m{n}"] = got
         crits.append(CriterionRecord(f"m{n}_relative_error", rel, 1e-2))
-    lo, hi = support_interval(out, 1e-3)
+    lo, hi = support_interval(out)
     metrics["support_lo"] = lo
     metrics["support_hi"] = hi
     crits.append(CriterionRecord("support_lo_error", abs(lo + 2.0), 0.02))

@@ -195,46 +195,46 @@ def _inverter(edge, width, gd, mass):
     """g -> (y, G'(y)) at the y > edge with G(y) = g, for G, read by
     ``gd``, the transform of a positive measure of mass ``mass`` whose
     support of width ``width`` ends at ``edge``; None where no such y lies
-    right of a hair past the edge, or where Newton does not settle.
+    right of a hair past the edge, or where ``damped_newton`` does not
+    settle.
 
-    Newton runs on 1/G - 1/g, which increases, in u = log(y - edge), where
-    an atom, a jump and a square-root edge all leave it close to linear.
-    Each search starts from the last root found, the first from y = edge +
-    2 mass/g, right of the root since G(y) <= mass/(y - edge); bisection in
-    u inside (the hair, edge + 2 mass/g] guards it.  The hair is 1e-12 of
-    width + |edge|; a point mass at 0 has no length to take one from, and
-    gives no inverse."""
+    Newton runs on 1/G, which increases, in u = log(y - edge), where an
+    atom, a jump and a square-root edge all leave it close to linear, to
+    |1/G - 1/g| <= 1e-11/g.  The root lies in (the hair, edge + 2 mass/g],
+    since G(y) <= mass/(y - edge); each solve starts from the last root
+    found, moved into that interval, the first from its right end.  A trial
+    outside it, or where G is not positive and decreasing, raises
+    InversionError, which Newton rejects.  The hair is 1e-12 of width +
+    |edge|; a point mass at 0 has no length to take one from, and gives no
+    inverse."""
     d_top = 1e-12 * (width + abs(edge))
     if not d_top:
         return lambda g: None
-    g_top = gd(edge + d_top)[0]
+    u_top, g_top = np.log(d_top), gd(edge + d_top)[0]
     last = [None]
 
     def inverse(g):
         if not 0.0 < g < g_top:
             return None
-        a, b = np.log(d_top), np.log(2.0 * mass / g)
-        u = b if last[0] is None else min(max(np.log(last[0] - edge), a), b)
-        for _ in range(60):
+        u_far = np.log(2.0 * mass / g)
+
+        def f(u):
+            if not u_top <= u <= u_far:
+                raise InversionError("outside (the hair, edge + 2 mass/g]")
             d = np.exp(u)
             gy, gpy = gd(edge + d)
             if not gy > 0.0 > gpy:
-                return None
-            f = 1.0 / gy - 1.0 / g
-            if abs(f) <= 1e-11 / g:
-                last[0] = edge + d
-                return last[0], gpy
-            if f < 0.0:
-                a = u
-            else:
-                b = u
-            nxt = u + f * gy * gy / (gpy * d)
-            if not a < nxt < b:
-                nxt = 0.5 * (a + b)
-            if nxt == u:
-                return None
-            u = nxt
-        return None
+                raise InversionError("G is not positive and decreasing here")
+            return 1.0 / gy, -gpy * d / (gy * gy), gpy
+
+        u = u_far if last[0] is None else \
+            min(max(np.log(last[0] - edge), u_top), u_far)
+        try:
+            u, (_, _, gp) = damped_newton(f, u, 1.0 / g, 1e-11 / g)
+        except InversionError:
+            return None
+        last[0] = edge + np.exp(u)
+        return last[0], gp
 
     return inverse
 
@@ -294,24 +294,19 @@ def _pastur_edge(op, sigma2, s):
 def _sum_edge(op1, op2, s):
     """A bound of the right edge of the sum of the measures t -> s*t pushed
     from the operands'.  x' = 1 + G_1'/G_2'(y_2) + G_1'/G_1^2, as K_2' =
-    1/G_2'."""
+    1/G_2'; a self-sum has y_2 = y_1 and inverts nothing."""
     e1, w1, gd1 = _side(op1, s)
-    if op2 is op1:
-        def x_of(d):
-            g, gp = gd1(e1 + d)
-            return (2.0 * (e1 + d) - 1.0 / g, 2.0 + gp / (g * g)) if g > 0 \
-                else None
-        return _least_value(x_of, 2.0 * w1, e1)
     e2, w2, gd2 = _side(op2, s)
-    k2 = _inverter(e2, w2, gd2, 1.0)
+    k2 = None if op2 is op1 else _inverter(e2, w2, gd2, 1.0)
 
     def x_of(d):
-        g, gp = gd1(e1 + d)
-        root = k2(g)
-        if root is None:
+        y = e1 + d
+        g, gp = gd1(y)
+        root = (y, gp) if k2 is None else k2(g)
+        if root is None or not g > 0.0:
             return None
         y2, gp2 = root
-        return e1 + d + y2 - 1.0 / g, 1.0 + gp / gp2 + gp / (g * g)
+        return y + y2 - 1.0 / g, 1.0 + gp / gp2 + gp / (g * g)
 
     return _least_value(x_of, w1 + w2, e1)
 
@@ -322,35 +317,24 @@ def _product_edge(op1, op2, m2):
     psi_2(y) = y G_2(y) - 1, the transform of t dmu_2(t), a measure of
     mass m2; with h' = G_1 + y G_1' and lambda_2' = 1/psi_2', x = y
     lambda_2 (h - 1)/h has x' = lambda_2 (h - 1)/h + y h' (lambda_2' (h -
-    1)/h + lambda_2/h^2)."""
+    1)/h + lambda_2/h^2).  A self-product has psi_2 = h - 1, so lambda_2 =
+    y and inverts nothing."""
     e1, _, gd1 = _side(op1, 1)
     lo2, e2 = op2.support
-
-    def h_of(y):
-        g, gp = gd1(y)
-        return y * g, g + y * gp
-
-    if op2 is op1:
-        def x_of(d):
-            y = e1 + d
-            h, hp = h_of(y)
-            if not h > 1.0:
-                return None
-            return y * y * (h - 1.0) / h, y * (2.0 * (h - 1.0) + y * hp / h) / h
-        return _least_value(x_of, 2.0 * e1, e1)
     gd2 = _side(op2, 1)[2]
 
     def psi(y):
         g, gp = gd2(y)
         return y * g - 1.0, g + y * gp
 
-    lambda2 = _inverter(e2, e2 - lo2, psi, m2)
+    lambda2 = None if op2 is op1 else _inverter(e2, e2 - lo2, psi, m2)
 
     def x_of(d):
         y = e1 + d
-        h, hp = h_of(y)
-        root = lambda2(h - 1.0)
-        if root is None:
+        g, gp = gd1(y)
+        h, hp = y * g, g + y * gp
+        root = (y, hp) if lambda2 is None else lambda2(h - 1.0)
+        if root is None or not h > 1.0:
             return None
         y2, psi_p = root
         return (y * y2 * (h - 1.0) / h,

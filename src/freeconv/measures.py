@@ -527,16 +527,16 @@ def density_l1_distance(mu: SpectralMeasure, nu: SpectralMeasure,
     return total
 
 
-def support_interval(mu: SpectralMeasure, mass_tol: float = 1e-3):
-    """Support endpoints after trimming ``mass_tol`` of mass from each tail."""
+def support_interval(mu: SpectralMeasure):
+    """Support endpoints after trimming 1e-3 of mass from each tail."""
     lo, hi = mu.support()
     xs = np.unique(np.concatenate([
         np.asarray([x for x, _ in mu.atoms] or [lo]),
         *[s.grid for s in mu.segments],
     ]))
     fs = np.asarray(cdf(mu, xs))
-    i_lo = int(np.searchsorted(fs, mass_tol, side="left"))
-    i_hi = int(np.searchsorted(fs, 1.0 - mass_tol, side="left"))
+    i_lo = int(np.searchsorted(fs, 1e-3, side="left"))
+    i_hi = int(np.searchsorted(fs, 1.0 - 1e-3, side="left"))
     return float(xs[min(i_lo, len(xs) - 1)]), float(xs[min(i_hi, len(xs) - 1)])
 
 

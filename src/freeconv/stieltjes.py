@@ -59,13 +59,12 @@ class ContourSpec:
             )
 
 
-def default_contour(lo: float, hi: float, points: int = 2000,
-                    schedule=DEFAULT_EPSILON_SCHEDULE) -> ContourSpec:
+def default_contour(lo: float, hi: float, points: int = 2000) -> ContourSpec:
     """Uniform contour covering [lo, hi] with a margin of a tenth of the
     width (at least 0.1) each side."""
     width = max(hi - lo, 1.0)
     grid = np.linspace(lo - 0.1 * width, hi + 0.1 * width, points)
-    return ContourSpec(grid, np.asarray(schedule, dtype=float))
+    return ContourSpec(grid)
 
 
 # -- evaluators ---------------------------------------------------------------
@@ -614,23 +613,21 @@ def damped_newton(f, x0, target, tol, stall_tol=None):
         last_iterate=x, residual=abs(res))
 
 
-def invert_cauchy(ev: ResolventEvaluator, w: complex, seed=None) -> complex:
+def invert_cauchy(ev: ResolventEvaluator, w: complex) -> complex:
     """Solve G(lam) = w on the principal sheet by damped Newton.
 
-    Seeded from 1/w (the asymptotic inverse) unless ``seed`` is given; on
-    direct failure a short continuation path from small |w| is attempted.
+    Seeded from 1/w (the asymptotic inverse); on direct failure a short
+    continuation path from small |w| is attempted.
     Residual contract: |G(lam) - w| <= 1e-12 * max(1, |w|).
     """
     w = complex(w)
     if w == 0:
         raise ValidationError("w = 0 is outside the image of the resolvent")
-    lam = complex(seed) if seed is not None else 1.0 / w
     try:
-        return damped_newton(ev.vd_scalar, lam, w,
+        return damped_newton(ev.vd_scalar, 1.0 / w, w,
                              NEWTON_TOL * max(1.0, abs(w)))[0]
     except InversionError:
-        if seed is not None:
-            raise
+        pass
     # Continuation: walk |w| up from deep inside the asymptotic regime.
     start = min(0.01, 0.1 * abs(w))
     mags = np.geomspace(start, abs(w), 12)
@@ -663,11 +660,11 @@ def neville_to_zero(eps: np.ndarray, vals: np.ndarray):
     return p[0]
 
 
-def _ladder(top: float, target: float, ratio: float = 2.0) -> np.ndarray:
-    """Descending geometric ladder from ``top`` to roughly ``target``."""
+def _ladder(top: float, target: float) -> np.ndarray:
+    """Descending ladder of halvings from ``top`` to roughly ``target``."""
     target = min(top, target)
-    n = max(1, int(np.ceil(np.log(top / target) / np.log(ratio))) + 1)
-    return top * ratio ** (-np.arange(n, dtype=float))
+    n = max(1, int(np.ceil(np.log(top / target) / np.log(2.0))) + 1)
+    return top * 2.0 ** (-np.arange(n, dtype=float))
 
 
 # -- density recovery ---------------------------------------------------------

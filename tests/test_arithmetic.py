@@ -8,11 +8,16 @@ from freeconv.acceptance import (
     _moment_scales,
     scaled_moment_error,
 )
+from freeconv import arithmetic
 from freeconv.arithmetic import (
     FreeProductResolvent,
     FreeSumResolvent,
     PasturResolvent,
     RTransform,
+    _inverter,
+    _product_edge,
+    _side,
+    _sum_edge,
     external_field_lambda_gaussian,
     free_add,
     free_multiply,
@@ -490,6 +495,120 @@ def test_bounds_come_from_the_operands_alone():
     assert 0 < counts[0] + counts[1] <= 600
     assert stieltjes.ResolventEvaluator().hull() == (-np.inf, np.inf)
     assert MeasureResolvent(SEMI).hull() == SEMI.support()
+
+
+def _inversions(monkeypatch):
+    """Count the inverters that the hull bounds build."""
+    built = [0]
+
+    def counted(*args):
+        built[0] += 1
+        return _inverter(*args)
+
+    monkeypatch.setattr(arithmetic, "_inverter", counted)
+    return built
+
+
+def _equal_resolvents(spec):
+    """One operand's resolvent, and a second one on an equal copy of its
+    measure, which the bounds treat as a different operand."""
+    return [MeasureResolvent(make_law(spec, 500)) for _ in range(2)]
+
+
+# A self-convolution's bound takes operand 2's root at y_2 = y_1 (K_2 of
+# G_1(y_1), or lambda_2 of h(y_1) - 1) with no inversion; an equal copy of
+# the measure takes the inversion path to the same root.
+@pytest.mark.parametrize("s", [-1, 1])
+@pytest.mark.parametrize("spec", [
+    LawSpec.semicircle(1.0), LawSpec.uniform(-1.0, 1.0),
+    LawSpec.marchenko_pastur(0.5), LawSpec.arcsine(1.0)], ids=str)
+def test_a_self_sum_bound_is_the_general_formula(spec, s, monkeypatch):
+    op, copy = _equal_resolvents(spec)
+    built = _inversions(monkeypatch)
+    same = _sum_edge(op, op, s)
+    assert built[0] == 0
+    other = _sum_edge(op, copy, s)
+    assert built[0] == 1
+    lo, hi = op.support
+    assert same is not None and abs(same - other) <= 1e-12 * 2.0 * (hi - lo)
+
+
+@pytest.mark.parametrize("spec", [
+    LawSpec.marchenko_pastur(1.0), LawSpec.marchenko_pastur(0.5),
+    LawSpec.uniform(0.5, 1.5)], ids=str)
+def test_a_self_product_bound_is_the_general_formula(spec, monkeypatch):
+    op, copy = _equal_resolvents(spec)
+    built = _inversions(monkeypatch)
+    m = moment(op.measure, 1)
+    same = _product_edge(op, op, m)
+    assert built[0] == 0
+    other = _product_edge(op, copy, m)
+    assert built[0] == 1
+    lo, hi = op.support
+    assert same is not None and abs(same - other) <= 1e-12 * (hi * hi - lo * lo)
+
+
+INVERTED = {"semicircle": SEMI, "uniform": UNIF, "two_atom": TWO,
+            "mp_half": MP_HALF}
+
+
+def _inverse_of(mu):
+    """A maker of right-side inverters of ``mu``'s G, its (G, G'), its
+    edge, its scale and G at the inverters' hair."""
+    edge, width, gd = _side(MeasureResolvent(mu), 1)
+    scale = width + abs(edge)
+    return ((lambda: _inverter(edge, width, gd, 1.0)), gd, edge, scale,
+            gd(edge + 1e-12 * scale)[0])
+
+
+# Distances past the edge, relative to width + |edge|, at which y's
+# rounding leaves 1/G room to meet the inverter's tolerance: G falls, then
+# rises.
+INVERTED_AT = np.array([1e-4, 1e-3, 0.01, 0.1, 1.0, 4.0, 0.3, 0.03, 3e-3,
+                        3e-4])
+
+
+@pytest.mark.parametrize("name", sorted(INVERTED))
+def test_the_inverter_meets_its_residual(name):
+    make, gd, edge, scale, g_top = _inverse_of(INVERTED[name])
+    inverse = make()
+    for d in INVERTED_AT * scale:
+        g = gd(edge + d)[0]
+        y, gp = inverse(g)
+        gy, gpy = gd(y)
+        assert y > edge and gp == gpy
+        assert abs(1.0 / gy - 1.0 / g) <= 1e-11 / g
+    # closer to the edge a root may not be found; one that is holds
+    for g in g_top * np.geomspace(1e-4, 0.999, 30):
+        root = inverse(g)
+        if root is not None:
+            assert abs(1.0 / gd(root[0])[0] - 1.0 / g) <= 1e-11 / g
+
+
+def test_the_inverter_gives_none_outside_its_range():
+    make, _, _, _, g_top = _inverse_of(SEMI)
+    inverse = make()
+    for g in (-1.0, 0.0, g_top, 2.0 * g_top):
+        assert inverse(g) is None
+    assert inverse(0.5 * g_top) is not None
+    # a point mass at 0 has no length to take a hair from
+    edge, width, gd = _side(MeasureResolvent(dirac(0.0)), 1)
+    point = _inverter(edge, width, gd, 1.0)
+    assert all(point(g) is None for g in (1e-3, 1.0, 1e3))
+
+
+@pytest.mark.parametrize("name", sorted(INVERTED))
+def test_warm_starts_do_not_move_a_root(name):
+    # Each solve starts from the last root found, left or right of it.
+    # Both roots meet |1/G - 1/g| <= 1e-11/g, so they may differ by up to
+    # 2e-11 g/|G'| (3.2e-12 relative on MP(1/2), the most measured); a root
+    # on another branch, or one that kept its seed, would not.
+    make, gd, edge, scale, _ = _inverse_of(INVERTED[name])
+    inverse = make()
+    for d in INVERTED_AT * scale:
+        g, gp = gd(edge + d)
+        warm, cold = inverse(g)[0], make()(g)[0]
+        assert abs(warm - cold) <= 2e-11 * g / abs(gp)
 
 
 def _output_atoms(atoms1, atoms2, op=np.add):

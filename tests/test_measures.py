@@ -241,7 +241,7 @@ def test_variance_of_semicircle():
 
 def test_support_interval_trims_tails():
     mu = make_law(LawSpec.semicircle(1.0), 2000)
-    lo, hi = support_interval(mu, 1e-3)
+    lo, hi = support_interval(mu)
     assert -2.0 <= lo < -1.9
     assert 1.9 < hi <= 2.0
 

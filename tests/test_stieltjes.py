@@ -225,9 +225,6 @@ def test_invert_continues_where_direct_newton_stalls():
     w = ev(z)
     with pytest.raises(InversionError):
         damped_newton(ev.vd_scalar, 1.0 / w, w, 1e-12 * abs(w))
-    # a given seed is tried alone: no continuation
-    with pytest.raises(InversionError):
-        invert_cauchy(ev, w, seed=1.0 / w)
     lam = invert_cauchy(ev, w)
     assert abs(ev(lam) - w) <= 1e-12 * max(1.0, abs(w))
     assert lam == pytest.approx(z, abs=1e-12)
@@ -240,13 +237,13 @@ def test_invert_rejects_zero():
 
 def test_inversion_error_carries_diagnostics():
     ev = MeasureResolvent(make_law(LawSpec.semicircle(1.0), 200))
-    try:
-        # w with |w| far beyond the image of the upper half plane forces
-        # the solver onto the cut and it must report, not loop.
-        invert_cauchy(ev, 500.0 + 0.0j, seed=0.9)
-    except InversionError as err:
-        assert err.residual is not None
-    # if it converged instead, the contract still held; nothing to assert
+    # w with |w| far beyond the image of the upper half plane forces the
+    # solver onto the cut and it must report, not loop.
+    with pytest.raises(InversionError) as info:
+        damped_newton(ev.vd_scalar, 0.9 + 0j, 500.0 + 0j, 500.0 * 1e-12)
+    err = info.value
+    assert err.residual == abs(ev.vd_scalar(err.last_iterate)[0] - 500.0)
+    assert err.residual > 400.0
 
 
 # -- the shared damped Newton loop ---------------------------------------------
@@ -298,7 +295,7 @@ def test_newton_failure_carries_last_iterate_and_residual():
 def l1_round_trip(spec, points=1500, schedule=(1e-2, 5e-3, 2.5e-3)):
     mu = make_law(spec, 2000)
     lo, hi = mu.support()
-    contour = default_contour(lo, hi, points, schedule)
+    contour = ContourSpec(default_contour(lo, hi, points).real_grid, schedule)
     back = stieltjes_invert(MeasureResolvent(mu), contour)
     return density_l1_distance(mu, back, atom_position_tol=1e-3), mu, back
 
