@@ -200,13 +200,15 @@ def _inverter(edge, width, gd, mass):
 
     Newton runs on 1/G, which increases, in u = log(y - edge), where an
     atom, a jump and a square-root edge all leave it close to linear, to
-    |1/G - 1/g| <= 1e-11/g.  The root lies in (the hair, edge + 2 mass/g],
-    since G(y) <= mass/(y - edge); each solve starts from the last root
-    found, moved into that interval, the first from its right end.  A trial
-    outside it, or where G is not positive and decreasing, raises
-    InversionError, which Newton rejects.  The hair is 1e-12 of width +
-    |edge|; a point mass at 0 has no length to take one from, and gives no
-    inverse."""
+    |1/G - 1/g| <= 1e-11/g, or to the change in 1/G over one ulp of y,
+    read from G', where that is larger: next to an atom edge the rounding
+    of y keeps 1/G from resolving 1e-11/g, so within that change 1/G is
+    read as 1/g.  The root lies in (the hair, edge + 2 mass/g], since G(y)
+    <= mass/(y - edge); each solve starts from the last root found, moved
+    into that interval, the first from its right end.  A trial outside it,
+    or where G is not positive and decreasing, raises InversionError,
+    which Newton rejects.  The hair is 1e-12 of width + |edge|; a point
+    mass at 0 has no length to take one from, and gives no inverse."""
     d_top = 1e-12 * (width + abs(edge))
     if not d_top:
         return lambda g: None
@@ -222,10 +224,15 @@ def _inverter(edge, width, gd, mass):
             if not u_top <= u <= u_far:
                 raise InversionError("outside (the hair, edge + 2 mass/g]")
             d = np.exp(u)
-            gy, gpy = gd(edge + d)
+            y = edge + d
+            gy, gpy = gd(y)
             if not gy > 0.0 > gpy:
                 raise InversionError("G is not positive and decreasing here")
-            return 1.0 / gy, -gpy * d / (gy * gy), gpy
+            inv = 1.0 / gy
+            # 1/G resolves no finer than its change over one ulp of y
+            if abs(inv - 1.0 / g) <= -gpy / (gy * gy) * abs(np.spacing(y)):
+                inv = 1.0 / g
+            return inv, -gpy * d / (gy * gy), gpy
 
         u = u_far if last[0] is None else \
             min(max(np.log(last[0] - edge), u_top), u_far)

@@ -58,12 +58,54 @@ DIMENSION_LIMIT = 4096
 COUNT_LIMIT = 10_000
 ORDER_LIMIT = 64
 
+# The keys each config object takes; any other key exits 1.  A command's
+# config also takes ``base_seed``, verify's takes ``mode`` and
+# ``tolerances`` and the keys of its mode, and an ensemble takes ``kind``,
+# ``dimension`` and ``base_seed`` and the keys of its kind.
+COMMAND_KEYS = {
+    "law": ("law",),
+    "transform": ("law", "transform", "grid", "imag_offset"),
+    "add": ("law1", "law2", "contour"),
+    "mul": ("law1", "law2", "contour"),
+    "sample": ("experiment", "trials", "ensemble1", "ensemble2"),
+    "selftest": (),
+}
+VERIFY_KEYS = {
+    "add": ("law1", "law2", "contour", "dimension", "order", "trials"),
+    "mul": ("law1", "law2", "contour", "dimension", "order", "trials"),
+    "pastur": ("law", "sigma", "contour"),
+    "external_field": ("field", "sigma1", "sigma2", "probes", "dimension",
+                       "trials"),
+}
+ENSEMBLE_KEYS = {
+    "gue": ("sigma",),
+    "wishart": ("ratio",),
+    "fixed_spectrum": ("measure",),
+    "shifted_gue": ("sigma", "field"),
+}
+LAW_KEYS = ("kind", "params", "grid_points")
+GRID_KEYS = ("lo", "hi", "points")
+CONTOUR_KEYS = GRID_KEYS + ("epsilon_schedule",)
 
-def _object(cfg, what):
-    """``cfg`` if it is a JSON object, else a ValidationError."""
+
+def _object(cfg, what, keys=None):
+    """``cfg`` if it is a JSON object with no key outside ``keys`` (any
+    keys for None), else a ValidationError that names the first other
+    key."""
     if not isinstance(cfg, dict):
         raise ValidationError(f"{what} must be a JSON object, not {cfg!r}")
+    unknown = [] if keys is None else sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ValidationError(
+            f"unknown key {unknown[0]!r} in {what}, which takes "
+            f"{', '.join(sorted(keys)) or 'no keys'}")
     return cfg
+
+
+def _config(cfg, command):
+    """``cfg`` if it has no key that ``command`` does not take."""
+    return _object(cfg, f"the {command} config",
+                   COMMAND_KEYS[command] + ("base_seed",))
 
 
 def _numbers(values, count, what):
@@ -86,7 +128,7 @@ def _nonnegative_real(value, name):
 
 
 def measure_from_config(cfg):
-    kind = _object(cfg, "a law")["kind"]
+    kind = _object(cfg, "a law", LAW_KEYS)["kind"]
     if kind not in LawSpec.KINDS:
         raise ValidationError(f"unknown law kind {kind!r}")
     params = cfg.get("params", [])
@@ -101,9 +143,10 @@ def measure_from_config(cfg):
                                    "grid_points", 1, POINTS_LIMIT))
 
 
-def _grid(cfg, points, what):
-    """The ``linspace`` of a ``lo``, ``hi``, ``points`` config object."""
-    _object(cfg, what)
+def _grid(cfg, points, what, keys):
+    """The ``linspace`` of a ``lo``, ``hi``, ``points`` config object that
+    takes ``keys``."""
+    _object(cfg, what, keys)
     return np.linspace(_finite_real(cfg["lo"], "lo"),
                        _finite_real(cfg["hi"], "hi"),
                        _integer(cfg.get("points", points), "points", 1,
@@ -113,7 +156,7 @@ def _grid(cfg, points, what):
 def contour_from_config(cfg) -> ContourSpec | None:
     if cfg is None:
         return None
-    grid = _grid(cfg, 2000, "a contour")
+    grid = _grid(cfg, 2000, "a contour", CONTOUR_KEYS)
     schedule = cfg.get("epsilon_schedule", list(DEFAULT_EPSILON_SCHEDULE))
     return ContourSpec(grid, np.asarray(
         _numbers(schedule, None, "epsilon_schedule"), dtype=float))
@@ -121,6 +164,10 @@ def contour_from_config(cfg) -> ContourSpec | None:
 
 def ensemble_from_config(cfg, base_seed) -> EnsembleSpec:
     kind = _object(cfg, "an ensemble")["kind"]
+    if kind not in tuple(ENSEMBLE_KEYS):
+        raise ValidationError(f"unknown ensemble kind {kind!r}")
+    _object(cfg, f"a {kind} ensemble",
+            ENSEMBLE_KEYS[kind] + ("kind", "dimension", "base_seed"))
     n = _integer(cfg["dimension"], "dimension", 2, DIMENSION_LIMIT)
     seed = cfg.get("base_seed", base_seed)
     if kind == "gue":
@@ -130,10 +177,8 @@ def ensemble_from_config(cfg, base_seed) -> EnsembleSpec:
     if kind == "fixed_spectrum":
         return EnsembleSpec.fixed_spectrum(measure_from_config(cfg["measure"]),
                                            n, seed)
-    if kind == "shifted_gue":
-        field = measure_from_config(cfg["field"])
-        return EnsembleSpec.shifted_gue(cfg.get("sigma", 1.0), field, n, seed)
-    raise ValidationError(f"unknown ensemble kind {kind!r}")
+    field = measure_from_config(cfg["field"])
+    return EnsembleSpec.shifted_gue(cfg.get("sigma", 1.0), field, n, seed)
 
 
 def _write_measure(mu, out_dir, stem):
@@ -144,19 +189,17 @@ def _write_measure(mu, out_dir, stem):
 
 
 def cmd_law(cfg, out_dir, seed):
-    if "output" in cfg:
-        raise ValidationError(
-            "law takes no output key; it writes density.csv and "
-            "density.atoms.json")
+    _config(cfg, "law")
     mu = measure_from_config(cfg["law"])
     _write_measure(mu, out_dir, "density")
     return 0
 
 
 def cmd_transform(cfg, out_dir, seed):
+    _config(cfg, "transform")
     mu = measure_from_config(cfg["law"])
     which = cfg["transform"]
-    xs = _grid(cfg["grid"], 200, "grid")
+    xs = _grid(cfg["grid"], 200, "grid", GRID_KEYS)
     offset = _finite_real(cfg.get("imag_offset", 1e-2), "imag_offset")
     # one evaluator (and one domain check) serves the whole grid
     if which in ("cauchy", "h"):
@@ -185,6 +228,7 @@ def cmd_add(cfg, out_dir, seed):
         raise ValidationError(
             "add no longer takes pastur_cross_check or pastur_sigma; run "
             "verify --mode pastur for the Pastur cross-check")
+    _config(cfg, "add")
     mu1 = measure_from_config(cfg["law1"])
     mu2 = measure_from_config(cfg["law2"])
     out = free_add(mu1, mu2, contour_from_config(cfg.get("contour")))
@@ -193,6 +237,7 @@ def cmd_add(cfg, out_dir, seed):
 
 
 def cmd_mul(cfg, out_dir, seed):
+    _config(cfg, "mul")
     mu1 = measure_from_config(cfg["law1"])
     mu2 = measure_from_config(cfg["law2"])
     out = free_multiply(mu1, mu2, contour_from_config(cfg.get("contour")))
@@ -201,6 +246,7 @@ def cmd_mul(cfg, out_dir, seed):
 
 
 def cmd_sample(cfg, out_dir, seed):
+    _config(cfg, "sample")
     trials = _integer(cfg.get("trials", 20), "trials", 1, COUNT_LIMIT)
     experiment = cfg.get("experiment", "add")
     if experiment not in ("add", "mul"):
@@ -223,6 +269,10 @@ def cmd_sample(cfg, out_dir, seed):
 
 def cmd_verify(cfg, out_dir, seed):
     mode = cfg.get("mode", "add")
+    if mode not in tuple(VERIFY_KEYS):
+        raise ValidationError(f"unknown verify mode {mode!r}")
+    _object(cfg, f"the verify {mode} config",
+            VERIFY_KEYS[mode] + ("mode", "tolerances", "base_seed"))
     t0 = time.perf_counter()
     contour = contour_from_config(cfg.get("contour"))
     if mode in ("add", "mul"):
@@ -242,7 +292,7 @@ def cmd_verify(cfg, out_dir, seed):
                             contour)
         metrics = {"l1_vs_free_add": l1}
         _write_measure(out, out_dir, "pastur_density")
-    elif mode == "external_field":
+    else:
         field = measure_from_config(cfg["field"])
         sigma1 = _positive_real(cfg.get("sigma1", 1.0), "sigma1")
         sigma2 = _nonnegative_real(cfg.get("sigma2", 1.0), "sigma2")
@@ -254,8 +304,6 @@ def cmd_verify(cfg, out_dir, seed):
             _integer(cfg.get("dimension", 128), "dimension", 8,
                      DIMENSION_LIMIT),
             _integer(cfg.get("trials", 400), "trials", 1, COUNT_LIMIT), seed)
-    else:
-        raise ValidationError(f"unknown verify mode {mode!r}")
     report = verify_report(mode, {"config": cfg}, metrics, t0, seed,
                            cfg.get("tolerances"))
     (out_dir / "report.json").write_text(report.to_json() + "\n")
@@ -264,6 +312,7 @@ def cmd_verify(cfg, out_dir, seed):
 
 
 def cmd_selftest(cfg, out_dir, seed):
+    _config(cfg, "selftest")
     reports = run_all(seed=seed)
     combined = {
         "experiment_id": "selftest",

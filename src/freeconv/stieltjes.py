@@ -218,9 +218,27 @@ class _CellTree:
     span one contiguous slice of cells, which is summed exactly; every
     block outside the slice is far and adds sum_j w_j/(z - t_j) over its
     rule.  ``__call__`` sums one point and ``batch`` an array of points,
-    with the same bits.  The tree holds arrays only, never the resolvent
-    that owns it.
+    with the same bits.  The tree holds arrays and tuples only, never a
+    resolvent or its measure.  ``of`` keeps one tree per measure for
+    every resolvent of it, so the arrays are read-only and a call only
+    reads them.
     """
+
+    @classmethod
+    def of(cls, mu: SpectralMeasure):
+        """The tree of ``mu``'s cells, None for an atom-only measure.
+
+        Frozen data derived from the frozen measure: built on the first
+        call and kept in the measure's ``__dict__``, outside its fields
+        (its repr and equality do not see it), so it is freed with the
+        measure.  An equal measure built apart builds its own.
+        """
+        kept = vars(mu)
+        if "_cell_tree" not in kept:
+            # two threads may both build one; every caller gets the first
+            kept.setdefault("_cell_tree",
+                            cls(mu.segments) if mu.segments else None)
+        return kept["_cell_tree"]
 
     def __init__(self, segments):
         t0 = np.concatenate([s.grid[:-1] for s in segments])
@@ -238,7 +256,8 @@ class _CellTree:
         bounds = np.array(bounds)
         starts, stops = bounds[:-1], bounds[1:]
         cen, rad, nodes, weights = _block_rules(t0, t1, r0, r1, bounds)
-        self.starts, self.stops = starts.tolist(), stops.tolist()
+        self.starts = tuple(starts.tolist())
+        self.stops = tuple(stops.tolist())
         self.bounds = bounds
         self.cen = cen.astype(complex)
         self.reach = rad / _FAR_THETA
@@ -255,10 +274,13 @@ class _CellTree:
         self.t0, self.t1, self.r0, self.r1 = t0, t1, r0, r1
         # (t, rho(t)) where each block starts and ends, and the blocks
         # that start a later segment: the boundary terms of the near sum.
-        self.heads = list(zip(t0[starts].tolist(), r0[starts].tolist()))
-        self.tails = list(zip(t1[stops - 1].tolist(),
-                              r1[stops - 1].tolist()))
-        self.splits = np.searchsorted(starts, cuts[1:]).tolist()
+        self.heads = tuple(zip(t0[starts].tolist(), r0[starts].tolist()))
+        self.tails = tuple(zip(t1[stops - 1].tolist(),
+                               r1[stops - 1].tolist()))
+        self.splits = tuple(np.searchsorted(starts, cuts[1:]).tolist())
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     def __call__(self, z):
         """(G, G') of the cells at one point, as Python complex numbers.
@@ -439,7 +461,8 @@ class MeasureResolvent(ResolventEvaluator):
 
     Each atom adds w/(z - a).  Each linear density cell integrates against
     1/(z - t) to a closed-form log term; the cells are summed by a
-    one-level treecode (``_CellTree``), built once here: blocks far from z
+    one-level treecode (``_CellTree``), built once per measure, on the
+    first resolvent of it, and shared by every later one: blocks far from z
     add the sum of their Gauss rule, and the cells of the near blocks are
     summed exactly.  ``vd_scalar`` sums the atoms of one point in a loop
     and its cells through ``_CellTree.__call__``; ``value_and_derivative``
@@ -454,7 +477,7 @@ class MeasureResolvent(ResolventEvaluator):
                                            for e in (s.grid[0], s.grid[-1])]))
         self._atoms = tuple((float(x), float(w)) for x, w in mu.atoms)
         self._atom_x, self._atom_w = np.array(self._atoms).reshape(-1, 2).T
-        self._cells = _CellTree(mu.segments) if mu.segments else None
+        self._cells = _CellTree.of(mu)
 
     def hull(self):
         return self.support

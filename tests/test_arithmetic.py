@@ -578,11 +578,15 @@ def test_the_inverter_meets_its_residual(name):
         gy, gpy = gd(y)
         assert y > edge and gp == gpy
         assert abs(1.0 / gy - 1.0 / g) <= 1e-11 / g
-    # closer to the edge a root may not be found; one that is holds
+    # closer to the edge, where y's rounding keeps 1/G from resolving
+    # 1e-11/g, a root is still found, within the change in 1/G over one
+    # ulp of y
     for g in g_top * np.geomspace(1e-4, 0.999, 30):
-        root = inverse(g)
-        if root is not None:
-            assert abs(1.0 / gd(root[0])[0] - 1.0 / g) <= 1e-11 / g
+        y, gp = inverse(g)
+        gy, gpy = gd(y)
+        assert y > edge and gp == gpy
+        ulp = -gpy / (gy * gy) * abs(np.spacing(y))
+        assert abs(1.0 / gy - 1.0 / g) <= max(1e-11 / g, ulp)
 
 
 def test_the_inverter_gives_none_outside_its_range():

@@ -591,3 +591,57 @@ def test_bad_input_exits_one(tmp_path, capsys, case):
     assert "invalid input: " in capsys.readouterr().err
     assert not (out / "density.csv").exists()
 
+
+
+# One misspelled key per command and per kind of config object: each would
+# be ignored, and its default used, if unknown keys were not rejected.
+UNKNOWN_KEYS = {
+    "law": (["law"], {**LAW_CONFIG, "lawz": 1}, "lawz"),
+    "transform": (["transform"], {
+        **LAW_CONFIG, "transform": "cauchy", "imag_ofset": 0.5,
+        "grid": {"lo": -3.0, "hi": 3.0, "points": 10}}, "imag_ofset"),
+    "add": (["add"], {
+        **ADD_LAWS, "contuor": {"lo": -3.0, "hi": 3.0, "points": 100}},
+        "contuor"),
+    "mul": (["mul"], {
+        "law1": {"kind": "uniform", "params": [0.5, 1.5], "grid_points": 100},
+        "law2": {"kind": "uniform", "params": [0.5, 1.5], "grid_points": 100},
+        "countour": {"lo": 0.2, "hi": 2.3, "points": 100}}, "countour"),
+    "sample": (["sample"], {
+        "ensemble1": {"kind": "gue", "dimension": 16}, "trails": 1},
+        "trails"),
+    "verify": (["verify"], {
+        "mode": "pastur", **VERIFY_CASES["pastur"][0], "sigam": 0.5},
+        "sigam"),
+    "selftest": (["selftest"], {"base_sed": 3}, "base_sed"),
+    "law_object": (["law"], {"law": {
+        "kind": "semicircle", "params": [1.0], "grid_point": 100}},
+        "grid_point"),
+    "contour_object": (["add"], {
+        **ADD_LAWS, "contour": {"lo": -3.0, "hi": 3.0, "point": 100}},
+        "point"),
+    "grid_object": (["transform"], {
+        **LAW_CONFIG, "transform": "cauchy",
+        "grid": {"lo": -3.0, "hi": 3.0, "point": 10}}, "point"),
+    "ensemble_object": (["sample"], {
+        "ensemble1": {"kind": "gue", "dimension": 16, "sigam": 2.0},
+        "trials": 1}, "sigam"),
+    # a key of another kind or mode is unknown too
+    "ratio_of_a_gue": (["sample"], {
+        "ensemble1": {"kind": "gue", "dimension": 16, "ratio": 2.0},
+        "trials": 1}, "ratio"),
+    "contour_of_external_field": (["verify"], {
+        "mode": "external_field", **VERIFY_CASES["external_field"][0],
+        "contour": {"lo": -3.0, "hi": 3.0}}, "contour"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+def test_an_unknown_key_exits_one(tmp_path, capsys, case):
+    args, payload, key = UNKNOWN_KEYS[case]
+    path = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(args + ["--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and repr(key) in err
+    assert not any(out.iterdir())

@@ -22,10 +22,13 @@ from freeconv.measures import (
     dirac,
     make_law,
     moment,
+    write_density_csv,
 )
 from freeconv import stieltjes
+from freeconv.arithmetic import RTransform, free_add, pastur_add_gaussian
 from freeconv.stieltjes import (
     _NODES,
+    _CellTree,
     ATOM_MASS_THRESHOLD,
     DEFAULT_EPSILON_SCHEDULE,
     ContourSpec,
@@ -867,6 +870,121 @@ def test_resolvent_freed_without_the_cycle_collector():
     gc.disable()
     try:
         del ev
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# -- one cell tree per measure ---------------------------------------------------
+
+
+def _counted_trees(monkeypatch):
+    """Count the ``_CellTree`` constructions."""
+    built = [0]
+    init = _CellTree.__init__
+
+    def counted(self, segments):
+        built[0] += 1
+        init(self, segments)
+
+    monkeypatch.setattr(_CellTree, "__init__", counted)
+    return built
+
+
+def _bits(mu):
+    return (mu.atoms, [(s.grid.tobytes(), s.density.tobytes())
+                       for s in mu.segments])
+
+
+def _shared_tree_runs(mu):
+    """Two pipelines, a transform and an R transform on ``mu``."""
+    contour = default_contour(-3.5, 3.5, 400)
+    zs = np.array([0.3 + 0.1j, -2.5 + 1e-3j, 4.0 + 0j])
+    return (_bits(free_add(mu, dirac(0.4), contour)),
+            _bits(pastur_add_gaussian(mu, 0.5, contour)),
+            cauchy_transform(mu, zs).tobytes(),
+            RTransform(mu)(0.3 - 0.1j))
+
+
+def test_one_cell_tree_serves_every_resolvent_of_a_measure(monkeypatch):
+    built = _counted_trees(monkeypatch)
+    mu = make_law(LawSpec.semicircle(1.0), 300)
+    shared = _shared_tree_runs(mu)
+    assert built[0] == 1
+    assert MeasureResolvent(mu)._cells is MeasureResolvent(mu)._cells
+    # an equal measure built apart builds its own tree, to the same bits
+    fresh = make_law(LawSpec.semicircle(1.0), 300)
+    assert _shared_tree_runs(fresh) == shared
+    assert built[0] == 2
+
+
+def test_an_atom_only_measure_builds_no_tree(monkeypatch):
+    built = _counted_trees(monkeypatch)
+    mu = make_law(LawSpec.two_atom(0.5, -1.0, 1.0))
+    assert MeasureResolvent(mu)._cells is None
+    cauchy_transform(mu, 0.5j)
+    RTransform(mu)(0.3 - 0.1j)
+    assert built[0] == 0
+
+
+def test_images_of_a_measure_get_trees_of_their_own(monkeypatch):
+    mu = make_law(LawSpec.semicircle(1.0), 300)
+    tree = MeasureResolvent(mu)._cells
+    built = _counted_trees(monkeypatch)
+    shifted = affine_map(mu, 2.0, 1.0)
+    halved = SpectralMeasure(atoms=((5.0, 0.5),), segments=tuple(
+        s.scaled(0.5) for s in mu.segments))
+    for image in (shifted, halved):
+        own = MeasureResolvent(image)._cells
+        assert own is not tree
+        assert np.array_equal(own.weights, _CellTree(image.segments).weights)
+    assert built[0] == 4
+    assert not np.array_equal(MeasureResolvent(halved)._cells.weights,
+                              tree.weights)
+
+
+def test_a_shared_tree_is_read_only():
+    mu = make_law(LawSpec.uniform(-1.0, 1.0), 200)
+    tree = MeasureResolvent(mu)._cells
+    arrays = {k: v for k, v in vars(tree).items()
+              if isinstance(v, np.ndarray)}
+    assert {"nodes", "weights", "cen", "reach", "mid", "slope"} <= set(arrays)
+    for name, a in arrays.items():
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    for name, v in vars(tree).items():
+        assert isinstance(v, (np.ndarray, tuple)), name
+    before = MeasureResolvent(mu).vd_scalar(0.2 + 0.01j)
+    MeasureResolvent(mu).value_and_derivative(
+        np.array([0.2 + 0.01j, 0.5 + 1e-6j]))
+    assert MeasureResolvent(mu).vd_scalar(0.2 + 0.01j) == before
+
+
+def test_a_tree_leaves_repr_equality_and_csv_unchanged(tmp_path):
+    mu = make_law(LawSpec.marchenko_pastur(2.0), 200)
+    twin = SpectralMeasure(mu.atoms, mu.segments, mu.renorm)
+    text, files = repr(mu), []
+    for stage in ("before", "after"):
+        if stage == "after":
+            MeasureResolvent(mu)
+        csv, sidecar = tmp_path / f"{stage}.csv", tmp_path / f"{stage}.json"
+        write_density_csv(mu, csv, sidecar)
+        files.append((csv.read_bytes(), sidecar.read_bytes()))
+        assert repr(mu) == text and mu == twin and twin == mu
+    assert files[0] == files[1]
+    atom = dirac(0.5)
+    MeasureResolvent(atom)
+    assert atom == dirac(0.5) and repr(atom) == repr(dirac(0.5))
+
+
+def test_a_tree_is_freed_with_its_measure():
+    mu = make_law(LawSpec.semicircle(1.0), 2000)
+    ev = MeasureResolvent(mu)
+    ev.vd_scalar(0.3 + 0.1j)
+    ref = weakref.ref(ev._cells)
+    gc.disable()
+    try:
+        del ev, mu
         assert ref() is None
     finally:
         gc.enable()
