@@ -16,6 +16,9 @@ z for a product), the fixed point of a map built from the operands'
 resolvents G_i and G_i', so no operand is inverted; the semicircle's map
 is in closed form, so Pastur's fixed point is omega_1 = z - sigma^2
 G(omega_1).  Each is one solve on one loop, stieltjes.damped_newton.
+The same map T(z, w) bounds each output's support hull on the real axis:
+each bound is the least x on the far branch of T(x, y) = y, with x' = (1 -
+T_w)/T_z, so no pipeline inverts an operand there either.
 Contour solves take two levels.  The serial level is one path, the top
 point of each anchor column, left to right, solved as a predictor-corrector
 continuation: each solve starts from the septic Hermite interpolant of the
@@ -151,23 +154,23 @@ _STEP_TOL = 1e3 * OUTER_TOL
 _MAX_STEP = 64
 
 
-# -- support hulls from the inverse transforms ----------------------------------
+# -- support hulls from the fixed-point map ----------------------------------
 #
-# Right of its support an operand's G is real, positive and decreasing, and
-# so is a pipeline's; the laws of the module docstring then hold on the real
-# axis too.  The output's right edge e lies where x(y_1) = y_1 +
-# K_2(G_1(y_1)) - 1/G_1(y_1) (a sum), y_1 + sigma^2 G_1(y_1) (Pastur) or
-# y_1 lambda_2(h)(h - 1)/h with h = y_1 G_1(y_1) (a product) is least on
-# the branch that reaches y_1 -> infinity: right of e the subordination
-# function omega_1 is real and increasing, x is its inverse, and so x rises
-# on the whole of (omega_1(e), infinity).  A point where x' > 0, reached
-# from the far side through points where x falls and x' > 0 too, lies on
-# that branch unless x turns twice between two of those points, and its x
-# bounds e from above.  Any other point, one with
-# x' <= 0 or a value that breaks the fall, gives no bound: left of
-# omega_1(e) nothing keeps x above e unless x is quasi-convex, which is
-# proved for Pastur's sum alone (there G_1 is convex).  A left edge is the
-# right edge of the reflected measures.
+# Each bound is the least x on the far branch of T(x, y) = y, with x' = (1 -
+# T_w)/T_z, and no pipeline inverts an operand.  Right of its support an
+# operand's G is real, positive and decreasing, and so is a pipeline's.
+# Right of the output's right edge e the subordination function omega_1 is
+# real and increasing, so the x with omega_1(x) = y, at a real y right of
+# operand 1's support, is the root in x of the pipeline's own fixed-point
+# equation, and implicit differentiation gives x'.  x rises on the whole
+# branch (omega_1(e), infinity) that reaches y -> infinity, so e is at most
+# the least x on that branch.  A point where x' > 0, reached from the far
+# side through points where x falls and x' > 0 too, lies on that branch
+# unless x turns twice between two of those points, and its x bounds e
+# from above.  Any other point, one with x' <= 0 or a value that breaks
+# the fall, gives no bound: left of omega_1(e) nothing keeps x above e
+# unless x is quasi-convex, which is proved for Pastur's sum alone (there
+# G_1 is convex).  A left edge is the right edge of the reflected measures.
 
 # The geometric scan of the distance d = y_1 - edge: its ratio, the
 # bracket width in log d at which a search stops, and the closest point to
@@ -175,75 +178,6 @@ _MAX_STEP = 64
 _SCAN_RATIO = 2.0
 _SCAN_TOL = 1e-3
 _SCAN_NEAR = 1e-10
-
-
-def _side(op, s):
-    """The right edge and width of the support of the measure t -> s*t
-    pushed from ``op``'s, and that measure's (G, G') as floats at real y
-    right of the edge: s*G(s*y) and G'(s*y)."""
-    lo, hi = op.support
-    vd = op.vd_scalar
-
-    def gd(y):
-        g, gp = vd(complex(s * y))
-        return s * g.real, gp.real
-
-    return (hi if s > 0 else -lo), hi - lo, gd
-
-
-def _inverter(edge, width, gd, mass):
-    """g -> (y, G'(y)) at the y > edge with G(y) = g, for G, read by
-    ``gd``, the transform of a positive measure of mass ``mass`` whose
-    support of width ``width`` ends at ``edge``; None where no such y lies
-    right of a hair past the edge, or where ``damped_newton`` does not
-    settle.
-
-    Newton runs on 1/G, which increases, in u = log(y - edge), where an
-    atom, a jump and a square-root edge all leave it close to linear, to
-    |1/G - 1/g| <= 1e-11/g, or to the change in 1/G over one ulp of y,
-    read from G', where that is larger: next to an atom edge the rounding
-    of y keeps 1/G from resolving 1e-11/g, so within that change 1/G is
-    read as 1/g.  The root lies in (the hair, edge + 2 mass/g], since G(y)
-    <= mass/(y - edge); each solve starts from the last root found, moved
-    into that interval, the first from its right end.  A trial outside it,
-    or where G is not positive and decreasing, raises InversionError,
-    which Newton rejects.  The hair is 1e-12 of width + |edge|; a point
-    mass at 0 has no length to take one from, and gives no inverse."""
-    d_top = 1e-12 * (width + abs(edge))
-    if not d_top:
-        return lambda g: None
-    u_top, g_top = np.log(d_top), gd(edge + d_top)[0]
-    last = [None]
-
-    def inverse(g):
-        if not 0.0 < g < g_top:
-            return None
-        u_far = np.log(2.0 * mass / g)
-
-        def f(u):
-            if not u_top <= u <= u_far:
-                raise InversionError("outside (the hair, edge + 2 mass/g]")
-            d = np.exp(u)
-            y = edge + d
-            gy, gpy = gd(y)
-            if not gy > 0.0 > gpy:
-                raise InversionError("G is not positive and decreasing here")
-            inv = 1.0 / gy
-            # 1/G resolves no finer than its change over one ulp of y
-            if abs(inv - 1.0 / g) <= -gpy / (gy * gy) * abs(np.spacing(y)):
-                inv = 1.0 / g
-            return inv, -gpy * d / (gy * gy), gpy
-
-        u = u_far if last[0] is None else \
-            min(max(np.log(last[0] - edge), u_top), u_far)
-        try:
-            u, (_, _, gp) = damped_newton(f, u, 1.0 / g, 1e-11 / g)
-        except InversionError:
-            return None
-        last[0] = edge + np.exp(u)
-        return last[0], gp
-
-    return inverse
 
 
 def _least_value(f, scale, edge):
@@ -286,80 +220,11 @@ def _least_value(f, scale, edge):
     return best
 
 
-def _pastur_edge(op, sigma2, s):
-    """A bound of the right edge of Pastur's sum for the measure t -> s*t
-    pushed from ``op``'s: the least y + sigma^2 G(y), which is convex."""
-    e, w, gd = _side(op, s)
-
-    def x_of(d):
-        g, gp = gd(e + d)
-        return e + d + sigma2 * g, 1.0 + sigma2 * gp
-
-    return _least_value(x_of, w + np.sqrt(sigma2), e)
-
-
-def _sum_edge(op1, op2, s):
-    """A bound of the right edge of the sum of the measures t -> s*t pushed
-    from the operands'.  x' = 1 + G_1'/G_2'(y_2) + G_1'/G_1^2, as K_2' =
-    1/G_2'; a self-sum has y_2 = y_1 and inverts nothing."""
-    e1, w1, gd1 = _side(op1, s)
-    e2, w2, gd2 = _side(op2, s)
-    k2 = None if op2 is op1 else _inverter(e2, w2, gd2, 1.0)
-
-    def x_of(d):
-        y = e1 + d
-        g, gp = gd1(y)
-        root = (y, gp) if k2 is None else k2(g)
-        if root is None or not g > 0.0:
-            return None
-        y2, gp2 = root
-        return y + y2 - 1.0 / g, 1.0 + gp / gp2 + gp / (g * g)
-
-    return _least_value(x_of, w1 + w2, e1)
-
-
-def _product_edge(op1, op2, m2):
-    """A bound of the right edge of the product of the operands' measures,
-    on [0, inf) with ``m2`` the mean of operand 2.  lambda_2 inverts
-    psi_2(y) = y G_2(y) - 1, the transform of t dmu_2(t), a measure of
-    mass m2; with h' = G_1 + y G_1' and lambda_2' = 1/psi_2', x = y
-    lambda_2 (h - 1)/h has x' = lambda_2 (h - 1)/h + y h' (lambda_2' (h -
-    1)/h + lambda_2/h^2).  A self-product has psi_2 = h - 1, so lambda_2 =
-    y and inverts nothing."""
-    e1, _, gd1 = _side(op1, 1)
-    lo2, e2 = op2.support
-    gd2 = _side(op2, 1)[2]
-
-    def psi(y):
-        g, gp = gd2(y)
-        return y * g - 1.0, g + y * gp
-
-    lambda2 = None if op2 is op1 else _inverter(e2, e2 - lo2, psi, m2)
-
-    def x_of(d):
-        y = e1 + d
-        g, gp = gd1(y)
-        h, hp = y * g, g + y * gp
-        root = (y, hp) if lambda2 is None else lambda2(h - 1.0)
-        if root is None or not h > 1.0:
-            return None
-        y2, psi_p = root
-        return (y * y2 * (h - 1.0) / h,
-                y2 * (h - 1.0) / h + y * hp * ((h - 1.0) / (h * psi_p)
-                                               + y2 / (h * h)))
-
-    return _least_value(x_of, e1 + e2, e1)
-
-
 def _same_measure(mu1: SpectralMeasure, mu2: SpectralMeasure) -> bool:
-    if mu1 is mu2:
-        return True
-    if mu1.atoms != mu2.atoms or len(mu1.segments) != len(mu2.segments):
-        return False
-    return all(
-        np.array_equal(a.grid, b.grid) and np.array_equal(a.density, b.density)
-        for a, b in zip(mu1.segments, mu2.segments)
-    )
+    # value equality that ignores ``renorm``, the metadata of how a measure
+    # reached unit mass
+    return mu1 is mu2 or (mu1.atoms == mu2.atoms
+                          and mu1.segments == mu2.segments)
 
 
 class _SweepResolvent(ResolventEvaluator):
@@ -415,9 +280,9 @@ class _SweepResolvent(ResolventEvaluator):
 
     def __init__(self, mu1, mu2):
         # a self-convolution builds one operand, ``op2 is op1``
-        self._same = _same_measure(mu1, mu2)
         self.op1 = MeasureResolvent(mu1)
-        self.op2 = self.op1 if self._same else MeasureResolvent(mu2)
+        self.op2 = (self.op1 if _same_measure(mu1, mu2)
+                    else MeasureResolvent(mu2))
 
     def hull(self):
         """The naive support, cut on each side s to the bound that
@@ -427,12 +292,59 @@ class _SweepResolvent(ResolventEvaluator):
         return (lo if left is None else max(lo, -left),
                 hi if right is None else min(hi, right))
 
+    def _edge(self, s):
+        """The least s*x that ``_least_value`` finds, on the scale of the
+        naive output width, where omega_1(x) = y at real y beyond operand
+        1's support on side s.  Per y, G_1(y) is read once and x solves
+        T(x, y) = y by ``damped_newton`` to OUTER_TOL relative to |y| +
+        operand 1's width, from the last x found or else from ``_seed_x``;
+        a trial whose omega_2 falls inside operand 2's support is
+        rejected.  For a self-convolution and for Pastur T is linear in x,
+        so Newton lands in one step."""
+        (lo1, hi1), (lo2, hi2) = self.op1.support, self.op2.support
+        e1, e2 = (hi1, hi2) if s > 0 else (-lo1, -lo2)
+        vd1, vd2, t = self.op1.vd_scalar, self.op2.vd_scalar, self._t
+        same = self.op2 is self.op1
+        last = [None]
+
+        def x_of(d):
+            y = s * (e1 + d)
+            g, gp = vd1(complex(y))
+            g, gp = g.real, gp.real
+
+            def fixed(x):
+                tw, dw, dz = t(x, y, g, gp)
+                if not same:
+                    if not s * tw > e2:
+                        raise InversionError("omega_2 is inside the support")
+                    g2, gp2 = vd2(complex(tw))
+                    t2, d2, z2 = t(x, tw, g2.real, gp2.real)
+                    tw, dw, dz = t2, d2 * dw, d2 * dz + z2
+                return tw, dz, dw
+
+            x = self._seed_x(y) if last[0] is None else last[0]
+            tol = OUTER_TOL * (abs(y) + hi1 - lo1)
+            try:
+                x, (_, dz, dw) = damped_newton(fixed, x, y, tol)
+            except InversionError:
+                return None
+            last[0] = x
+            return s * x, (1.0 - dw) / dz
+
+        lo, hi = self.support
+        return _least_value(x_of, hi - lo, e1)
+
+    def _seed_x(self, y):
+        """A cold seed of the x with omega_1(x) = y: the inverse of
+        ``_seed``."""
+        return y
+
     def _map(self, z, array):
         """The fixed-point map at z, w -> (T - w, T_w - 1, f_1, T_z), one
         formula for one w and for an array of them; off the physical sheet
         it raises InversionError on one point and gives a NaN residual on
         an array."""
-        t, same = self._t, self._same
+        t, same = self._t, self.op2 is self.op1
         if array:
             vd1 = self.op1.value_and_derivative
             vd2 = self.op2.value_and_derivative
@@ -693,11 +605,11 @@ class FreeSumResolvent(_SweepResolvent):
         self.edge_hints = (lo1 + lo2, hi1 + hi2)
         self.m2 = moment(mu2, 1)
 
-    def _edge(self, s):
-        return _sum_edge(self.op1, self.op2, s)
-
     def _seed(self, z):
         return complex(z - self.m2)
+
+    def _seed_x(self, y):
+        return y + self.m2
 
     @staticmethod
     def _t(z, w, g, gp):
@@ -718,9 +630,6 @@ class PasturResolvent(_SweepResolvent):
         self.sigma2 = sigma * sigma
         lo, hi = mu.support()
         self.support = (lo - 2 * sigma, hi + 2 * sigma)
-
-    def _edge(self, s):
-        return _pastur_edge(self.op1, self.sigma2, s)
 
     def _seed(self, z):
         return z - self.sigma2 / z
@@ -759,10 +668,13 @@ class FreeProductResolvent(_SweepResolvent):
 
     def _edge(self, s):
         # the left edge keeps the naive bound lo_1 lo_2
-        return _product_edge(self.op1, self.op2, self.m2) if s > 0 else None
+        return super()._edge(s) if s > 0 else None
 
     def _seed(self, z):
         return complex(z / self.m2)
+
+    def _seed_x(self, y):
+        return y * self.m2
 
     @staticmethod
     def _t(z, w, g, gp):

@@ -54,6 +54,13 @@ class Segment:
         if np.any(self.density < 0):
             raise ValidationError("negative density value in segment")
 
+    def __eq__(self, other):
+        # the generated comparison would take the truth value of an array
+        if not isinstance(other, Segment):
+            return NotImplemented
+        return (np.array_equal(self.grid, other.grid)
+                and np.array_equal(self.density, other.density))
+
     @property
     def mass(self) -> float:
         return float(np.trapezoid(self.density, self.grid))

@@ -75,7 +75,11 @@ class ResolventEvaluator:
 
     Subclasses provide ``value_and_derivative`` returning (G, G'), report a
     ``support`` interval (the naive one that default contours span),
-    structurally exact ``edge_hints`` and a ``hull()``: an interval outside
+    ``edge_hints`` and a ``hull()``.  The hints are candidate edges: a
+    measure's segment ends, and a pipeline's naive ends (lo_1 + lo_2,
+    lo_1 lo_2, ...), which are edges only in degenerate cases, such as an
+    atom at an edge; recovery uses a hint only where a mass quantile
+    lands within 3 spacings of it.  The hull is an interval outside
     which the measure has no mass, which ``stieltjes_invert`` solves only
     near.  The base class declares the whole real line, so an evaluator
     that knows no tighter hull loses no contour column.  Evaluation is
@@ -829,8 +833,9 @@ def stieltjes_invert(ev: ResolventEvaluator,
     Density at every kept node comes from Neville extrapolation of
     -Im G(x + i eps)/pi over the epsilon ladder; atoms are detected and
     removed first.  Support edges are found by mass quantiles.  An edge
-    that matches one of the evaluator's exact ``edge_hints`` is re-sampled
-    on deep ladders (and completed by a fitted power law where singular)
+    whose fine or coarse quantile lands within 3 spacings of one of the
+    evaluator's ``edge_hints`` is taken at that hint and re-sampled on
+    deep ladders (and completed by a fitted power law where singular)
     so edge-singular densities keep their mass; any other edge keeps its
     contour columns.  Every cut between grids lies half a spacing off the
     contour nodes.  Output mass must land in [0.99, 1.01] and is
@@ -874,8 +879,8 @@ def stieltjes_invert(ev: ResolventEvaluator,
             return xs[int(np.clip(np.searchsorted(cum, q), 0, len(xs) - 1))]
 
         # Fine quantile pins soft edges; the coarse one is immune to the
-        # near-edge extrapolation ghost of singular edges.  A structural
-        # hint confirmed by either wins.
+        # near-edge extrapolation ghost of singular edges.  A hint
+        # confirmed by either wins.
         lo_fine, lo_coarse = quantile_x(1e-4 * total), quantile_x(1e-2 * total)
         hi_fine = xs[int(np.clip(np.searchsorted(cum, (1 - 1e-4) * total) - 1,
                                  0, len(xs) - 1))]
@@ -902,7 +907,7 @@ def stieltjes_invert(ev: ResolventEvaluator,
                 if singular:
                     singular_zones.append(zone)
             # ghost residue beyond the edge carries no mass: drop it; a
-            # hinted anchor is the exact edge, so nothing lies outside it,
+            # hinted anchor is taken as the edge and keeps nothing beyond it,
             # and a quantile anchor is a node, so its margin ends between two
             margin = 0.0 if hinted else 2.5 * spacing
             if sign > 0:
@@ -984,7 +989,7 @@ def _herglotz_guard(g):
 
 
 def _refine_edge(ev, sched, anchor, inner_sign, width, spacing):
-    """Deep-ladder columns marching into one structurally exact edge.
+    """Deep-ladder columns marching into one hinted edge.
 
     Offsets from the anchor reach down to 1e-9 of the width; an edge with
     a clean power-law profile is completed analytically.  Each column's

@@ -14,10 +14,6 @@ from freeconv.arithmetic import (
     FreeSumResolvent,
     PasturResolvent,
     RTransform,
-    _inverter,
-    _product_edge,
-    _side,
-    _sum_edge,
     external_field_lambda_gaussian,
     free_add,
     free_multiply,
@@ -424,10 +420,11 @@ TWO_WIDE = make_law(LawSpec.two_atom(0.5, -3.0, 3.0))
 
 # (evaluator, closed-form hull, relative tolerance).  The semicircle sums
 # and MP(1) x MP(1) are exact for the continuous laws, so their tolerance
-# is the discretization of the operands (the bounds read 2.0e-7 and 3.3e-4
-# relative); Pastur on the uniform law is exact on its cells and within
-# the search's tolerance (at most 8.4e-8 measured); the rest are the naive
-# bounds, which atoms at the edges or a point-mass operand reach exactly.
+# is the discretization of the operands (the bounds read 2.1e-7, and 3.3e-4
+# and 8.4e-4 relative); Pastur on the uniform law is exact on its cells
+# and within the search's tolerance (at most 8.4e-8 measured); the rest
+# are the naive bounds, which atoms at the edges or a point-mass operand
+# reach exactly.
 HULL_CASES = {
     "semicircle_sum": (
         lambda: FreeSumResolvent(make_law(LawSpec.semicircle(0.7), 2000),
@@ -447,9 +444,10 @@ HULL_CASES = {
         lambda: PasturResolvent(make_law(LawSpec.uniform(-2.2, -1.8), 500),
                                 0.05),
         _pastur_uniform_edges(-2.0, 0.2, 0.05), 1e-6),
-    # G of the semicircle stays below 1/sigma = 2, so the scan reaches the
-    # end of K_2's domain before the least value; Pastur's convex search
-    # on the same law needs no inversion
+    # G of the semicircle stays below 1/sigma = 2, so the scan reaches y
+    # where T(x, y) = y has no root with omega_2 outside operand 2's
+    # support before the least value; Pastur's map on the same law is
+    # linear in x and has a root at every y
     "atoms_plus_semicircle": (
         lambda: FreeSumResolvent(TWO_WIDE, make_law(LawSpec.semicircle(0.5),
                                                     2000)),
@@ -468,9 +466,24 @@ HULL_CASES = {
         1e-15),
     "marchenko_pastur_product": (
         lambda: FreeProductResolvent(MP1, MP1_500), (0.0, 27.0 / 4.0), 1e-3),
-    # one measure on both sides takes the self-product's formula
+    # one measure on both sides solves the one map t_1
     "marchenko_pastur_self_product": (
         lambda: FreeProductResolvent(MP1, MP1), (0.0, 27.0 / 4.0), 1e-3),
+    # operands far from 0 and from each other, whose cold seeds y + m_2
+    # and y m_2 start far from y: the closed forms above, shifted or dilated
+    "shifted_semicircle_sum": (
+        lambda: FreeSumResolvent(
+            affine_map(make_law(LawSpec.semicircle(0.7), 2000), 1.0, 100.0),
+            affine_map(make_law(LawSpec.semicircle(1.3), 2000), 1.0, -50.0)),
+        (50.0 - _semicircle_sum_edge(0.7, 1.3),
+         50.0 + _semicircle_sum_edge(0.7, 1.3)), 1e-6),
+    "shifted_pastur_uniform": (
+        lambda: PasturResolvent(make_law(LawSpec.uniform(99.5, 101.1), 500),
+                                1.2),
+        _pastur_uniform_edges(100.3, 0.8, 1.2), 1e-6),
+    "dilated_marchenko_pastur_product": (
+        lambda: FreeProductResolvent(affine_map(MP1_500, 10.0, 0.0), MP1),
+        (0.0, 67.5), 1e-3),
 }
 
 
@@ -484,135 +497,56 @@ def test_hull_matches_the_closed_form(case):
 
 
 def test_bounds_come_from_the_operands_alone():
-    # A hull costs a few hundred scalar kernel calls on the operands and
-    # no pipeline solve; evaluators that declare none keep the whole line.
+    # A hull costs under two hundred scalar kernel calls on the operands
+    # (184 here) and no pipeline solve; evaluators that declare none keep
+    # the whole line.
     ev = FreeSumResolvent(SEMI500, UNIF500)
     counts = [0, 0]
     _counting(ev.op1, counts, 0)
     _counting(ev.op2, counts, 1)
     lo, hi = ev.hull()
     assert -3.0 < lo < -2.2 and 2.2 < hi < 3.0
-    assert 0 < counts[0] + counts[1] <= 600
+    assert 0 < counts[0] + counts[1] <= 200
     assert stieltjes.ResolventEvaluator().hull() == (-np.inf, np.inf)
     assert MeasureResolvent(SEMI).hull() == SEMI.support()
 
 
-def _inversions(monkeypatch):
-    """Count the inverters that the hull bounds build."""
-    built = [0]
-
-    def counted(*args):
-        built[0] += 1
-        return _inverter(*args)
-
-    monkeypatch.setattr(arithmetic, "_inverter", counted)
-    return built
+def _two_maps(ev):
+    """``ev`` with operand 2 a second resolvent of operand 1's measure, so
+    that its map composes two operands where ``ev``'s solves one."""
+    assert ev.op2 is ev.op1
+    ev.op2 = MeasureResolvent(ev.op1.measure)
+    return ev
 
 
-def _equal_resolvents(spec):
-    """One operand's resolvent, and a second one on an equal copy of its
-    measure, which the bounds treat as a different operand."""
-    return [MeasureResolvent(make_law(spec, 500)) for _ in range(2)]
-
-
-# A self-convolution's bound takes operand 2's root at y_2 = y_1 (K_2 of
-# G_1(y_1), or lambda_2 of h(y_1) - 1) with no inversion; an equal copy of
-# the measure takes the inversion path to the same root.
+# A self-convolution's bound solves the one map T = t_1 for x, which is
+# linear in x; the same measure taken as two operands composes t_2 o t_1
+# and reaches the same root.
 @pytest.mark.parametrize("s", [-1, 1])
 @pytest.mark.parametrize("spec", [
     LawSpec.semicircle(1.0), LawSpec.uniform(-1.0, 1.0),
     LawSpec.marchenko_pastur(0.5), LawSpec.arcsine(1.0)], ids=str)
-def test_a_self_sum_bound_is_the_general_formula(spec, s, monkeypatch):
-    op, copy = _equal_resolvents(spec)
-    built = _inversions(monkeypatch)
-    same = _sum_edge(op, op, s)
-    assert built[0] == 0
-    other = _sum_edge(op, copy, s)
-    assert built[0] == 1
-    lo, hi = op.support
-    assert same is not None and abs(same - other) <= 1e-12 * 2.0 * (hi - lo)
+def test_a_self_sum_bound_is_the_general_formula(spec, s):
+    mu = make_law(spec, 500)
+    one = FreeSumResolvent(mu, mu)
+    two = _two_maps(FreeSumResolvent(mu, mu))
+    side = int(s > 0)
+    same, other = one.hull()[side], two.hull()[side]
+    lo, hi = one.support
+    assert same != one.support[side]
+    assert abs(same - other) <= 1e-12 * (hi - lo)
 
 
 @pytest.mark.parametrize("spec", [
     LawSpec.marchenko_pastur(1.0), LawSpec.marchenko_pastur(0.5),
     LawSpec.uniform(0.5, 1.5)], ids=str)
-def test_a_self_product_bound_is_the_general_formula(spec, monkeypatch):
-    op, copy = _equal_resolvents(spec)
-    built = _inversions(monkeypatch)
-    m = moment(op.measure, 1)
-    same = _product_edge(op, op, m)
-    assert built[0] == 0
-    other = _product_edge(op, copy, m)
-    assert built[0] == 1
-    lo, hi = op.support
-    assert same is not None and abs(same - other) <= 1e-12 * (hi * hi - lo * lo)
-
-
-INVERTED = {"semicircle": SEMI, "uniform": UNIF, "two_atom": TWO,
-            "mp_half": MP_HALF}
-
-
-def _inverse_of(mu):
-    """A maker of right-side inverters of ``mu``'s G, its (G, G'), its
-    edge, its scale and G at the inverters' hair."""
-    edge, width, gd = _side(MeasureResolvent(mu), 1)
-    scale = width + abs(edge)
-    return ((lambda: _inverter(edge, width, gd, 1.0)), gd, edge, scale,
-            gd(edge + 1e-12 * scale)[0])
-
-
-# Distances past the edge, relative to width + |edge|, at which y's
-# rounding leaves 1/G room to meet the inverter's tolerance: G falls, then
-# rises.
-INVERTED_AT = np.array([1e-4, 1e-3, 0.01, 0.1, 1.0, 4.0, 0.3, 0.03, 3e-3,
-                        3e-4])
-
-
-@pytest.mark.parametrize("name", sorted(INVERTED))
-def test_the_inverter_meets_its_residual(name):
-    make, gd, edge, scale, g_top = _inverse_of(INVERTED[name])
-    inverse = make()
-    for d in INVERTED_AT * scale:
-        g = gd(edge + d)[0]
-        y, gp = inverse(g)
-        gy, gpy = gd(y)
-        assert y > edge and gp == gpy
-        assert abs(1.0 / gy - 1.0 / g) <= 1e-11 / g
-    # closer to the edge, where y's rounding keeps 1/G from resolving
-    # 1e-11/g, a root is still found, within the change in 1/G over one
-    # ulp of y
-    for g in g_top * np.geomspace(1e-4, 0.999, 30):
-        y, gp = inverse(g)
-        gy, gpy = gd(y)
-        assert y > edge and gp == gpy
-        ulp = -gpy / (gy * gy) * abs(np.spacing(y))
-        assert abs(1.0 / gy - 1.0 / g) <= max(1e-11 / g, ulp)
-
-
-def test_the_inverter_gives_none_outside_its_range():
-    make, _, _, _, g_top = _inverse_of(SEMI)
-    inverse = make()
-    for g in (-1.0, 0.0, g_top, 2.0 * g_top):
-        assert inverse(g) is None
-    assert inverse(0.5 * g_top) is not None
-    # a point mass at 0 has no length to take a hair from
-    edge, width, gd = _side(MeasureResolvent(dirac(0.0)), 1)
-    point = _inverter(edge, width, gd, 1.0)
-    assert all(point(g) is None for g in (1e-3, 1.0, 1e3))
-
-
-@pytest.mark.parametrize("name", sorted(INVERTED))
-def test_warm_starts_do_not_move_a_root(name):
-    # Each solve starts from the last root found, left or right of it.
-    # Both roots meet |1/G - 1/g| <= 1e-11/g, so they may differ by up to
-    # 2e-11 g/|G'| (3.2e-12 relative on MP(1/2), the most measured); a root
-    # on another branch, or one that kept its seed, would not.
-    make, gd, edge, scale, _ = _inverse_of(INVERTED[name])
-    inverse = make()
-    for d in INVERTED_AT * scale:
-        g, gp = gd(edge + d)
-        warm, cold = inverse(g)[0], make()(g)[0]
-        assert abs(warm - cold) <= 2e-11 * g / abs(gp)
+def test_a_self_product_bound_is_the_general_formula(spec):
+    mu = make_law(spec, 500)
+    one = FreeProductResolvent(mu, mu)
+    two = _two_maps(FreeProductResolvent(mu, mu))
+    lo, hi = one.support
+    assert one.hull()[1] != hi
+    assert abs(one.hull()[1] - two.hull()[1]) <= 1e-12 * (hi - lo)
 
 
 def _output_atoms(atoms1, atoms2, op=np.add):

@@ -149,6 +149,26 @@ def test_constructor_polishes_small_mass_error():
     assert mu.renorm != 1.0
 
 
+def test_measures_compare_by_value():
+    # measures with cells built apart compare their arrays' values, and
+    # a pipeline on two equal measures solves one operand
+    mu = make_law(LawSpec.semicircle(1.0), 100)
+    twin = make_law(LawSpec.semicircle(1.0), 100)
+    assert mu.segments[0] is not twin.segments[0]
+    assert mu == twin and mu.segments[0] == twin.segments[0]
+    assert mu != make_law(LawSpec.semicircle(2.0), 100)
+    ev = FreeSumResolvent(mu, twin)
+    assert ev.op2 is ev.op1
+    # ``renorm`` records how a measure reached unit mass: it separates
+    # measures under ==, not operands
+    grid, dens = np.linspace(0, 1, 11), np.full(11, 1.0 + 5e-7)
+    polished = SpectralMeasure(segments=(Segment(grid, dens),))
+    again = SpectralMeasure(segments=polished.segments)
+    assert polished != again
+    ev = FreeSumResolvent(polished, again)
+    assert ev.op2 is ev.op1
+
+
 def test_affine_identity_is_node_for_node():
     mu = make_law(LawSpec.semicircle(1.0), 300)
     nu = affine_map(mu, 1.0, 0.0)
