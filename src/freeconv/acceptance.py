@@ -12,7 +12,6 @@ alike, and ``verify_report`` holds verify's default tolerances.
 
 from __future__ import annotations
 
-import numbers
 import time
 
 import numpy as np
@@ -40,6 +39,7 @@ from .measures import (
 from .report import CriterionRecord, ReportDocument
 from .rmt import (
     EnsembleSpec,
+    _finite_real,
     mc_free_add_experiment,
     mc_free_mul_experiment,
     sample_ensemble,
@@ -218,8 +218,9 @@ def external_field_check(cases, mc_sigma, mc_field, dimension, trials, seed):
 def verify_report(mode, inputs, metrics, t0, seed, tolerances=None):
     """The ``freeconv verify`` report: each metric against its tolerance
     in ``tolerances``, else in ``VERIFY_TOLERANCES``; the Monte Carlo
-    fraction against its floor.  A tolerance that is not a number, or
-    names no metric of the mode, is a ValidationError."""
+    fraction against its floor.  A tolerance that is not a finite number
+    within ±CONTOUR_LIMIT, or names no metric of the mode, is a
+    ValidationError."""
     tolerances = {} if tolerances is None else tolerances
     if not isinstance(tolerances, dict):
         raise ValidationError(
@@ -230,9 +231,7 @@ def verify_report(mode, inputs, metrics, t0, seed, tolerances=None):
             raise ValidationError(
                 f"tolerance {name!r} names no metric of verify mode "
                 f"{mode!r}; its metrics are {known}")
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-            raise ValidationError(
-                f"tolerance {name!r} must be a number, not {tol!r}")
+        _finite_real(tol, f"tolerance {name!r}")
     crits = []
     for name, value in metrics.items():
         if name == "mc_fraction_within_3_stderr":

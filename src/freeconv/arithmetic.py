@@ -435,21 +435,12 @@ class _SweepResolvent(ResolventEvaluator):
                 point=z,
             ) from err
 
-    def _herglotz(self, z, g):
-        """Raise PipelineError at the first z whose G has Im G > 0."""
-        bad = np.flatnonzero(np.imag(g) > 1e-9 * (1.0 + np.abs(g)))
-        if bad.size:
-            z = complex(np.ravel(z)[bad[0]])
-            raise PipelineError(
-                f"{type(self).__name__}: non-Herglotz solution at "
-                f"z = {z!r}", point=z
-            )
-
     def sample_columns(self, xs, eps):
         xs = np.asarray(xs, dtype=float)
         eps = np.asarray(eps, dtype=float)
-        if eps.ndim != 2 or not eps.shape[1] or np.isnan(eps[:, 0]).any():
-            raise ValidationError("every column needs at least one offset")
+        if eps.ndim != 2 or not eps.shape[1] or not np.all(eps > 0):
+            raise ValidationError(
+                "every column needs a ladder of positive offsets")
         anchors, path = self._sweep(xs, eps[:, 0])
         g = np.empty(eps.shape, dtype=complex)
         for lo in range(0, xs.size, _BLOCK):
@@ -483,12 +474,9 @@ class _SweepResolvent(ResolventEvaluator):
             w = state[0]
             err = np.inf if predicted is None else (
                 abs(w - predicted) / max(1.0, abs(w)))
-            g = g_of(z, state)
-            if g.imag > 1e-9 * (1.0 + abs(g)):
-                self._herglotz(z, g)
             warm, d = _refined(state), slope(state)
             anchors.append(c)
-            path.append((z, g, warm, d))
+            path.append((z, g_of(z, state), warm, d))
             past = past[-3:] + ((z, warm, d),)
             if c == n - 1:
                 break
@@ -500,11 +488,11 @@ class _SweepResolvent(ResolventEvaluator):
             np.array(path, dtype=complex).T)
 
     def _fill(self, xs, eps, anchors, path, cols):
-        """G on the columns ``cols``, NaN at their padding: the anchors'
-        top points from ``path``, every other point seeded by the Hermite
-        interpolant through the top points of the anchors around its
-        column, corrected on arrays, and solved serially down its column
-        where that pass drops it."""
+        """G on the columns ``cols``: the anchors' top points from
+        ``path``, every other point seeded by the Hermite interpolant
+        through the top points of the anchors around its column, corrected
+        on arrays, and solved serially down its column where that pass
+        drops it."""
         tops, g_top, w_top, d_top = path
         z = xs[cols, None] + 1j * eps[cols]
         # anchor k, the last one at or left of a column, sits third in the
@@ -512,11 +500,10 @@ class _SweepResolvent(ResolventEvaluator):
         k = np.searchsorted(anchors, cols, side="right") - 1
         width = min(_STENCIL, anchors.size)
         lo = np.clip(k - (width - 1) // 2, 0, anchors.size - width)
-        g = np.full(z.shape, complex("nan"))
-        warm = g.copy()
+        g, warm = np.empty((2,) + z.shape, dtype=complex)
         on_path = anchors[k] == cols
         g[on_path, 0], warm[on_path, 0] = g_top[k[on_path]], w_top[k[on_path]]
-        rest = ~np.isnan(z)
+        rest = np.ones(z.shape, dtype=bool)
         rest[on_path, 0] = False
         row, rung = rest.nonzero()
         zr = z[row, rung]
@@ -533,7 +520,6 @@ class _SweepResolvent(ResolventEvaluator):
             state = self._solve_from(complex(z[r, j]), None, complex(above))
             g[r, j] = self._g_of(complex(z[r, j]), state)
             warm[r, j] = _refined(state)
-        self._herglotz(z, g)
         return g
 
     def _correct(self, z, seed):

@@ -104,13 +104,10 @@ class ResolventEvaluator:
 
     def sample_columns(self, xs, eps):
         """G at x_k + i*eps[k, j] as one complex array, from one array
-        call.  Row k of the float array ``eps`` is column k's descending
-        ladder; a shorter one is padded with NaN at the bottom, and G is
-        NaN there."""
-        z = np.asarray(xs, dtype=float)[:, None] + 1j * np.asarray(eps)
-        g = np.full(z.shape, complex("nan"))
-        g[~np.isnan(z)] = self(z[~np.isnan(z)])
-        return g
+        call.  Row k of the (columns x rungs) float array ``eps`` is column
+        k's descending ladder of positive offsets; every column has as many
+        rungs."""
+        return self(np.asarray(xs, dtype=float)[:, None] + 1j * np.asarray(eps))
 
 
 # Treecode constants for the cell sum.  A block of cells with centre c and
@@ -744,14 +741,14 @@ def _refine_atom(ev, a0, top_eps, spacing):
     bottoms = np.geomspace(max(spacing / 4.0, 1e-5 * scale), 1e-6 * scale, 3)
     for bottom in bottoms:
         lad = _ladder(top_eps, float(bottom))
-        g = ev.sample_columns([a], lad[None])[0, -1]
+        g = _herglotz_guard(ev, [a], lad[None])[0, -1]
         if g.imag >= 0:
             break
         e_actual = float(lad[-1])
         shift = e_actual * g.real / (-g.imag)
         a -= float(np.clip(shift, -10 * e_actual, 10 * e_actual))
     lad = _ladder(top_eps, 1e-4 * scale)
-    col = ev.sample_columns([a], lad[None])[0]
+    col = _herglotz_guard(ev, [a], lad[None])[0]
     tail = np.asarray(lad[-3:], dtype=float)
     m = np.abs(tail * col[-3:])
     flatness = float(m[-1] / m[0]) if m[0] > 0 else 0.0
@@ -802,8 +799,6 @@ def _power_law_completion(offsets, densities, edge, inner_sign):
         return None
     d = offsets[mask][:6]
     r = densities[mask][:6]
-    if len(d) < 4:
-        return None
     logs_d = np.log(d)
     logs_r = np.log(r)
     slope, intercept = np.polyfit(logs_d, logs_r, 1)
@@ -839,7 +834,7 @@ def stieltjes_invert(ev: ResolventEvaluator,
     so edge-singular densities keep their mass; any other edge keeps its
     contour columns.  Every cut between grids lies half a spacing off the
     contour nodes.  Output mass must land in [0.99, 1.01] and is
-    renormalized.
+    renormalized.  Every sampled column passes ``_herglotz_guard``.
     """
     xs = np.asarray(contour.real_grid, dtype=float)
     sched = np.asarray(contour.epsilon_schedule, dtype=float)
@@ -852,8 +847,8 @@ def stieltjes_invert(ev: ResolventEvaluator,
             f"the support hull [{lo:.6g}, {hi:.6g}]; move the contour grid "
             "onto it"
         )
-    cols = ev.sample_columns(xs, np.broadcast_to(sched, (xs.size, sched.size)))
-    _herglotz_guard(cols)
+    cols = _herglotz_guard(ev, xs,
+                           np.broadcast_to(sched, (xs.size, sched.size)))
 
     atoms = _detect_atoms(ev, xs, sched, cols)
     if atoms:
@@ -979,13 +974,20 @@ def _absorb_mass_excess(segment, zones, excess):
     return Segment(grid, dens)
 
 
-def _herglotz_guard(g):
-    """Raise BranchError where the sampled values ``g`` have Im G > 0."""
-    if np.any(g.imag > 1e-8 * (1.0 + np.abs(g))):
+def _herglotz_guard(ev, xs, eps):
+    """G on the columns (xs, eps) from ``ev.sample_columns``, checked: the
+    first z whose G has Im G > 1e-9 (1 + |G|) raises BranchError."""
+    xs, eps = np.asarray(xs, dtype=float), np.asarray(eps, dtype=float)
+    g = ev.sample_columns(xs, eps)
+    bad = np.flatnonzero(g.imag > 1e-9 * (1.0 + np.abs(g)))
+    if bad.size:
+        k, j = np.unravel_index(bad[0], g.shape)
         raise BranchError(
-            "Im G > 0 in the upper half plane: wrong branch or invalid "
+            f"Im G > 0 in the upper half plane at z = "
+            f"{complex(xs[k], eps[k, j])!r}: wrong branch or invalid "
             "evaluator"
         )
+    return g
 
 
 def _refine_edge(ev, sched, anchor, inner_sign, width, spacing):
@@ -994,8 +996,8 @@ def _refine_edge(ev, sched, anchor, inner_sign, width, spacing):
     Offsets from the anchor reach down to 1e-9 of the width; an edge with
     a clean power-law profile is completed analytically.  Each column's
     ladder halves from the schedule's top down to a tenth of its offset,
-    but only its three bottom rungs are sampled: they are all the density
-    extrapolation reads.
+    and at least twice, but only its three bottom rungs are sampled: they
+    are all the density extrapolation reads.
     """
     d_min = 1e-9 * width
     d_max = 8.0 * spacing
@@ -1011,22 +1013,13 @@ def _refine_edge(ev, sched, anchor, inner_sign, width, spacing):
     new_xs = anchor + inner_sign * offsets
     order = np.argsort(new_xs)
     new_xs, offsets = new_xs[order], offsets[order]
-    # only the bottom rungs are read, so only they are solved: the last
-    # min(n, 3) of each column's n-rung ``_ladder``, NaN-padded
+    # only the bottom rungs are read, so only they are solved: the last 3
+    # of each column's n-rung ``_ladder``, n >= 3
     target = np.clip(offsets / 10.0, 3e-11 * width, sched[-1])
-    n = np.maximum(1, np.ceil(np.log(sched[0] / target) / np.log(2.0)) + 1)
-    depth = np.minimum(n, 3).astype(int)
-    rung = (n - depth)[:, None] + np.arange(3.0)
-    eps = np.where(rung < n[:, None], sched[0] * 2.0 ** -rung, np.nan)
-    cols = ev.sample_columns(new_xs, eps)
-    _herglotz_guard(cols)
-    new_dens = np.empty(new_xs.size)
-    for k in np.unique(depth).tolist():
-        # a short ladder (only from a schedule that halves less than once)
-        # extrapolates on its own
-        rows = depth == k
-        new_dens[rows] = _column_densities(eps[rows, :k], cols[rows, :k])
-    grid, dens = new_xs, np.clip(new_dens, 0.0, None)
+    n = np.maximum(3, np.ceil(np.log(sched[0] / target) / np.log(2.0)) + 1)
+    eps = sched[0] * 2.0 ** -((n - 3)[:, None] + np.arange(3.0))
+    cols = _herglotz_guard(ev, new_xs, eps)
+    grid, dens = new_xs, np.clip(_column_densities(eps, cols), 0.0, None)
     off_sorted = np.abs(grid - anchor)
     inner_first = np.argsort(off_sorted)
     comp = _power_law_completion(

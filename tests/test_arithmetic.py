@@ -78,6 +78,21 @@ def test_r_transform_small_w_limit_is_mean():
     assert got == pytest.approx(moment(mu, 1), abs=1e-3)
 
 
+@pytest.mark.parametrize("x", [-1.01, 1.01])
+def test_r_transform_falls_back_to_the_inverse(monkeypatch, x):
+    # Next to an atom of two_atom(1/2, -1, 1) the centred Newton from the
+    # mean stalls; R falls back to invert_cauchy and still gives z - 1/w
+    # at w = G(z).
+    fallbacks = []
+    invert = arithmetic.invert_cauchy
+    monkeypatch.setattr(arithmetic, "invert_cauchy",
+                        lambda ev, w: fallbacks.append(w) or invert(ev, w))
+    z = complex(x, 0.01)
+    w = complex(stieltjes.cauchy_transform(TWO, z))
+    assert abs(RTransform(TWO)(w) - (z - 1.0 / w)) <= 1e-15
+    assert fallbacks == [w]
+
+
 # -- free addition ---------------------------------------------------------------
 
 
@@ -881,27 +896,24 @@ def _edge_columns(edge, width, top=1e-2, n_march=40, n_hand=6):
     return edge + offsets, ladders
 
 
-def _padded(ladders):
-    """Ladders of any depths as one (columns x rungs) array, each padded
-    with NaN at the bottom."""
-    eps = np.full((len(ladders), max(len(lad) for lad in ladders)), np.nan)
-    for row, lad in zip(eps, ladders):
-        row[:len(lad)] = lad
-    return eps
+def _full(ladders):
+    """Halving ladders of any depths as one (columns x rungs) array: every
+    row as long as the deepest ladder, ending at its own bottom rung, so a
+    shorter ladder goes on upwards from above its top."""
+    n = max(len(lad) for lad in ladders)
+    return np.array([lad[-1] * 2.0 ** np.arange(n - 1, -1, -1)
+                     for lad in ladders])
 
 
 def _sweep_against_pointwise(ev, xs, eps):
     """Per offset of the (columns x rungs) array ``eps``, in row order:
-    |sweep - cold|, |G| and |G'| * max(1, |z|) of the cold solve.  The
-    sweep's G must be NaN exactly at the padding."""
+    |sweep - cold|, |G| and |G'| * max(1, |z|) of the cold solve."""
     eps = np.asarray(eps, dtype=float)
-    some = ~np.isnan(eps)
     got = ev.sample_columns(xs, eps)
     assert got.shape == eps.shape
-    assert np.array_equal(np.isnan(got), ~some)
-    z = (np.asarray(xs, dtype=float)[:, None] + 1j * eps)[some]
+    z = (np.asarray(xs, dtype=float)[:, None] + 1j * eps).ravel()
     g, gp = ev.value_and_derivative(z)
-    return (np.abs(got[some] - g), np.abs(g),
+    return (np.abs(got.ravel() - g), np.abs(g),
             np.abs(gp) * np.maximum(1.0, np.abs(z)))
 
 
@@ -909,9 +921,11 @@ def _sweep_against_pointwise(ev, xs, eps):
 def test_sweep_matches_pointwise_solves(case):
     # Every solve of the sweep lands on the root that a cold, per-point
     # solve finds, on a uniform 3-rung contour and on edge-refinement
-    # columns, whose ladders differ in depth and whose abscissae are
-    # geometric, with full ladders and with the three bottom rungs that
-    # edge refinement samples (no two neighbours then share every eps).
+    # columns, whose abscissae are geometric, with full ladders (each
+    # column's halving ladder down to a tenth of its offset, lengthened
+    # upwards to the deepest one's length, so the top points differ too)
+    # and with the three bottom rungs that edge refinement samples (no two
+    # neighbours then share every eps).
     # Next to a hard edge the fixed point is ill-conditioned: two solves
     # that both meet the Newton tolerance differ by up to 3e-7 relative
     # there, as they did when every solve was seeded from the previous
@@ -927,7 +941,7 @@ def test_sweep_matches_pointwise_solves(case):
     lo, hi = ev.support
     xs, ladders = _edge_columns(edge, hi - lo)
     for lads in (ladders, [lad[-3:] for lad in ladders]):
-        diff, g, gp_z = _sweep_against_pointwise(ev, xs, _padded(lads))
+        diff, g, gp_z = _sweep_against_pointwise(ev, xs, _full(lads))
         assert np.max(diff / (g + gp_z)) <= 1e-10
 
 
@@ -944,34 +958,36 @@ def test_sweep_takes_columns_in_any_order():
 
 
 def test_a_column_without_offsets_is_invalid_input():
-    # The serial path runs through each anchor's top offset, so a column
-    # needs one: a row of padding alone is invalid.
+    # Every offset of every column is a point of the upper half plane: a
+    # NaN offset, at the top (where the serial path runs) or below it, and
+    # an offset of 0 or below are invalid input.
     ev = PasturResolvent(UNIF500, 0.5)
-    with pytest.raises(ValidationError, match="at least one offset"):
-        ev.sample_columns([0.1, 0.2, 0.3],
-                          [[1e-2, 5e-3], [np.nan, np.nan], [1e-2, 5e-3]])
+    for bad in ([np.nan, 5e-3], [1e-2, np.nan], [1e-2, 0.0], [1e-2, -5e-3],
+                [-1e-2, -2e-2]):
+        with pytest.raises(ValidationError, match="positive offsets"):
+            ev.sample_columns([0.1, 0.2, 0.3],
+                              [[1e-2, 5e-3], bad, [1e-2, 5e-3]])
 
 
 @pytest.mark.parametrize("case", ["measure", "sum", "product", "pastur"])
 def test_each_evaluator_answers_one_array_nan_at_the_padding(case):
-    # sample_columns takes one (columns x rungs) array of offsets, a
-    # shorter ladder padded with NaN at the bottom, and returns one
-    # complex array of that shape, NaN exactly at the padding and G at
-    # every other offset.
+    # sample_columns takes one (columns x rungs) array of offsets, each
+    # row a column's own descending ladder, and returns one complex array
+    # of that shape with G at every offset: there is no padding, and no
+    # NaN.  The rows here are of four different ladders.
     ev = {"measure": lambda: MeasureResolvent(UNIF500),
           "sum": lambda: FreeSumResolvent(SEMI500, UNIF500),
           "product": lambda: FreeProductResolvent(MP500, MP_HALF500),
           "pastur": lambda: PasturResolvent(UNIF500, 0.5)}[case]()
     xs = np.linspace(0.2, 1.5, 12)
-    eps = _padded([[1e-2, 5e-3, 2.5e-3]] * 4 + [[1e-2]] + [[1e-2, 5e-3]] * 3
-                  + [[1e-2, 5e-3, 2.5e-3]] * 3 + [[1e-2, 5e-3]])
+    eps = np.array([[1e-2, 5e-3, 2.5e-3]] * 4 + [[4e-2, 2e-2, 1e-2]]
+                   + [[1e-2, 3e-3, 1e-3]] * 3 + [[1e-2, 5e-3, 2.5e-3]] * 3
+                   + [[2e-3, 1e-3, 5e-4]])
     got = ev.sample_columns(xs, eps)
     assert got.shape == (12, 3) and got.dtype == complex
-    some = ~np.isnan(eps)
-    assert np.array_equal(np.isnan(got), ~some)
-    assert not np.isnan(got.real[some]).any()
-    want = ev((xs[:, None] + 1j * eps)[some])
-    assert np.max(np.abs(got[some] - want) / np.abs(want)) <= 1e-10
+    assert np.isfinite(got).all()
+    want = ev((xs[:, None] + 1j * eps).ravel())
+    assert np.max(np.abs(got.ravel() - want) / np.abs(want)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
@@ -1182,13 +1198,11 @@ def test_arcsine_sweep_on_edge_columns():
         xs, ladders = _edge_columns(0.0, 4.0, n_march=144, n_hand=25)
         xs = edge + sign * xs
         order = np.argsort(xs)
-        xs, eps = xs[order], _padded(ladders)[order]
+        xs, eps = xs[order], _full(ladders)[order]
         got = ev.sample_columns(xs, eps)
-        some = ~np.isnan(eps)
-        assert np.array_equal(np.isnan(got), ~some)
-        z = (xs[:, None] + 1j * eps)[some]
+        z = xs[:, None] + 1j * eps
         exact = 1.0 / (np.sqrt(z - 2.0) * np.sqrt(z + 2.0))
-        assert np.max(np.abs(got[some] - exact) / np.abs(exact)) <= 1e-5
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-5
 
 
 def test_edge_refinement_samples_three_rungs(monkeypatch):

@@ -645,3 +645,93 @@ def test_an_unknown_key_exits_one(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and repr(key) in err
     assert not any(out.iterdir())
+
+
+# One small valid config per command (but selftest, whose config is empty),
+# per verify mode and per ensemble kind; each exits 0 as it stands.
+FUZZ_TWO_ATOM = {"kind": "two_atom", "params": [0.5, -1.0, 1.0]}
+FUZZ_POSITIVE = {"kind": "two_atom", "params": [0.5, 1.0, 2.0]}
+FUZZ_CONTOUR = {"lo": -3.0, "hi": 3.0, "points": 64,
+                "epsilon_schedule": [0.02, 0.01]}
+FUZZ_CONFIGS = {
+    "law": ("law", {"law": {"kind": "semicircle", "params": [1.0],
+                            "grid_points": 16}}),
+    "transform": ("transform", {"law": FUZZ_TWO_ATOM, "transform": "cauchy",
+                                "grid": {"lo": -1.0, "hi": 1.0, "points": 8},
+                                "imag_offset": 0.01}),
+    "add": ("add", {"law1": FUZZ_TWO_ATOM, "law2": FUZZ_TWO_ATOM,
+                    "contour": FUZZ_CONTOUR, "base_seed": 1}),
+    "mul": ("mul", {"law1": FUZZ_POSITIVE, "law2": FUZZ_POSITIVE,
+                    "contour": {"lo": 0.5, "hi": 4.5, "points": 64}}),
+    "sample_gue": ("sample", {"trials": 1, "ensemble1": {
+        "kind": "gue", "sigma": 1.0, "dimension": 8}}),
+    "sample_wishart": ("sample", {
+        "experiment": "mul", "trials": 1,
+        "ensemble1": {"kind": "wishart", "ratio": 1.0, "dimension": 8},
+        "ensemble2": {"kind": "wishart", "ratio": 0.5, "dimension": 8}}),
+    "sample_fixed_spectrum_shifted_gue": ("sample", {
+        "experiment": "add", "trials": 1,
+        "ensemble1": {"kind": "fixed_spectrum", "dimension": 8,
+                      "measure": FUZZ_TWO_ATOM},
+        "ensemble2": {"kind": "shifted_gue", "sigma": 1.0, "dimension": 8,
+                      "field": FUZZ_TWO_ATOM, "base_seed": 3}}),
+    "verify_add": ("verify", {
+        "mode": "add", "law1": FUZZ_TWO_ATOM, "law2": FUZZ_TWO_ATOM,
+        "contour": FUZZ_CONTOUR, "dimension": 8, "order": 2, "trials": 1,
+        "tolerances": {"moment_rel_error": 0.5, "w1_vs_monte_carlo": 1.0}}),
+    "verify_mul": ("verify", {
+        "mode": "mul", "law1": FUZZ_POSITIVE, "law2": FUZZ_POSITIVE,
+        "dimension": 8, "order": 2, "trials": 1,
+        "tolerances": {"w1_vs_monte_carlo": 1.0}}),
+    "verify_pastur": ("verify", {
+        "mode": "pastur", "law": FUZZ_TWO_ATOM, "sigma": 0.8,
+        "contour": {"lo": -3.5, "hi": 3.5, "points": 300},
+        "tolerances": {"l1_vs_free_add": 0.5}}),
+    "verify_external_field": ("verify", {
+        "mode": "external_field", "field": FUZZ_TWO_ATOM, "sigma1": 1.0,
+        "sigma2": 0.5, "probes": 2, "dimension": 8, "trials": 1,
+        "tolerances": {"max_analytic_residual": 1e-6}}),
+}
+
+# What each value of a config is set to in turn.
+FUZZ_VALUES = ("a", None, [], {}, -1, 0, 1e308, -1e308, float("nan"), True,
+               int("9" * 400))
+
+
+def _values(cfg, path=()):
+    """The path of every value inside ``cfg``, objects and lists too."""
+    items = cfg.items() if isinstance(cfg, dict) else enumerate(cfg)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _values(value, path + (key,))
+
+
+def _replaced(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    inner = cfg
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("case", sorted(FUZZ_CONFIGS))
+def test_every_value_of_a_config_fails_cleanly(tmp_path, capsys, case):
+    # Each value of the config, set in turn to each of FUZZ_VALUES, gives
+    # an exit code of the CLI's (0, 1, 2 or 3) and no traceback: cases
+    # enumerated, not drawn, so that every run tries all of them.
+    command, cfg = FUZZ_CONFIGS[case]
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    for where in _values(cfg):
+        for value in FUZZ_VALUES:
+            path.write_text(json.dumps(_replaced(cfg, where, value)))
+            try:
+                code = main([command, "--config", str(path), "--out",
+                             str(out)])
+            except Exception as err:  # report the case that raised
+                pytest.fail(f"{where} = {value!r:.40} raised {err!r}")
+            assert code in (0, 1, 2, 3), (where, value)
+            assert "Traceback" not in capsys.readouterr().err, (where, value)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from freeconv.arithmetic import FreeSumResolvent
+from freeconv.acceptance import external_field_check
+from freeconv.arithmetic import (
+    FreeSumResolvent,
+    PasturResolvent,
+    RTransform,
+    external_field_lambda_gaussian,
+)
 from freeconv.errors import ValidationError
 from freeconv.measures import (
     LawSpec,
@@ -21,6 +27,7 @@ from freeconv.measures import (
     wasserstein1,
     write_density_csv,
 )
+from freeconv.stieltjes import ContourSpec
 
 from oracles import absolute_moment, quadrature_moment, total_mass, variance
 
@@ -132,6 +139,70 @@ def test_rejects_bad_parameters():
         LawSpec.uniform(2.0, 1.0)
     with pytest.raises(ValidationError):
         make_law(LawSpec.semicircle(1.0), 8)
+
+
+def _segment(grid, density):
+    return Segment(np.array(grid, dtype=float), np.array(density, dtype=float))
+
+
+# (call, error class, message fragment) for input checks across the
+# package.
+INPUT_CHECKS = {
+    "segment_one_node": (lambda: _segment([0.0], [1.0]),
+                         ValidationError, "at least 2 nodes"),
+    "segment_not_increasing": (lambda: _segment([0.0, 1.0, 1.0], [1.0] * 3),
+                               ValidationError, "strictly increasing"),
+    "segment_lengths": (lambda: _segment([0.0, 1.0], [1.0] * 3),
+                        ValidationError, "length mismatch"),
+    "segment_negative": (lambda: _segment([0.0, 1.0], [1.0, -1.0]),
+                         ValidationError, "negative density"),
+    "measure_negative_weight": (
+        lambda: SpectralMeasure(atoms=((0.0, 1.5), (1.0, -0.5))),
+        ValidationError, "negative atom weight"),
+    "measure_repeated_atom": (
+        lambda: SpectralMeasure(atoms=((0.0, 0.5), (0.0, 0.5))),
+        ValidationError, "distinct"),
+    "measure_overlapping_segments": (
+        lambda: SpectralMeasure(segments=(_segment([0.0, 2.0], [0.25] * 2),
+                                          _segment([1.0, 3.0], [0.25] * 2))),
+        ValidationError, "segments overlap"),
+    "law_parameter_beyond_limit": (lambda: LawSpec.semicircle(1e151),
+                                   ValidationError, r"within ±1e\+150"),
+    "two_atom_weight": (lambda: LawSpec.two_atom(1.5, -1.0, 1.0),
+                        ValidationError, "weight must lie in"),
+    "two_atom_positions": (lambda: LawSpec.two_atom(0.5, 1.0, 1.0),
+                           ValidationError, "positions must differ"),
+    "arcsine_half_width": (lambda: LawSpec.arcsine(0.0),
+                           ValidationError, "half_width"),
+    "empty_atom_list": (lambda: LawSpec.atom_list([]),
+                        ValidationError, "at least one atom"),
+    "contour_node_beyond_limit": (
+        lambda: ContourSpec(np.linspace(0.0, 1e151, 8)),
+        ValidationError, r"within ±1e\+150"),
+    "r_at_zero": (lambda: RTransform(dirac(0.0))(0.0),
+                  ValidationError, "nonzero w"),
+    "pipeline_below_the_axis": (
+        lambda: FreeSumResolvent(dirac(0.0), dirac(1.0)).value_and_derivative(
+            0.5 - 0.1j),
+        ValidationError, "closed upper half plane"),
+    "pastur_sigma": (lambda: PasturResolvent(dirac(0.0), 0.0),
+                     ValidationError, "sigma must be positive"),
+    "external_field_sigma": (
+        lambda: external_field_lambda_gaussian(-1.0, dirac(0.0), 0.5),
+        ValidationError, "sigma must be nonnegative"),
+    "external_field_dimension": (
+        lambda: external_field_check([(1.0, 1.0, dirac(0.0), [2.0])], 1.0,
+                                     dirac(0.0), 4, 1, 0),
+        ValidationError, "at least 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks_raise(case):
+    call, error, fragment = INPUT_CHECKS[case]
+    with pytest.raises(error, match=fragment) as info:
+        call()
+    assert info.type is error
 
 
 def test_constructor_rejects_mass_far_from_one():

@@ -1,5 +1,6 @@
 import cmath
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -25,7 +26,12 @@ from freeconv.measures import (
     write_density_csv,
 )
 from freeconv import stieltjes
-from freeconv.arithmetic import RTransform, free_add, pastur_add_gaussian
+from freeconv.arithmetic import (
+    FreeSumResolvent,
+    RTransform,
+    free_add,
+    pastur_add_gaussian,
+)
 from freeconv.stieltjes import (
     _NODES,
     _CellTree,
@@ -448,9 +454,35 @@ def test_branch_error_where_im_g_is_positive(where):
         stieltjes_invert(ev, contour)
 
 
+class _ConjugateSum(FreeSumResolvent):
+    """A free sum whose G is the conjugate of the physical one."""
+
+    @staticmethod
+    def _g_of(z, state):
+        return FreeSumResolvent._g_of(z, state).conjugate()
+
+
+def test_a_pipeline_off_the_sign_convention_is_a_branch_error():
+    # A pipeline's columns pass the same Herglotz check as any evaluator's:
+    # the error is a BranchError that names the first offending z, here a
+    # contour node on the top rung.
+    semi = make_law(LawSpec.semicircle(1.0), 200)
+    ev = _ConjugateSum(semi, semi)
+    contour = default_contour(*ev.support, points=200)
+    with pytest.raises(BranchError, match="Im G > 0") as info:
+        stieltjes_invert(ev, contour)
+    z = complex(re.search(r"at z = (\(.*?\))", str(info.value)).group(1))
+    assert z.real in contour.real_grid
+    assert z.imag == contour.epsilon_schedule[0]
+    g = ev(z)
+    assert g.imag > 1e-9 * (1.0 + abs(g))
+
+
 def test_contour_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="at least 8 real nodes"):
         ContourSpec(np.array([0.0, 1.0, 0.5]))
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        ContourSpec(np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 6.0]))
     with pytest.raises(ValidationError):
         ContourSpec(np.linspace(0, 1, 16), np.array([1e-3, 1e-2]))
 
