@@ -42,7 +42,7 @@ import cmath
 import numpy as np
 
 from .errors import InversionError, PipelineError, ValidationError
-from .measures import SpectralMeasure, moment
+from .measures import CONTOUR_LIMIT, SpectralMeasure, moment
 from .stieltjes import (
     ContourSpec,
     MeasureResolvent,
@@ -283,6 +283,9 @@ class _SweepResolvent(ResolventEvaluator):
         self.op1 = MeasureResolvent(mu1)
         self.op2 = (self.op1 if _same_measure(mu1, mu2)
                     else MeasureResolvent(mu2))
+        # atomless operands give an atomless sum, product or Pastur law
+        # (Bercovici and Voiculescu 1998; Belinschi 2003)
+        self.atomless = self.op1.atomless and self.op2.atomless
 
     def hull(self):
         """The naive support, cut on each side s to the bound that
@@ -610,8 +613,9 @@ class PasturResolvent(_SweepResolvent):
     self-convolution, and G(z) = G(omega_1)."""
 
     def __init__(self, mu: SpectralMeasure, sigma: float):
-        if sigma <= 0:
-            raise ValidationError("sigma must be positive")
+        if not 0 < sigma <= CONTOUR_LIMIT:  # NaN fails too
+            raise ValidationError(
+                f"sigma must be positive and at most {CONTOUR_LIMIT:g}")
         super().__init__(mu, mu)
         self.sigma2 = sigma * sigma
         lo, hi = mu.support()
@@ -733,6 +737,7 @@ def external_field_lambda_gaussian(sigma: float, field: SpectralMeasure,
     diagonal average to sigma^2 * a, so lambda(a) = sigma^2 * a + pv(a)
     where pv is the principal-value transform of the field's measure.
     """
-    if sigma < 0:
-        raise ValidationError("sigma must be nonnegative")
+    if not 0 <= sigma <= CONTOUR_LIMIT:  # NaN fails too
+        raise ValidationError(
+            f"sigma must be nonnegative and at most {CONTOUR_LIMIT:g}")
     return sigma * sigma * a + principal_value_transform(field, a)

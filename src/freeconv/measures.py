@@ -51,6 +51,9 @@ class Segment:
             raise ValidationError("segment grid must be strictly increasing")
         if self.density.shape != self.grid.shape:
             raise ValidationError("density and grid length mismatch")
+        if not (np.all(np.isfinite(self.grid))
+                and np.all(np.isfinite(self.density))):
+            raise ValidationError("segment grid and density must be finite")
         if np.any(self.density < 0):
             raise ValidationError("negative density value in segment")
 
@@ -94,7 +97,10 @@ class SpectralMeasure:
         segments = tuple(
             sorted(self.segments, key=lambda s: s.grid[0])
         )
-        for _, w in atoms:
+        for x, w in atoms:
+            if not (np.isfinite(x) and np.isfinite(w)):
+                raise ValidationError(
+                    "atom positions and weights must be finite")
             if w < 0:
                 raise ValidationError("negative atom weight")
         positions = [x for x, _ in atoms]
@@ -104,7 +110,7 @@ class SpectralMeasure:
             if b.grid[0] < a.grid[-1]:
                 raise ValidationError("segments overlap")
         mass = sum(w for _, w in atoms) + sum(s.mass for s in segments)
-        if abs(mass - 1.0) > RENORM_LIMIT:
+        if not abs(mass - 1.0) <= RENORM_LIMIT:  # a NaN mass fails too
             raise ValidationError(
                 f"measure mass {mass!r} deviates from 1 by more than {RENORM_LIMIT}"
             )

@@ -4,7 +4,11 @@ Branch convention, fixed once for the whole package: G maps the upper half
 plane into the lower half plane and G(z) ~ 1/z at infinity.  Densities are
 recovered from boundary values through polynomial (Neville) extrapolation of
 -Im G(x + i*eps)/pi over a decreasing epsilon ladder; point masses are
-detected from the scale-invariance of eps*|G| near a pole.
+detected from the scale-invariance of eps*|G| near a pole, but only for an
+evaluator that may have them.  A stored measure without atoms has none,
+and neither has the free sum or product of two such measures (Bercovici
+and Voiculescu 1998; Belinschi 2003) or a measure plus a semicircle, so
+their pipelines skip detection and its deep probes.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ class ContourSpec:
         object.__setattr__(self, "real_grid", _readonly(self.real_grid))
         object.__setattr__(self, "epsilon_schedule",
                            _readonly(self.epsilon_schedule))
+        if self.real_grid.ndim != 1 or self.epsilon_schedule.ndim != 1:
+            raise ValidationError(
+                "contour real grid and epsilon schedule must be 1-D")
         if self.real_grid.size < 8:
             raise ValidationError("contour needs at least 8 real nodes")
         if not np.all(np.abs(self.real_grid) <= CONTOUR_LIMIT):
@@ -82,13 +89,18 @@ class ResolventEvaluator:
     lands within 3 spacings of it.  The hull is an interval outside
     which the measure has no mass, which ``stieltjes_invert`` solves only
     near.  The base class declares the whole real line, so an evaluator
-    that knows no tighter hull loses no contour column.  Evaluation is
-    reentrant: ``sample_columns`` carries any warm-start state locally, so
-    concurrent use needs no coordination.
+    that knows no tighter hull loses no contour column.  ``atomless``,
+    derived from the stored measure or the operands, is True where the
+    measure can have no point mass, and then ``stieltjes_invert`` skips
+    pole detection; the base class's False keeps detection for every
+    other evaluator.  Evaluation is reentrant: ``sample_columns`` carries
+    any warm-start state locally, so concurrent use needs no
+    coordination.
     """
 
     support: tuple[float, float] = (-1.0, 1.0)
     edge_hints: tuple = ()
+    atomless: bool = False
 
     def hull(self) -> tuple[float, float]:
         return -np.inf, np.inf
@@ -477,6 +489,7 @@ class MeasureResolvent(ResolventEvaluator):
         self.edge_hints = tuple(np.unique([e for s in mu.segments
                                            for e in (s.grid[0], s.grid[-1])]))
         self._atoms = tuple((float(x), float(w)) for x, w in mu.atoms)
+        self.atomless = not any(w > 0 for _, w in self._atoms)
         self._atom_x, self._atom_w = np.array(self._atoms).reshape(-1, 2).T
         self._cells = _CellTree.of(mu)
 
@@ -827,14 +840,17 @@ def stieltjes_invert(ev: ResolventEvaluator,
     contour that keeps fewer than two nodes raises SupportCoverageError.
     Density at every kept node comes from Neville extrapolation of
     -Im G(x + i eps)/pi over the epsilon ladder; atoms are detected and
-    removed first.  Support edges are found by mass quantiles.  An edge
-    whose fine or coarse quantile lands within 3 spacings of one of the
-    evaluator's ``edge_hints`` is taken at that hint and re-sampled on
-    deep ladders (and completed by a fitted power law where singular)
-    so edge-singular densities keep their mass; any other edge keeps its
-    contour columns.  Every cut between grids lies half a spacing off the
-    contour nodes.  Output mass must land in [0.99, 1.01] and is
-    renormalized.  Every sampled column passes ``_herglotz_guard``.
+    removed first, unless the evaluator is ``atomless``: there detection
+    costs deep single-column probes and could only mistake a cluster
+    narrower than the contour spacing for a point mass.  Support edges
+    are found by mass quantiles.  An edge whose fine or coarse quantile
+    lands within 3 spacings of one of the evaluator's ``edge_hints`` is
+    taken at that hint and re-sampled on deep ladders (and completed by a
+    fitted power law where singular) so edge-singular densities keep their
+    mass; any other edge keeps its contour columns.  Every cut between
+    grids lies half a spacing off the contour nodes.  Output mass must
+    land in [0.99, 1.01] and is renormalized.  Every sampled column passes
+    ``_herglotz_guard``.
     """
     xs = np.asarray(contour.real_grid, dtype=float)
     sched = np.asarray(contour.epsilon_schedule, dtype=float)
@@ -850,7 +866,7 @@ def stieltjes_invert(ev: ResolventEvaluator,
     cols = _herglotz_guard(ev, xs,
                            np.broadcast_to(sched, (xs.size, sched.size)))
 
-    atoms = _detect_atoms(ev, xs, sched, cols)
+    atoms = [] if ev.atomless else _detect_atoms(ev, xs, sched, cols)
     if atoms:
         cols = _subtract_poles(xs, sched, cols, atoms)
 

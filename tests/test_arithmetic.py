@@ -223,8 +223,25 @@ def test_pastur_of_point_mass_is_semicircle():
 
 
 def test_pastur_vanishing_noise():
+    # An operand atom keeps pole detection: at sigma = 1e-6 each atom of
+    # TWO becomes a cluster far narrower than the contour spacing, which
+    # detection returns as an atom of nearly the atom's weight (0.49992).
     out = pastur_add_gaussian(TWO, 1e-6, quick_contour(-1.1, 1.1, 600))
     assert density_l1_distance(TWO, out, atom_position_tol=1e-3) <= 2e-2
+    assert len(out.atoms) == 2
+    for (x, w), a in zip(out.atoms, (-1.0, 1.0)):
+        assert abs(x - a) <= 1e-6 and abs(w - 0.5) <= 1e-3
+
+
+def test_operand_atoms_keep_pole_detection():
+    # Bercovici and Voiculescu: mu ⊞ nu has an atom at a + b of weight
+    # mu({a}) + nu({b}) - 1 wherever that is positive.  Here -1 + 1.5 and
+    # 1 + 1.5 carry 0.1 and 0.3; recovery gives them to 2.1e-6 and 6.3e-6.
+    out = free_add(make_law(LawSpec.two_atom(0.4, -1.0, 1.0)),
+                   make_law(LawSpec.two_atom(0.3, -0.5, 1.5)))
+    assert len(out.atoms) == 2
+    for (x, w), (a, wa) in zip(out.atoms, ((0.5, 0.1), (2.5, 0.3))):
+        assert abs(x - a) <= 1e-9 and abs(w - wa) <= 1e-5
 
 
 def test_pastur_matches_free_add_with_semicircle():
@@ -591,6 +608,55 @@ def continuous_laws(draw, positive=False):
         return law
     lo, hi = law.support()
     return affine_map(law, 1.0 / (hi - lo), 0.5 - lo / (hi - lo))
+
+
+def _no_detection(*args):
+    raise AssertionError("pole detection ran on an atomless evaluator")
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(["sum", "product", "pastur", "measure"]), st.data())
+def test_atomless_operands_skip_pole_detection(kind, data):
+    # Atomless operands give an atomless sum and product (Bercovici and
+    # Voiculescu 1998; Belinschi 2003), and a measure plus a semicircle
+    # is atomless, so recovery must not search for poles.
+    if kind == "sum":
+        ev = FreeSumResolvent(data.draw(continuous_laws()),
+                              data.draw(continuous_laws()))
+    elif kind == "product":
+        ev = FreeProductResolvent(data.draw(continuous_laws(positive=True)),
+                                  data.draw(continuous_laws(positive=True)))
+    elif kind == "pastur":
+        ev = PasturResolvent(data.draw(continuous_laws()),
+                             data.draw(st.floats(0.3, 1.5)))
+    else:
+        ev = MeasureResolvent(data.draw(continuous_laws()))
+    assert ev.atomless
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stieltjes, "_detect_atoms", _no_detection)
+        out = stieltjes.stieltjes_invert(ev, default_contour(*ev.support))
+    assert out.atoms == ()
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e-4, 1e-6])
+@pytest.mark.parametrize("pipeline", ["self_sum", "recovery", "pastur"])
+def test_a_narrow_atomless_law_gets_no_atom(pipeline, c):
+    # On the default contour semicircle(c) is far narrower than the
+    # spacing at these scales.  The answer may miss the mass window, but
+    # it must not be a point mass: detection used to return (0, 0.9993)
+    # at c = 1e-6.
+    mu = make_law(LawSpec.semicircle(c))
+    if pipeline == "self_sum":
+        ev = FreeSumResolvent(mu, mu)
+    elif pipeline == "recovery":
+        ev = MeasureResolvent(mu)
+    else:
+        ev = PasturResolvent(mu, c)
+    try:
+        out = stieltjes.stieltjes_invert(ev, default_contour(*ev.support))
+    except SupportCoverageError:
+        return
+    assert out.atoms == ()
 
 
 @st.composite

@@ -156,6 +156,19 @@ INPUT_CHECKS = {
                         ValidationError, "length mismatch"),
     "segment_negative": (lambda: _segment([0.0, 1.0], [1.0, -1.0]),
                          ValidationError, "negative density"),
+    "segment_nan_density": (lambda: _segment([0.0, 1.0], [1.0, np.nan]),
+                            ValidationError, "must be finite"),
+    "segment_infinite_node": (lambda: _segment([0.0, np.inf], [0.0, 0.0]),
+                              ValidationError, "must be finite"),
+    "measure_nan_atom_position": (
+        lambda: SpectralMeasure(atoms=((np.nan, 1.0),)),
+        ValidationError, "must be finite"),
+    "measure_nan_atom_weight": (
+        lambda: SpectralMeasure(atoms=((0.0, 1.0), (1.0, np.nan))),
+        ValidationError, "must be finite"),
+    "measure_infinite_atom_position": (
+        lambda: SpectralMeasure(atoms=((np.inf, 1.0),)),
+        ValidationError, "must be finite"),
     "measure_negative_weight": (
         lambda: SpectralMeasure(atoms=((0.0, 1.5), (1.0, -0.5))),
         ValidationError, "negative atom weight"),
@@ -179,6 +192,12 @@ INPUT_CHECKS = {
     "contour_node_beyond_limit": (
         lambda: ContourSpec(np.linspace(0.0, 1e151, 8)),
         ValidationError, r"within ±1e\+150"),
+    "contour_grid_2d": (
+        lambda: ContourSpec(np.linspace(0.0, 1.0, 16).reshape(2, 8)),
+        ValidationError, "must be 1-D"),
+    "contour_schedule_2d": (
+        lambda: ContourSpec(np.linspace(0.0, 1.0, 8), [[1e-2, 5e-3]]),
+        ValidationError, "must be 1-D"),
     "r_at_zero": (lambda: RTransform(dirac(0.0))(0.0),
                   ValidationError, "nonzero w"),
     "pipeline_below_the_axis": (
@@ -187,8 +206,15 @@ INPUT_CHECKS = {
         ValidationError, "closed upper half plane"),
     "pastur_sigma": (lambda: PasturResolvent(dirac(0.0), 0.0),
                      ValidationError, "sigma must be positive"),
+    "pastur_sigma_infinite": (lambda: PasturResolvent(dirac(0.0), np.inf),
+                              ValidationError, "sigma must be positive"),
+    "pastur_sigma_nan": (lambda: PasturResolvent(dirac(0.0), np.nan),
+                         ValidationError, "sigma must be positive"),
     "external_field_sigma": (
         lambda: external_field_lambda_gaussian(-1.0, dirac(0.0), 0.5),
+        ValidationError, "sigma must be nonnegative"),
+    "external_field_sigma_nan": (
+        lambda: external_field_lambda_gaussian(np.nan, dirac(0.0), 0.5),
         ValidationError, "sigma must be nonnegative"),
     "external_field_dimension": (
         lambda: external_field_check([(1.0, 1.0, dirac(0.0), [2.0])], 1.0,
