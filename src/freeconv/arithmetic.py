@@ -38,11 +38,12 @@ not close or that does not converge there.
 from __future__ import annotations
 
 import cmath
+import operator
 
 import numpy as np
 
 from .errors import InversionError, PipelineError, ValidationError
-from .measures import CONTOUR_LIMIT, SpectralMeasure, moment
+from .measures import CONTOUR_LIMIT, MASS_TOL, SpectralMeasure, moment
 from .stieltjes import (
     ContourSpec,
     MeasureResolvent,
@@ -220,6 +221,23 @@ def _least_value(f, scale, edge):
     return best
 
 
+def _paired_atoms(atoms1, atoms2, op):
+    """The atoms at op(a, b) of weight mu({a}) + nu({b}) - 1, over the
+    pairs of ``atoms1`` and ``atoms2`` where that weight exceeds MASS_TOL,
+    as a dict from position to weight.  A measure holds unit mass only to
+    MASS_TOL, so a pair whose weights sum to 1 within it gives no atom:
+    the weights of a renormalized atom list can sum to 1 by rounding only
+    (1.1/4.1 + 3.0/4.1 = 1 + 2.2e-16).  Positions that round to one float
+    share it, with the sum of their weights."""
+    found = {}
+    for a, v in atoms1:
+        for b, w in atoms2:
+            if v + w - 1.0 > MASS_TOL:
+                x = op(a, b)
+                found[x] = found.get(x, 0.0) + (v + w - 1.0)
+    return found
+
+
 def _same_measure(mu1: SpectralMeasure, mu2: SpectralMeasure) -> bool:
     # value equality that ignores ``renorm``, the metadata of how a measure
     # reached unit mass
@@ -283,9 +301,6 @@ class _SweepResolvent(ResolventEvaluator):
         self.op1 = MeasureResolvent(mu1)
         self.op2 = (self.op1 if _same_measure(mu1, mu2)
                     else MeasureResolvent(mu2))
-        # atomless operands give an atomless sum, product or Pastur law
-        # (Bercovici and Voiculescu 1998; Belinschi 2003)
-        self.atomless = self.op1.atomless and self.op2.atomless
 
     def hull(self):
         """The naive support, cut on each side s to the bound that
@@ -584,10 +599,14 @@ class FreeSumResolvent(_SweepResolvent):
     """Transform of the free additive convolution of two measures.
 
     With F_i = 1/G_i, t_i(z, w) = z + F_i(w) - w, and G(z) = G_1(omega_1).
+    The sum has an atom at a + b of weight mu1({a}) + mu2({b}) - 1 wherever
+    that is positive, and no other (Bercovici and Voiculescu 1998).
     """
 
     def __init__(self, mu1: SpectralMeasure, mu2: SpectralMeasure):
         super().__init__(mu1, mu2)
+        self.known_atoms = tuple(sorted(
+            _paired_atoms(mu1.atoms, mu2.atoms, operator.add).items()))
         lo1, hi1 = mu1.support()
         lo2, hi2 = mu2.support()
         self.support = (lo1 + lo2, hi1 + hi2)
@@ -610,13 +629,17 @@ class PasturResolvent(_SweepResolvent):
     of variance sigma^2, whose map has a closed form.  omega_1 solves
     omega_1 = z - sigma^2 G(omega_1) with Im omega_1 > 0 (Biane 1997), so
     t_1(z, w) = z - sigma^2 G(w) alone gives T, on the path of a
-    self-convolution, and G(z) = G(omega_1)."""
+    self-convolution, and G(z) = G(omega_1).  The law has no atom, but an
+    operand with atoms keeps pole detection: at small sigma each atom
+    becomes a cluster narrower than the contour spacing, which detection
+    returns as the point mass it nearly is."""
 
     def __init__(self, mu: SpectralMeasure, sigma: float):
         if not 0 < sigma <= CONTOUR_LIMIT:  # NaN fails too
             raise ValidationError(
                 f"sigma must be positive and at most {CONTOUR_LIMIT:g}")
         super().__init__(mu, mu)
+        self.known_atoms = self.op1.known_atoms
         self.sigma2 = sigma * sigma
         lo, hi = mu.support()
         self.support = (lo - 2 * sigma, hi + 2 * sigma)
@@ -635,7 +658,11 @@ class FreeProductResolvent(_SweepResolvent):
     With h_i(w) = w * G_i(w) and k_i(w) = h_i(w) / ((h_i(w) - 1) w),
     t_i(z, w) = z * k_i(w): the product rule with omega_i = lambda_i(h(z))
     gives omega_1 * omega_2 = z * h / (h - 1).  Then G(z) = h_1(omega_1)/z
-    = omega_1 G_1(omega_1) / z.
+    = omega_1 G_1(omega_1) / z.  The product has an atom of weight
+    max(mu1({0}), mu2({0})) at 0, and one at ab of weight mu1({a}) +
+    mu2({b}) - 1 for a, b > 0 wherever that is positive, and no other
+    (Belinschi, IEOT 2003); an atom at or below 0, as the 1e-12 slack of
+    the support check lets through, counts as one at 0.
     """
 
     def __init__(self, mu1: SpectralMeasure, mu2: SpectralMeasure):
@@ -650,6 +677,13 @@ class FreeProductResolvent(_SweepResolvent):
                     "at 0 times any law is that point mass)"
                 )
         super().__init__(mu1, mu2)
+        found = _paired_atoms([p for p in mu1.atoms if p[0] > 0],
+                              [p for p in mu2.atoms if p[0] > 0],
+                              operator.mul)
+        zero = max(sum(w for a, w in mu.atoms if a <= 0) for mu in (mu1, mu2))
+        if zero > 0:
+            found[0.0] = found.get(0.0, 0.0) + zero
+        self.known_atoms = tuple(sorted(found.items()))
         lo1, hi1 = mu1.support()
         lo2, hi2 = mu2.support()
         self.support = (lo1 * lo2, hi1 * hi2)

@@ -3,12 +3,14 @@
 Branch convention, fixed once for the whole package: G maps the upper half
 plane into the lower half plane and G(z) ~ 1/z at infinity.  Densities are
 recovered from boundary values through polynomial (Neville) extrapolation of
--Im G(x + i*eps)/pi over a decreasing epsilon ladder; point masses are
-detected from the scale-invariance of eps*|G| near a pole, but only for an
-evaluator that may have them.  A stored measure without atoms has none,
-and neither has the free sum or product of two such measures (Bercovici
-and Voiculescu 1998; Belinschi 2003) or a measure plus a semicircle, so
-their pipelines skip detection and its deep probes.
+-Im G(x + i*eps)/pi over a decreasing epsilon ladder, after the poles of
+the point masses are subtracted.  Where the evaluator knows its atoms they
+are taken as given: the free sum mu ⊞ nu has an atom at a + b of weight
+mu({a}) + nu({b}) - 1 wherever that is positive (Bercovici and Voiculescu
+1998), and on [0, inf) the free product has the same rule at ab for a, b >
+0 and an atom of weight max(mu({0}), nu({0})) at 0 (Belinschi, IEOT 2003).
+Elsewhere point masses are detected from the scale-invariance of eps*|G|
+near a pole.
 """
 
 from __future__ import annotations
@@ -89,18 +91,21 @@ class ResolventEvaluator:
     lands within 3 spacings of it.  The hull is an interval outside
     which the measure has no mass, which ``stieltjes_invert`` solves only
     near.  The base class declares the whole real line, so an evaluator
-    that knows no tighter hull loses no contour column.  ``atomless``,
-    derived from the stored measure or the operands, is True where the
-    measure can have no point mass, and then ``stieltjes_invert`` skips
-    pole detection; the base class's False keeps detection for every
-    other evaluator.  Evaluation is reentrant: ``sample_columns`` carries
-    any warm-start state locally, so concurrent use needs no
-    coordination.
+    that knows no tighter hull loses no contour column.  ``known_atoms``,
+    derived from the stored measure or the operands, is the measure's
+    exact (position, weight) pairs, sorted by position, where they are
+    known: () for a measure without atoms, and for a free sum or product
+    the pairs of the operands' atoms whose weights sum past 1 (Bercovici
+    and Voiculescu 1998; Belinschi, IEOT 2003).  ``stieltjes_invert``
+    then subtracts their poles and detects none; the base class's None
+    keeps detection for every other evaluator.  Evaluation is reentrant:
+    ``sample_columns`` carries any warm-start state locally, so concurrent
+    use needs no coordination.
     """
 
     support: tuple[float, float] = (-1.0, 1.0)
     edge_hints: tuple = ()
-    atomless: bool = False
+    known_atoms: tuple | None = None
 
     def hull(self) -> tuple[float, float]:
         return -np.inf, np.inf
@@ -489,7 +494,9 @@ class MeasureResolvent(ResolventEvaluator):
         self.edge_hints = tuple(np.unique([e for s in mu.segments
                                            for e in (s.grid[0], s.grid[-1])]))
         self._atoms = tuple((float(x), float(w)) for x, w in mu.atoms)
-        self.atomless = not any(w > 0 for _, w in self._atoms)
+        # detection stays for a measure with atoms: criterion 8's round
+        # trip is its test
+        self.known_atoms = None if any(w > 0 for _, w in self._atoms) else ()
         self._atom_x, self._atom_w = np.array(self._atoms).reshape(-1, 2).T
         self._cells = _CellTree.of(mu)
 
@@ -839,10 +846,15 @@ def stieltjes_invert(ev: ResolventEvaluator,
     edge cuts below trim, and the node that closes the output segment.  A
     contour that keeps fewer than two nodes raises SupportCoverageError.
     Density at every kept node comes from Neville extrapolation of
-    -Im G(x + i eps)/pi over the epsilon ladder; atoms are detected and
-    removed first, unless the evaluator is ``atomless``: there detection
-    costs deep single-column probes and could only mistake a cluster
-    narrower than the contour spacing for a point mass.  Support edges
+    -Im G(x + i eps)/pi over the epsilon ladder, once the poles of the
+    atoms are subtracted.  The atoms are the evaluator's ``known_atoms``
+    where it has them (for ⊞ an atom at a + b of weight mu({a}) + nu({b})
+    - 1 where that is positive, Bercovici and Voiculescu 1998; for ⊠ the
+    same at ab > 0 and max(mu({0}), nu({0})) at 0, Belinschi, IEOT 2003),
+    and are detected only where it has none: detection costs deep
+    single-column probes, misses an atom next to a continuous edge, and
+    can mistake a cluster narrower than the contour spacing for a point
+    mass.  Known atoms are renormalized with the rest.  Support edges
     are found by mass quantiles.  An edge whose fine or coarse quantile
     lands within 3 spacings of one of the evaluator's ``edge_hints`` is
     taken at that hint and re-sampled on deep ladders (and completed by a
@@ -866,7 +878,8 @@ def stieltjes_invert(ev: ResolventEvaluator,
     cols = _herglotz_guard(ev, xs,
                            np.broadcast_to(sched, (xs.size, sched.size)))
 
-    atoms = [] if ev.atomless else _detect_atoms(ev, xs, sched, cols)
+    atoms = (_detect_atoms(ev, xs, sched, cols) if ev.known_atoms is None
+             else list(ev.known_atoms))
     if atoms:
         cols = _subtract_poles(xs, sched, cols, atoms)
 
